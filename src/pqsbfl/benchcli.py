@@ -27,11 +27,11 @@ import csv
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import InsufficientPoints, ParseError, PqsBflError, ValidationError
+from .ledger import CALIBRATION_SIG_SIZES
 from .protocol import ExperimentConfig, ExperimentReport, run_experiment
 from .sigsuite import SchemeId, keygen, measure_primitives
 
@@ -71,7 +71,6 @@ COMPARISON_CSV_COLUMNS = (
     "blockchain",
     "rounds",
     "status",
-    "timing_reliable",
     "initial_accuracy",
     "final_accuracy",
     "mean_accuracy",
@@ -112,17 +111,11 @@ CRYPTO_CSV_COLUMNS = (
     "private_key_b",
 )
 
-# Nominal signature sizes for the crypto table; ECDSA's DER size varies per
-# signature, so its column reports the long-run average.
-_NOMINAL_SIG_SIZES = {SchemeId.PQC: 3309, SchemeId.ECDSA: 71, SchemeId.NONE: 32}
-
-
 @dataclass
 class SuiteSpec:
     configs: list
     out_dir: Path
     formats: tuple = ("csv", "json")
-    parallel: bool = False  # parallel entries taint wall-clock timing columns
 
 
 @dataclass
@@ -165,56 +158,38 @@ def _parse_float(raw: str, where: str) -> float:
         raise ParseError(f"{where}: expected number, got {raw!r}") from None
 
 
-_EXPERIMENT_KEYS = {
-    "dataset",
-    "crypto",
-    "clients",
-    "rounds",
-    "blockchain",
-    "seed",
-    "alpha",
-    "nobc_fixed_delay_s",
-    "synth_samples",
-    "synth_features",
-    "synth_classes",
-    "submit_aggregation",
-    "parallel_clients",
+def _parse_scheme(raw: str, where: str) -> SchemeId:
+    try:
+        return SchemeId(raw.strip())
+    except ValueError:
+        raise ParseError(f"{where}: unknown crypto {raw!r}") from None
+
+
+# INI/flag key -> (ExperimentConfig field, parser(raw, where)).
+_EXPERIMENT_FIELDS = {
+    "dataset": ("dataset", lambda raw, where: raw.strip()),
+    "crypto": ("scheme", _parse_scheme),
+    "clients": ("n_clients", _parse_int),
+    "rounds": ("rounds", _parse_int),
+    "blockchain": ("blockchain", _parse_bool),
+    "seed": ("master_seed", _parse_int),
+    "alpha": ("alpha", _parse_float),
+    "nobc_fixed_delay_s": ("nobc_fixed_delay_s", _parse_float),
+    "synth_samples": ("synth_samples", _parse_int),
+    "synth_features": ("synth_features", _parse_int),
+    "synth_classes": ("synth_classes", _parse_int),
+    "submit_aggregation": ("submit_aggregation", _parse_bool),
 }
 _TRAIN_KEYS = {"local_epochs", "batch_size", "learning_rate"}
 _LATENCY_KEYS = {"constant", "uniform"}
 
 
 def _apply_experiment_key(cfg: ExperimentConfig, key: str, raw: str, where: str):
-    if key == "dataset":
-        return replace(cfg, dataset=raw.strip())
-    if key == "crypto":
-        try:
-            return replace(cfg, scheme=SchemeId(raw.strip()))
-        except ValueError:
-            raise ParseError(f"{where}: unknown crypto {raw!r}") from None
-    if key == "clients":
-        return replace(cfg, n_clients=_parse_int(raw, where))
-    if key == "rounds":
-        return replace(cfg, rounds=_parse_int(raw, where))
-    if key == "blockchain":
-        return replace(cfg, blockchain=_parse_bool(raw, where))
-    if key == "seed":
-        return replace(cfg, master_seed=_parse_int(raw, where))
-    if key == "alpha":
-        return replace(cfg, alpha=_parse_float(raw, where))
-    if key == "nobc_fixed_delay_s":
-        return replace(cfg, nobc_fixed_delay_s=_parse_float(raw, where))
-    if key == "synth_samples":
-        return replace(cfg, synth_samples=_parse_int(raw, where))
-    if key == "synth_features":
-        return replace(cfg, synth_features=_parse_int(raw, where))
-    if key == "synth_classes":
-        return replace(cfg, synth_classes=_parse_int(raw, where))
-    if key == "submit_aggregation":
-        return replace(cfg, submit_aggregation=_parse_bool(raw, where))
-    if key == "parallel_clients":
-        return replace(cfg, parallel_clients=_parse_bool(raw, where))
-    raise ParseError(f"{where}: unknown key {key!r}")
+    try:
+        field_name, parse = _EXPERIMENT_FIELDS[key]
+    except KeyError:
+        raise ParseError(f"{where}: unknown key {key!r}") from None
+    return replace(cfg, **{field_name: parse(raw, where)})
 
 
 def _apply_section(cfg: ExperimentConfig, section: str, items, where_prefix: str):
@@ -307,7 +282,6 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
     parser = _read_ini(Path(path))
     suite_seed = 0
     formats = ("csv", "json")
-    parallel = False
     out = Path(out_dir) if out_dir is not None else None
 
     if parser.has_section("suite"):
@@ -323,8 +297,6 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
                 unknown = set(formats) - {"csv", "json"}
                 if unknown:
                     raise ParseError(f"{where}: unknown formats {sorted(unknown)}")
-            elif key == "parallel":
-                parallel = _parse_bool(raw, where)
             else:
                 raise ParseError(f"{where}: unknown key {key!r}")
     if base_seed is not None:
@@ -353,7 +325,7 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
         names.add(cfg.name())
         configs.append(cfg)
 
-    return SuiteSpec(configs=configs, out_dir=out, formats=formats, parallel=parallel)
+    return SuiteSpec(configs=configs, out_dir=out, formats=formats)
 
 
 def _write_csv(path: Path, columns, rows):
@@ -421,36 +393,21 @@ def _comparison_row(cfg: ExperimentConfig, report=None, error=None) -> dict:
 
 
 def run_suite(spec: SuiteSpec):
-    """Run every suite entry; failures don't stop the rest.
-
-    Entries run sequentially by default so wall-clock timing columns stay
-    clean; with ``spec.parallel`` they run concurrently and every row's
-    ``timing_reliable`` column is set false (results are still
-    deterministic, only the timings are contended).
+    """Run every suite entry in order; failures don't stop the rest.
 
     Returns ``(ComparisonTable, {name: report})``; writes per-config report
     files, the top-level ``comparison.csv``, and ``scaling.csv`` whenever the
     successful entries span at least two client counts.
     """
 
-    def attempt(cfg):
-        try:
-            return cfg, run_experiment(cfg), None
-        except PqsBflError as exc:
-            return cfg, None, exc
-
-    if spec.parallel and len(spec.configs) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(spec.configs))) as pool:
-            outcomes = list(pool.map(attempt, spec.configs))
-    else:
-        outcomes = [attempt(cfg) for cfg in spec.configs]
-
     rows = {}
     reports = {}
-    for cfg, report, error in outcomes:
-        row = _comparison_row(cfg, report, error)
-        row["timing_reliable"] = not spec.parallel
-        rows[cfg.name()] = row
+    for cfg in spec.configs:
+        try:
+            report, error = run_experiment(cfg), None
+        except PqsBflError as exc:
+            report, error = None, exc
+        rows[cfg.name()] = _comparison_row(cfg, report, error)
         if report is not None:
             reports[cfg.name()] = report
             write_report_files(report, spec.out_dir, spec.formats)
@@ -506,7 +463,7 @@ def emit_crypto_table(schemes, trials: int = 100) -> list:
                 "keygen_ms": timing.keygen_ms,
                 "sign_ms": timing.sign_ms,
                 "verify_ms": timing.verify_ms,
-                "sig_size_b": _NOMINAL_SIG_SIZES[scheme],
+                "sig_size_b": CALIBRATION_SIG_SIZES[scheme],
                 "public_key_b": len(key.public_key),
                 "private_key_b": len(key.private_key),
             }

@@ -7,7 +7,7 @@ feature datasets can be ingested from CSV instead of generated.
 
 Everything here is deterministic given its seeds: dataset generation,
 Dirichlet partitioning, shuffling during local training. Training touches no
-global random state, so concurrent per-client training and any signature
+global random state, so the order in which clients train and any signature
 scheme layered on top cannot perturb the model trajectory.
 
 Model parameters live in a single flat float32 vector plus an ordered layout
@@ -363,8 +363,8 @@ def local_train(
     eps = np.float32(1e-8)
     m = np.zeros_like(params.values)
     v = np.zeros_like(params.values)
-    m_layers = ModelParams(m, params.layout).unpack()
-    v_layers = ModelParams(v, params.layout).unpack()
+    grad = np.zeros_like(params.values)
+    grads = ModelParams(grad, params.layout).unpack()  # views into grad
     step = 0
 
     for _ in range(cfg.local_epochs):
@@ -378,25 +378,19 @@ def local_train(
             dlogits[np.arange(len(y)), y] -= np.float32(1.0)
             dlogits /= np.float32(len(y))
 
-            grads = {
-                "output.weight": h.T @ dlogits,
-                "output.bias": dlogits.sum(axis=0),
-            }
+            grads["output.weight"][:] = h.T @ dlogits
+            grads["output.bias"][:] = dlogits.sum(axis=0)
             dh = dlogits @ layers["output.weight"].T
             dz = dh * (z > 0)
-            grads["hidden.weight"] = x.T @ dz
-            grads["hidden.bias"] = dz.sum(axis=0)
+            grads["hidden.weight"][:] = x.T @ dz
+            grads["hidden.bias"][:] = dz.sum(axis=0)
 
             step += 1
             bc1 = np.float32(1.0 - 0.9**step)
             bc2 = np.float32(1.0 - 0.999**step)
-            for name, g in grads.items():
-                g = g.astype(np.float32)
-                m_layers[name][:] = beta1 * m_layers[name] + (1 - beta1) * g
-                v_layers[name][:] = beta2 * v_layers[name] + (1 - beta2) * g * g
-                layers[name][:] -= lr * (m_layers[name] / bc1) / (
-                    np.sqrt(v_layers[name] / bc2) + eps
-                )
+            m = beta1 * m + (1 - beta1) * grad
+            v = beta2 * v + (1 - beta2) * grad * grad
+            params.values -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
 
     return params
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _mldsa_keyexpand
 from .errors import InfeasibleCalibration, SchemeMismatch, UnregisteredClient
 from .sigsuite import HASH_BYTES, SchemeId, Signature, verify
 
@@ -62,7 +63,7 @@ DEFAULT_GAS_TARGETS = {
     SchemeId.NONE: 173_650,
 }
 CALIBRATION_SIG_SIZES = {
-    SchemeId.PQC: 3309,
+    SchemeId.PQC: _mldsa_keyexpand.SIGNATURE_BYTES,
     SchemeId.ECDSA: 71,
     SchemeId.NONE: 32,
 }

@@ -12,7 +12,7 @@ Two submission modes share all other code paths. With a blockchain the
 signed hash goes through the simulated ledger's smart contract (gas metered,
 confirmation latency sampled); without one ("NoBC") the aggregator verifies
 signatures directly and a fixed configurable delay stands in for the
-transaction time. Delays are accounted arithmetically by default so runs
+transaction time. Delays are accounted arithmetically, never slept, so runs
 stay fast; wall-clock compute time and simulated latency are reported as
 separate components.
 
@@ -26,7 +26,6 @@ this system has, and the test suite leans on it.
 import hashlib
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import fedcore, sigsuite
@@ -102,8 +101,6 @@ class ExperimentConfig:
     synth_classes: int = 5
     client_ids: tuple = None         # defaults to 0..n_clients-1
     submit_aggregation: bool = True
-    parallel_clients: bool = True
-    nobc_real_sleep: bool = False
 
     def dataset_label(self) -> str:
         if self.dataset.startswith("csv:"):
@@ -382,22 +379,16 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     adversarial interference and is used by the security tests.
 
     Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
-    global model is left unchanged in that case.
+    global model is left unchanged in that case, and in blockchain mode the
+    round's block is still mined so it holds the rejected transactions.
     """
     if t < 1:
         raise ValueError(f"rounds are numbered from 1, got {t}")
     config = state.config
     started = time.perf_counter()
-    slept = 0.0
 
     ids = state.client_ids
-    if config.parallel_clients and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=min(8, len(ids))) as pool:
-            submissions = list(
-                pool.map(lambda pc: _client_work(state, *pc), enumerate(ids))
-            )
-    else:
-        submissions = [_client_work(state, pos, cid) for pos, cid in enumerate(ids)]
+    submissions = [_client_work(state, pos, cid) for pos, cid in enumerate(ids)]
 
     if tamper_hook is not None:
         submissions = [tamper_hook(sub) for sub in submissions]
@@ -428,9 +419,6 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
             valid = sigsuite.verify(pk, scheme, sub.digest, sub.sig)
             verify_times_ms.append((time.perf_counter() - t0) * 1e3)
             confirm_times.append(config.nobc_fixed_delay_s)
-            if config.nobc_real_sleep and config.nobc_fixed_delay_s > 0:
-                time.sleep(config.nobc_fixed_delay_s)
-                slept += config.nobc_fixed_delay_s
             if valid:
                 verified_ids.add(sub.client_id)
 
@@ -453,6 +441,10 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         updates.append(ClientUpdate(cid, sub.params, sub.n_samples, t))
 
     if not updates:
+        if config.blockchain:
+            # Close the round's block over its rejected transactions so they
+            # do not land in the next round's block.
+            state.ledger.mine_block()
         raise NoVerifiedUpdates(f"round {t}: every client submission was rejected")
 
     new_global = fedcore.aggregate(updates)
@@ -474,7 +466,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     model_bytes = fedcore.canonical_bytes(new_global)
     state.model_trajectory.append(model_bytes)
 
-    compute_time = (time.perf_counter() - started) - slept
+    compute_time = time.perf_counter() - started
     simulated_latency = sum(confirm_times) + agg_latency
     mean_sign = sum(s.sign_ms for s in submissions) / len(submissions)
     mean_verify = sum(verify_times_ms) / len(verify_times_ms)

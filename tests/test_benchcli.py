@@ -192,31 +192,6 @@ class TestSuite:
         )
         assert main(["--suite", str(good), "--out", str(tmp_path / "o2")]) == 0
 
-    def test_parallel_suite_marks_timings_unreliable_results_unchanged(self, tmp_path):
-        entries = (
-            "[p]\ncrypto = NONE\nclients = 2\n"
-            + "".join(f"{k} = {v}\n" for k, v in FAST.items())
-            + "[q]\ncrypto = NONE\nclients = 3\n"
-            + "".join(f"{k} = {v}\n" for k, v in FAST.items())
-        )
-        seq_spec = parse_suite(
-            self._write_suite(tmp_path, "[suite]\nseed = 2\n" + entries),
-            out_dir=tmp_path / "seq",
-        )
-        par_spec = parse_suite(
-            self._write_suite(tmp_path, "[suite]\nseed = 2\nparallel = on\n" + entries),
-            out_dir=tmp_path / "par",
-        )
-        assert not seq_spec.parallel and par_spec.parallel
-        seq_table, seq_reports = run_suite(seq_spec)
-        par_table, par_reports = run_suite(par_spec)
-        for name in seq_table.rows:
-            assert seq_table.rows[name]["timing_reliable"] is True
-            assert par_table.rows[name]["timing_reliable"] is False
-            assert (
-                par_reports[name].model_trajectory == seq_reports[name].model_trajectory
-            )
-
     def test_entry_seed_derivation_isolates_learning_identity(self, tmp_path):
         # same dataset/clients/rounds: PQC and NONE entries share a seed
         body = (

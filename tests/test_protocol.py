@@ -1,6 +1,7 @@
 """Protocol contracts: initialization, the round loop, metrics, oracles."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from pqsbfl.errors import (
     ZeroDenominator,
 )
 from pqsbfl.fedcore import TrainConfig
+from pqsbfl.ledger import chain_verify
 from pqsbfl.protocol import (
     ExperimentConfig,
     derive_seed,
@@ -152,6 +154,17 @@ class TestRunRound:
             run_round(state, 1, tamper_hook=_corrupt_sig)
         assert np.array_equal(state.global_params.values, before)
 
+    def test_aborted_round_mines_its_own_block(self):
+        state = init_phase(_small_config(scheme=SchemeId.NONE))
+        with pytest.raises(NoVerifiedUpdates):
+            run_round(state, 1, tamper_hook=_corrupt_sig)
+        run_round(state, 2)
+        chain = state.ledger.chain
+        # genesis, registrations, round 1's three rejected submissions,
+        # round 2's three updates plus the aggregation record
+        assert [len(b.tx_hashes) for b in chain.blocks] == [0, 4, 3, 4]
+        assert chain_verify(chain).intact
+
     def test_round_numbering_starts_at_one(self):
         state = init_phase(_small_config())
         with pytest.raises(ValueError):
@@ -162,11 +175,6 @@ class TestRunRound:
         m = run_round(state, 1)
         recomputed = overhead_ratio(m.mean_sign_ms, m.mean_verify_ms, m.mean_tx_time_s)
         assert abs(recomputed - m.overhead_ratio) <= 1e-12 * abs(m.overhead_ratio)
-
-    def test_serial_and_parallel_agree(self):
-        serial = run_experiment(_small_config(parallel_clients=False))
-        parallel = run_experiment(_small_config(parallel_clients=True))
-        assert serial.model_trajectory == parallel.model_trajectory
 
 
 def _fedavg_oracle_initial(cfg):
@@ -225,6 +233,41 @@ class TestRunExperiment:
         assert report.config.name() in blob
 
 
+# SHA3-256 over the concatenated per-round model_digest hex strings. A
+# refactor of training, aggregation or the round loop must leave these
+# unchanged; c05 only compares schemes with each other, so it cannot catch a
+# change that alters every scheme's trajectory the same way.
+GOLDEN_TRAJECTORIES = [
+    (
+        dict(scheme=SchemeId.NONE, n_clients=3, rounds=10, master_seed=7),
+        "5dc5555f5fce52d70e88cead64585e28c8492f0974482a87888d94d2bb776d68",
+    ),
+    (
+        dict(
+            scheme=SchemeId.NONE, n_clients=16, rounds=5, master_seed=11,
+            train=TrainConfig(local_epochs=1),
+        ),
+        "8ce7ef6c008f265c61cba2b97e32a3147f786af63f2e067be2082bf80fc4bad1",
+    ),
+    (
+        dict(
+            scheme=SchemeId.ECDSA, n_clients=5, rounds=5, master_seed=3,
+            blockchain=False, synth_samples=600,
+        ),
+        "d6389fbeb1c02d9497b2d10c7a0f37691383244f934cd10a64126cee97c38582",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs,expected", GOLDEN_TRAJECTORIES, ids=["none-3c", "none-16c", "ecdsa-5c-nobc"]
+)
+def test_golden_trajectory(kwargs, expected):
+    report = run_experiment(ExperimentConfig(**kwargs))
+    joined = "".join(m.model_digest for m in report.rounds)
+    assert hashlib.sha3_256(joined.encode()).hexdigest() == expected
+
+
 class TestGasEfficiency:
     def test_pqc_gas_per_round_arithmetic(self):
         # 3 client updates + 1 aggregation record, all at the PQC target
@@ -281,22 +324,6 @@ class TestConfig:
             assert 0.1 <= m.mean_tx_time_s <= 0.5
         spread = {m.mean_tx_time_s for m in report.rounds}
         assert len(spread) > 1  # actually sampling, not a constant
-
-    def test_nobc_real_sleep_excluded_from_compute_time(self):
-        import time
-
-        cfg = _small_config(
-            blockchain=False, rounds=1, n_clients=2,
-            nobc_fixed_delay_s=0.03, nobc_real_sleep=True,
-            parallel_clients=False,
-        )
-        state = init_phase(cfg)
-        t0 = time.perf_counter()
-        metrics = run_round(state, 1)
-        wall = time.perf_counter() - t0
-        assert wall >= 2 * 0.03  # the delays were actually slept
-        assert metrics.compute_time_s <= wall - 2 * 0.03 + 0.02
-        assert metrics.simulated_latency_s == pytest.approx(2 * 0.03)
 
     def test_csv_dataset_end_to_end(self, tmp_path):
         rng = np.random.default_rng(3)
