@@ -6,6 +6,21 @@ and an append-only hash chain of blocks with instant finality. There is no
 consensus and no networking; submission order is application order, which
 makes every state transition deterministic given the transaction sequence.
 
+The contract's rules live in one state-transition function,
+:meth:`ContractState.apply`, which both the live ledger and
+:func:`chain_verify` run. Each block commits to the state its transactions
+produce with a running root (as in Ethereum, a block commits to its
+post-state and a full node checks that by re-executing the block)::
+
+    state_root[h] = sha3_256(state_root[h - 1] || records written in block h)
+
+starting from 32 zero bytes before genesis. A record is an injective
+encoding of one write (a registration with its scheme, a verified update
+hash, or an aggregation record); records are write-once, so the sequence of
+roots commits to the whole state without storing it per block.
+:func:`chain_verify` replays every stored transaction from an empty state
+and compares each recomputed root with the block's.
+
 Gas for a transaction follows an affine cost model::
 
     gas = g_base + g_byte * len(payload) + g_store * records_written
@@ -13,9 +28,10 @@ Gas for a transaction follows an affine cost model::
 
 The per-scheme verification surcharge g_verify is free to calibrate:
 :func:`calibrate_gas` solves it so submit-transaction totals reproduce
-externally measured targets exactly. Failed transactions still consume gas
-(EVM convention) but write no state. Records are write-once: duplicate
-registrations or resubmissions for an already-verified slot are rejected.
+externally measured targets exactly. Failed transactions, malformed ones
+included, still consume gas (EVM convention) but write no state. Records
+are write-once: duplicate registrations or resubmissions for an
+already-verified slot are rejected.
 """
 
 import enum
@@ -28,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _mldsa_keyexpand
-from .errors import InfeasibleCalibration, SchemeMismatch, UnregisteredClient
+from .errors import InfeasibleCalibration, UnregisteredClient
 from .sigsuite import HASH_BYTES, SchemeId, Signature, verify
 
 __all__ = [
@@ -86,6 +102,10 @@ class TxStatus(enum.Enum):
     REJECTED = "REJECTED"
 
 
+_KIND_CODE = {kind: i for i, kind in enumerate(TxKind)}
+_SCHEME_CODE = {scheme: i for i, scheme in enumerate(SchemeId)}
+
+
 @dataclass(frozen=True)
 class Transaction:
     """One ledger transaction; payload is pk bytes (REGISTER) or
@@ -108,7 +128,7 @@ class Transaction:
     def encode(self) -> bytes:
         head = struct.pack(
             "<B32sqI",
-            list(TxKind).index(self.kind),
+            _KIND_CODE[self.kind],
             self.sender,
             self.round,
             len(self.payload),
@@ -228,10 +248,17 @@ class Block:
         return hashlib.sha3_256(self.encode()).digest()
 
 
+def _next_root(root: bytes, records) -> bytes:
+    h = hashlib.sha3_256(root)
+    for record in records:
+        h.update(record)
+    return h.digest()
+
+
 class ContractState:
     """Registry, verified update hashes, and aggregation records.
 
-    Mutated only through the three ledger operations; keys are write-once.
+    Changed only through :meth:`apply`; keys are write-once.
     """
 
     def __init__(self):
@@ -239,36 +266,70 @@ class ContractState:
         self.verified_updates: dict = {}    # (round, address) -> 32-byte hash
         self.aggregation_records: dict = {} # round -> 32-byte hash
 
-    def serialize(self) -> bytes:
-        """Canonical byte encoding (sorted keys, hex values) for state roots."""
-        doc = {
-            "registry": {
-                addr.hex(): [pk.hex(), scheme.value]
-                for addr, (pk, scheme) in sorted(self.registry.items())
-            },
-            "verified_updates": {
-                f"{rnd}:{addr.hex()}": h.hex()
-                for (rnd, addr), h in sorted(self.verified_updates.items())
-            },
-            "aggregation_records": {
-                str(rnd): h.hex()
-                for rnd, h in sorted(self.aggregation_records.items())
-            },
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    def apply(self, tx: Transaction) -> tuple:
+        """The contract's state-transition function: execute ``tx``.
 
-    def state_root(self) -> bytes:
-        return hashlib.sha3_256(self.serialize()).digest()
+        Returns ``(status, record, verify_ms)``. ``record`` is the injective
+        encoding of what ``tx`` wrote (a kind byte, then fixed-width or
+        length-prefixed fields), empty when it was rejected; ``verify_ms``
+        is the wall time of the signature check.
+
+        A registration is rejected if the address already holds a key. A
+        submit payload is a 32-byte hash followed by the signature; it is
+        rejected when its scheme tag differs from the registered one, when
+        the signature does not verify under the registered key, or when its
+        slot (round and sender for updates, round for aggregations) is
+        taken. Raises :class:`UnregisteredClient` for a submit from an
+        address with no key.
+        """
+        if tx.kind is TxKind.REGISTER:
+            if tx.sender in self.registry:
+                return TxStatus.REJECTED, b"", 0.0
+            self.registry[tx.sender] = (tx.payload, tx.scheme)
+            record = struct.pack(
+                "<B32sBI", _KIND_CODE[tx.kind], tx.sender,
+                _SCHEME_CODE[tx.scheme], len(tx.payload),
+            ) + tx.payload
+            return TxStatus.VERIFIED, record, 0.0
+
+        if tx.sender not in self.registry:
+            raise UnregisteredClient(f"address {tx.sender.hex()[:16]}… not registered")
+        public_key, scheme = self.registry[tx.sender]
+        if tx.scheme is not scheme:
+            return TxStatus.REJECTED, b"", 0.0
+        update_hash = tx.payload[:HASH_BYTES]
+        sig = Signature(scheme, tx.payload[HASH_BYTES:])
+
+        t0 = time.perf_counter()
+        valid = verify(public_key, scheme, update_hash, sig)
+        verify_ms = (time.perf_counter() - t0) * 1e3
+
+        if tx.kind is TxKind.SUBMIT_UPDATE:
+            table, slot = self.verified_updates, (tx.round, tx.sender)
+            record = struct.pack(
+                "<Bq32s32s", _KIND_CODE[tx.kind], tx.round, tx.sender, update_hash
+            )
+        else:
+            table, slot = self.aggregation_records, tx.round
+            record = struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
+        if not valid or slot in table:
+            return TxStatus.REJECTED, b"", verify_ms
+        table[slot] = update_hash
+        return TxStatus.VERIFIED, record, verify_ms
 
 
 @dataclass
 class Chain:
-    """Append-only block chain plus the data needed to re-verify it."""
+    """Append-only block chain plus every transaction its blocks list.
+
+    Each block's ``state_root`` folds the records its transactions wrote
+    into the previous block's root, so the chain stores no state: replaying
+    ``tx_store`` in block order rebuilds it (see :func:`chain_verify`).
+    """
 
     blocks: list = field(default_factory=list)
     head_hash: bytes = _ZERO32
     tx_store: dict = field(default_factory=dict)       # tx_hash -> Transaction
-    state_snapshots: list = field(default_factory=list)  # serialized state per block
 
     @property
     def height(self) -> int:
@@ -285,8 +346,9 @@ class SimulatedLedger:
     """Smart-contract host: applies transactions serially and mines blocks.
 
     Every contract call returns a :class:`Receipt`; gas is charged whether or
-    not the call succeeds. Processed transactions wait in a pending list and
-    are packaged FIFO into the next mined block.
+    not the call succeeds. Processed transactions wait in a pending list,
+    with the records they wrote, and are packaged FIFO into the next mined
+    block.
     """
 
     def __init__(
@@ -294,37 +356,40 @@ class SimulatedLedger:
         gas_model: GasModel = None,
         latency: object = None,
         rng_seed: int = 0,
-        clock=time.time,
     ):
         self.gas = calibrate_gas() if gas_model is None else gas_model
         self.latency = ConstantLatency(0.0) if latency is None else latency
         self.state = ContractState()
         self.chain = Chain()
         self._rng = np.random.default_rng(rng_seed)
-        self._clock = clock
-        self._pending: list = []
-        self._mine_genesis()
-
-    def _mine_genesis(self):
+        self._pending: list = []  # (tx_hash, record written) per transaction
         genesis = Block(
             height=0,
             parent_hash=_ZERO32,
             tx_hashes=(),
-            state_root=self.state.state_root(),
+            state_root=_next_root(_ZERO32, ()),
             timestamp=0.0,
         )
         self.chain.blocks.append(genesis)
-        self.chain.state_snapshots.append(self.state.serialize())
         self.chain.head_hash = genesis.block_hash()
 
     def latency_sample(self) -> float:
         return self.latency.sample(self._rng)
 
-    def _receipt(self, tx: Transaction, status, gas, verify_ms=0.0) -> Receipt:
-        self._pending.append(tx)
-        self.chain.tx_store[tx.tx_hash()] = tx
+    def _execute(self, tx: Transaction) -> Receipt:
+        """Apply ``tx``, queue it for the next block, and charge its gas."""
+        status, record, verify_ms = self.state.apply(tx)
+        tx_hash = tx.tx_hash()
+        self._pending.append((tx_hash, record))
+        self.chain.tx_store[tx_hash] = tx
+        if tx.kind is TxKind.REGISTER:
+            gas = self.gas.register_gas(len(tx.payload))
+        else:
+            gas = self.gas.submit_gas(
+                tx.scheme, len(tx.payload) - HASH_BYTES, status is TxStatus.VERIFIED
+            )
         return Receipt(
-            tx_hash=tx.tx_hash(),
+            tx_hash=tx_hash,
             status=status,
             gas_used=gas,
             confirm_time_s=self.latency_sample(),
@@ -335,100 +400,91 @@ class SimulatedLedger:
     def register_client(self, address: bytes, public_key: bytes, scheme: SchemeId) -> Receipt:
         """Store a client's public key; duplicate registration is rejected
         (gas still charged) and never replaces the existing key."""
-        tx = Transaction(TxKind.REGISTER, address, -1, public_key, scheme)
-        gas = self.gas.register_gas(len(public_key))
-        if address in self.state.registry:
-            return self._receipt(tx, TxStatus.REJECTED, gas)
-        self.state.registry[address] = (public_key, scheme)
-        return self._receipt(tx, TxStatus.VERIFIED, gas)
-
-    def _submit(self, kind: TxKind, address: bytes, round_: int,
-                update_hash: bytes, sig: Signature) -> Receipt:
-        if len(update_hash) != HASH_BYTES:
-            raise ValueError(f"update hash must be {HASH_BYTES} bytes")
-        if address not in self.state.registry:
-            raise UnregisteredClient(f"address {address.hex()[:16]}… not registered")
-        public_key, registered_scheme = self.state.registry[address]
-        if sig.scheme is not registered_scheme:
-            raise SchemeMismatch(
-                f"registered {registered_scheme}, signature is {sig.scheme}"
-            )
-
-        tx = Transaction(kind, address, round_, update_hash + sig.bytes, sig.scheme)
-
-        t0 = time.perf_counter()
-        valid = verify(public_key, registered_scheme, update_hash, sig)
-        verify_ms = (time.perf_counter() - t0) * 1e3
-
-        if kind is TxKind.SUBMIT_UPDATE:
-            slot_free = (round_, address) not in self.state.verified_updates
-        else:
-            slot_free = round_ not in self.state.aggregation_records
-
-        stored = valid and slot_free
-        gas = self.gas.submit_gas(sig.scheme, len(sig.bytes), stored)
-        if not stored:
-            return self._receipt(tx, TxStatus.REJECTED, gas, verify_ms)
-
-        if kind is TxKind.SUBMIT_UPDATE:
-            self.state.verified_updates[(round_, address)] = update_hash
-        else:
-            self.state.aggregation_records[round_] = update_hash
-        return self._receipt(tx, TxStatus.VERIFIED, gas, verify_ms)
+        return self._execute(Transaction(TxKind.REGISTER, address, -1, public_key, scheme))
 
     def submit_update(self, address: bytes, round_: int,
                       update_hash: bytes, sig: Signature) -> Receipt:
         """Verify a client's signed update hash on-chain; record it if valid.
 
-        Invalid signatures and write-once violations yield REJECTED receipts
-        with no state change. Unknown senders and scheme disagreements raise.
+        Invalid signatures, scheme tags other than the registered one, hashes
+        that are not 32 bytes (the payload's fixed hash field then takes the
+        wrong bytes, so verification fails) and write-once violations yield
+        REJECTED receipts, charged gas, with no state change. Unknown
+        senders raise :class:`UnregisteredClient`, and a payload too short
+        to hold a hash cannot form a transaction (``ValueError``).
         """
-        return self._submit(TxKind.SUBMIT_UPDATE, address, round_, update_hash, sig)
+        return self._execute(Transaction(
+            TxKind.SUBMIT_UPDATE, address, round_, update_hash + sig.bytes, sig.scheme
+        ))
 
     def submit_aggregation(self, address: bytes, round_: int,
                            update_hash: bytes, sig: Signature) -> Receipt:
         """Same semantics as :meth:`submit_update`, recording the round's
         aggregated-model hash instead (one record per round)."""
-        return self._submit(TxKind.SUBMIT_AGGREGATION, address, round_, update_hash, sig)
+        return self._execute(Transaction(
+            TxKind.SUBMIT_AGGREGATION, address, round_, update_hash + sig.bytes, sig.scheme
+        ))
 
     def mine_block(self, timestamp: float = None) -> Block:
-        """Package all pending transactions FIFO into a new block."""
+        """Package all pending transactions FIFO into a new block.
+
+        Its state root folds the records they wrote into the previous
+        block's root, so mining costs time in the block's size, not the
+        chain's. The timestamp defaults to the block height (logical time),
+        which keeps the head hash reproducible for a fixed transaction
+        sequence.
+        """
+        height = len(self.chain.blocks)
         block = Block(
-            height=len(self.chain.blocks),
+            height=height,
             parent_hash=self.chain.head_hash,
-            tx_hashes=tuple(tx.tx_hash() for tx in self._pending),
-            state_root=self.state.state_root(),
-            timestamp=self._clock() if timestamp is None else timestamp,
+            tx_hashes=tuple(tx_hash for tx_hash, _ in self._pending),
+            state_root=_next_root(
+                self.chain.blocks[-1].state_root, (r for _, r in self._pending)
+            ),
+            timestamp=float(height) if timestamp is None else timestamp,
         )
         self._pending = []
         self.chain.blocks.append(block)
-        self.chain.state_snapshots.append(self.state.serialize())
         self.chain.head_hash = block.block_hash()
         return block
 
 
 def chain_verify(chain: Chain) -> ChainCheck:
-    """Recompute every hash link, transaction hash, and state root.
+    """Replay the chain from genesis and recheck every hash link and root.
 
-    Returns intact only if every block's parent link matches the previous
-    block's digest (the head is checked against the chain's recorded head
-    hash), every stored transaction re-hashes to its listed id, and every
-    state root matches its retained state snapshot.
+    Starting from an empty :class:`ContractState`, re-executes each block's
+    stored transactions in order through :meth:`ContractState.apply`, which
+    re-verifies every submit signature against the registry the replay has
+    built, and folds the records they write into the running root.
+
+    Returns intact only if every block has its index as height, links to
+    the previous block's digest, lists only stored transactions that
+    re-hash to their ids, and carries the replayed state root, and the last
+    block hashes to the chain's recorded head hash. Otherwise
+    ``broken_height`` is the first height that fails; a submit from an
+    address the replay has not registered fails at its block.
     """
     if not chain.blocks:
         raise ValueError("chain is empty")
+    state = ContractState()
+    root = _ZERO32
     for i, block in enumerate(chain.blocks):
         expected_parent = _ZERO32 if i == 0 else chain.blocks[i - 1].block_hash()
         if block.height != i or block.parent_hash != expected_parent:
             return ChainCheck(False, i)
+        records = []
         for txh in block.tx_hashes:
             tx = chain.tx_store.get(txh)
             if tx is None or tx.tx_hash() != txh:
                 return ChainCheck(False, i)
-        if i < len(chain.state_snapshots):
-            snap_root = hashlib.sha3_256(chain.state_snapshots[i]).digest()
-            if block.state_root != snap_root:
+            try:
+                records.append(state.apply(tx)[1])
+            except UnregisteredClient:
                 return ChainCheck(False, i)
+        root = _next_root(root, records)
+        if block.state_root != root:
+            return ChainCheck(False, i)
     if chain.blocks[-1].block_hash() != chain.head_hash:
         return ChainCheck(False, len(chain.blocks) - 1)
     return ChainCheck(True, None)

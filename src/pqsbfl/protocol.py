@@ -376,7 +376,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     (possibly corrupted) submission actually sent; it models in-flight
-    adversarial interference and is used by the security tests.
+    adversarial interference and is used by the security tests. A malformed
+    submission (wrong scheme tag, hash of the wrong length) is rejected like
+    a bad signature and excludes only its client.
 
     Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
     global model is left unchanged in that case, and in blockchain mode the
@@ -416,7 +418,10 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         else:
             pk, scheme = state.local_registry[state.client_addresses[sub.client_id]]
             t0 = time.perf_counter()
-            valid = sigsuite.verify(pk, scheme, sub.digest, sub.sig)
+            # A signature tagged with another scheme is rejected, as on-chain.
+            valid = sub.sig.scheme is scheme and sigsuite.verify(
+                pk, scheme, sub.digest, sub.sig
+            )
             verify_times_ms.append((time.perf_counter() - t0) * 1e3)
             confirm_times.append(config.nobc_fixed_delay_s)
             if valid:

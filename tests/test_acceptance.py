@@ -20,6 +20,7 @@ from pqsbfl.ledger import (
     ConstantLatency,
     SimulatedLedger,
     Transaction,
+    TxKind,
     TxStatus,
     calibrate_gas,
     chain_verify,
@@ -275,9 +276,10 @@ def test_c10_ledger_integrity():
     detected = 0
     for _ in range(500):
         mutated = copy.deepcopy(chain)
-        kind = rng.choice(["tx", "state_root", "parent", "timestamp", "snapshot", "height"])
+        kind = rng.choice(["tx", "state_root", "parent", "timestamp", "rewrite", "height"])
         height = int(rng.integers(1, len(mutated.blocks)))
         block = mutated.blocks[height]
+        submits = [h for h in block.tx_hashes if mutated.tx_store[h].kind is not TxKind.REGISTER]
         if kind == "tx" and block.tx_hashes:
             txh = block.tx_hashes[int(rng.integers(0, len(block.tx_hashes)))]
             tx = mutated.tx_store[txh]
@@ -291,9 +293,22 @@ def test_c10_ledger_integrity():
             mutated.blocks[height] = dataclasses.replace(block, parent_hash=parent)
         elif kind == "timestamp":
             mutated.blocks[height] = dataclasses.replace(block, timestamp=block.timestamp + 1e-3)
-        elif kind == "snapshot":
-            snap = _flip_bit(mutated.state_snapshots[height], int(rng.integers(0, 64)))
-            mutated.state_snapshots[height] = snap
+        elif kind == "rewrite" and submits:
+            # A consistent forgery: the rewritten submission is re-keyed and
+            # every later link and the head re-hashed, so only the replayed
+            # state root can tell.
+            txh = submits[int(rng.integers(0, len(submits)))]
+            tx = mutated.tx_store.pop(txh)
+            payload = _flip_bit(tx.payload, int(rng.integers(0, len(tx.payload) * 8)))
+            forged = Transaction(tx.kind, tx.sender, tx.round, payload, tx.scheme)
+            mutated.tx_store[forged.tx_hash()] = forged
+            hashes = tuple(forged.tx_hash() if h == txh else h for h in block.tx_hashes)
+            mutated.blocks[height] = dataclasses.replace(block, tx_hashes=hashes)
+            for h in range(height + 1, len(mutated.blocks)):
+                mutated.blocks[h] = dataclasses.replace(
+                    mutated.blocks[h], parent_hash=mutated.blocks[h - 1].block_hash()
+                )
+            mutated.head_hash = mutated.blocks[-1].block_hash()
         else:
             mutated.blocks[height] = dataclasses.replace(block, height=block.height + 1)
         detected += not chain_verify(mutated).intact

@@ -2,13 +2,16 @@
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pqsbfl.errors import InfeasibleCalibration, SchemeMismatch, UnregisteredClient
+from pqsbfl.errors import InfeasibleCalibration, UnregisteredClient
 from pqsbfl.ledger import (
     CALIBRATION_SIG_SIZES,
     DEFAULT_GAS_TARGETS,
@@ -22,7 +25,7 @@ from pqsbfl.ledger import (
     chain_verify,
     export_chain,
 )
-from pqsbfl.sigsuite import SchemeId, Signature, keygen, sign
+from pqsbfl.sigsuite import HASH_BYTES, SchemeId, Signature, keygen, sign
 
 
 def _address(tag: str) -> bytes:
@@ -129,12 +132,29 @@ class TestSubmitUpdate:
         with pytest.raises(UnregisteredClient):
             ledger.submit_update(_address("ghost"), 1, digest, sign(key, digest))
 
-    def test_scheme_mismatch_raises(self):
+    def test_scheme_mismatch_rejected_and_charged(self):
         ledger, key, addr = self._registered(SchemeId.PQC)
         none_key = keygen(SchemeId.NONE, 0)
         digest = hashlib.sha3_256(b"u").digest()
-        with pytest.raises(SchemeMismatch):
-            ledger.submit_update(addr, 1, digest, sign(none_key, digest))
+        receipt = ledger.submit_update(addr, 1, digest, sign(none_key, digest))
+        assert receipt.status is TxStatus.REJECTED
+        assert receipt.gas_used == ledger.gas.submit_gas(SchemeId.NONE, 32, stored=False)
+        assert ledger.state.verified_updates == {}
+        ledger.mine_block()
+        # intact: the replay rejected it too, or the block's root would differ
+        assert chain_verify(ledger.chain).intact
+
+    def test_short_hash_rejected_and_charged(self):
+        ledger, key, addr = self._registered(SchemeId.NONE)
+        digest = hashlib.sha3_256(b"u").digest()[:31]
+        sig = sign(key, digest)
+        receipt = ledger.submit_update(addr, 1, digest, sig)
+        assert receipt.status is TxStatus.REJECTED
+        # charged for the payload it sent: 31 hash bytes + 32 signature bytes
+        assert receipt.gas_used == ledger.gas.submit_gas(SchemeId.NONE, 31, stored=False)
+        assert ledger.state.verified_updates == {}
+        ledger.mine_block()
+        assert chain_verify(ledger.chain).intact
 
 
 class TestVerifiedOnlyWrites:
@@ -260,6 +280,11 @@ class TestMining:
         block = ledger.mine_block(timestamp=1.0)
         assert block.tx_hashes == (ra.tx_hash, rb.tx_hash)
 
+    def test_default_timestamp_is_height(self):
+        ledger = _fresh_ledger()
+        assert ledger.chain.blocks[0].timestamp == 0.0
+        assert [ledger.mine_block().timestamp for _ in range(3)] == [1.0, 2.0, 3.0]
+
     def test_mining_identical_state_identical_digest(self):
         def build():
             ledger = _fresh_ledger(rng_seed=4)
@@ -331,6 +356,130 @@ class TestChainIntegrity:
         chain.blocks.clear()
         with pytest.raises(ValueError):
             chain_verify(chain)
+
+
+def _flip_bit(data: bytes, bit: int) -> bytes:
+    out = bytearray(data)
+    out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _rewrite_payload(chain, height: int, txh: bytes, bit: int):
+    """Flip one payload bit of stored transaction ``txh`` in block
+    ``height``, re-key it, and re-link every block above it and the head,
+    so that only the state roots can disagree with the history."""
+    tx = chain.tx_store.pop(txh)
+    forged = dataclasses.replace(tx, payload=_flip_bit(tx.payload, bit % (8 * len(tx.payload))))
+    chain.tx_store[forged.tx_hash()] = forged
+    block = chain.blocks[height]
+    hashes = tuple(forged.tx_hash() if h == txh else h for h in block.tx_hashes)
+    chain.blocks[height] = dataclasses.replace(block, tx_hashes=hashes)
+    for h in range(height + 1, len(chain.blocks)):
+        chain.blocks[h] = dataclasses.replace(
+            chain.blocks[h], parent_hash=chain.blocks[h - 1].block_hash()
+        )
+    chain.head_hash = chain.blocks[-1].block_hash()
+
+
+_CLIENTS = 3
+
+
+@functools.lru_cache(maxsize=None)
+def _client_keys(scheme):
+    return tuple(keygen(scheme, 200 + i) for i in range(_CLIENTS))
+
+
+_client = st.integers(0, _CLIENTS - 1)
+_submit = st.tuples(
+    st.sampled_from(["update", "aggregation"]),
+    _client,
+    st.integers(1, 3),
+    st.sampled_from(["valid", "valid", "tampered", "relabelled", "short_hash"]),
+)
+# submissions weighted three to one against registrations and mining
+_operations = st.lists(
+    st.one_of(
+        _submit, _submit, _submit, st.tuples(st.just("register"), _client),
+        st.just(("mine",)),
+    ),
+    min_size=4,
+    max_size=30,
+)
+
+
+class TestReplay:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scheme=st.sampled_from([SchemeId.NONE, SchemeId.ECDSA]),
+        ops=_operations,
+        bit=st.integers(0, 2**16),
+    )
+    def test_live_and_replayed_roots_agree(self, scheme, ops, bit):
+        keys = _client_keys(scheme)
+        addrs = [_address(f"replay-{i}") for i in range(_CLIENTS)]
+        other = SchemeId.ECDSA if scheme is SchemeId.NONE else SchemeId.NONE
+        ledger = _fresh_ledger()
+        # clients 0 and 1 start registered; client 2 only if an operation
+        # registers it, so unregistered senders occur too
+        for i in (0, 1):
+            ledger.register_client(addrs[i], keys[i].public_key, scheme)
+        registered = {0, 1}
+        expected = {"update": {}, "aggregation": {}}
+        stored = []
+
+        for n, op in enumerate(ops):
+            if op[0] == "mine":
+                ledger.mine_block()
+                continue
+            if op[0] == "register":
+                receipt = ledger.register_client(addrs[op[1]], keys[op[1]].public_key, scheme)
+                assert receipt.verified == (op[1] not in registered)
+                registered.add(op[1])
+                continue
+
+            kind, i, rnd, form = op
+            digest = hashlib.sha3_256(f"{n}".encode()).digest()  # unique per submit
+            sig = sign(keys[i], digest)
+            if form == "tampered":
+                sig = Signature(scheme, _flip_bit(sig.bytes, bit % (8 * len(sig.bytes))))
+            elif form == "relabelled":
+                sig = Signature(other, sig.bytes)
+            elif form == "short_hash":
+                digest = digest[:-1]
+            submit = ledger.submit_update if kind == "update" else ledger.submit_aggregation
+            if i not in registered:
+                with pytest.raises(UnregisteredClient):
+                    submit(addrs[i], rnd, digest, sig)
+                continue
+
+            receipt = submit(addrs[i], rnd, digest, sig)
+            slot = (rnd, addrs[i]) if kind == "update" else rnd
+            first = form == "valid" and slot not in expected[kind]
+            assert receipt.verified == first
+            assert receipt.gas_used == ledger.gas.submit_gas(
+                sig.scheme, len(digest) + len(sig.bytes) - HASH_BYTES, first
+            )
+            if first:
+                expected[kind][slot] = digest
+                stored.append(receipt.tx_hash)
+
+        ledger.mine_block()
+        assert ledger.state.verified_updates == expected["update"]
+        assert ledger.state.aggregation_records == expected["aggregation"]
+        check = chain_verify(ledger.chain)
+        assert check.intact and check.broken_height is None
+
+        # A rewrite of a stored submission makes the replay reject it, so its
+        # record is missing from that block's root. (A rejected submission
+        # rewritten into another rejected one writes nothing either way; only
+        # the block hashes, which the forger re-links, commit to it.)
+        if stored:
+            txh = stored[bit % len(stored)]
+            height = next(b.height for b in ledger.chain.blocks if txh in b.tx_hashes)
+            forged = copy.deepcopy(ledger.chain)
+            _rewrite_payload(forged, height, txh, bit)
+            check = chain_verify(forged)
+            assert not check.intact and check.broken_height == height
 
 
 class TestExport:

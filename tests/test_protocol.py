@@ -165,6 +165,37 @@ class TestRunRound:
         assert [len(b.tx_hashes) for b in chain.blocks] == [0, 4, 3, 4]
         assert chain_verify(chain).intact
 
+    @pytest.mark.parametrize("blockchain", [True, False], ids=["bc", "nobc"])
+    def test_malformed_submissions_rejected_round_completes(self, blockchain):
+        cfg = _small_config(scheme=SchemeId.NONE, blockchain=blockchain)
+        state = init_phase(cfg)
+
+        def malform(sub):
+            if sub.client_id == 0:  # relabelled as another scheme
+                return dataclasses.replace(sub, sig=Signature(SchemeId.ECDSA, sub.sig.bytes))
+            if sub.client_id == 1:  # digest cut to 31 bytes
+                return dataclasses.replace(sub, digest=sub.digest[:31])
+            return sub
+
+        oracle = _fedavg_oracle(init_phase(cfg), {2}, cfg.master_seed)
+        metrics = run_round(state, 1, tamper_hook=malform)
+        assert (metrics.verified_count, metrics.rejected_count) == (1, 2)
+        max_ulps = np.spacing(np.abs(oracle))
+        assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
+        if blockchain:
+            assert list(state.ledger.state.verified_updates) == [
+                (1, state.client_addresses[2])
+            ]
+            assert chain_verify(state.ledger.chain).intact
+
+    def test_chain_head_reproducible_for_fixed_seed(self):
+        def head_hash():
+            state = init_phase(_small_config(scheme=SchemeId.NONE))
+            run_round(state, 1)
+            return state.ledger.chain.head_hash
+
+        assert head_hash() == head_hash()
+
     def test_round_numbering_starts_at_one(self):
         state = init_phase(_small_config())
         with pytest.raises(ValueError):
