@@ -8,6 +8,13 @@ derives both from a seed by running the FIPS 204 key-generation pipeline
 (seed expansion, matrix/secret sampling, NTT arithmetic, Power2Round,
 bit packing).
 
+Polynomials are int64 rows of a (rows, 256) array: A is (6, 5, 256), the
+secrets s1 and s2 are (5, 256) and (6, 256), and the NTTs transform the
+last axis of any such array in one pass per layer. Every coefficient is
+reduced below q < 2^23 before a product, so a product stays below
+q^2 < 2^46 and the sum of the 5 products of a row of A*s1 below 2^50,
+well inside int64.
+
 Only key expansion lives here. Signing and verification stay on the vetted
 OpenSSL backend, and callers are expected to cross-check the public key
 produced here against the backend's own encoding for the same seed, which
@@ -44,43 +51,33 @@ def _bitrev8(n: int) -> int:
 
 
 # 512th root of unity is 1753; zetas stored in bit-reversed order.
-_ZETAS = [pow(1753, _bitrev8(i), _Q) for i in range(_N)]
+_ZETAS = np.array([pow(1753, _bitrev8(i), _Q) for i in range(_N)], dtype=np.int64)
+_N_INV = pow(_N, _Q - 2, _Q)
+# Layer m splits each row into m blocks of 2 * (128 // m) coefficients and
+# gives block j the zeta _ZETAS[m + j] (the inverse NTT runs them backwards).
+_LAYER_BLOCKS = [1 << i for i in range(8)]
 
 
 def _ntt(f: np.ndarray) -> np.ndarray:
-    """Forward NTT, Cooley-Tukey over slices. Input and output mod q."""
-    f = f.astype(np.int64).copy()
-    k = 1
-    length = 128
-    while length >= 1:
-        for start in range(0, _N, 2 * length):
-            zeta = _ZETAS[k]
-            k += 1
-            lo = f[start:start + length]
-            hi = f[start + length:start + 2 * length]
-            t = (zeta * hi) % _Q
-            f[start + length:start + 2 * length] = (lo - t) % _Q
-            f[start:start + length] = (lo + t) % _Q
-        length >>= 1
+    """Forward NTT (FIPS 204 Alg. 41) along the last axis of (..., 256)."""
+    f = np.array(f, dtype=np.int64)
+    for m in _LAYER_BLOCKS:
+        b = f.reshape(*f.shape[:-1], m, 2, _N // (2 * m))
+        t = _ZETAS[m:2 * m, None] * b[..., 1, :] % _Q
+        b[..., 1, :] = (b[..., 0, :] - t) % _Q
+        b[..., 0, :] = (b[..., 0, :] + t) % _Q
     return f
 
 
 def _inv_ntt(f: np.ndarray) -> np.ndarray:
-    """Inverse NTT, Gentleman-Sande, with the final 256^-1 scaling."""
-    a = f.astype(np.int64).copy()
-    k = 255
-    length = 1
-    while length < _N:
-        for start in range(0, _N, 2 * length):
-            zeta = _ZETAS[k]
-            k -= 1
-            lo = a[start:start + length].copy()
-            hi = a[start + length:start + 2 * length]
-            a[start:start + length] = (lo + hi) % _Q
-            a[start + length:start + 2 * length] = (zeta * ((hi - lo) % _Q)) % _Q
-        length <<= 1
-    n_inv = pow(_N, _Q - 2, _Q)
-    return (a * n_inv) % _Q
+    """Inverse NTT (FIPS 204 Alg. 42) along the last axis, scaled by 256^-1."""
+    f = np.array(f, dtype=np.int64)
+    for m in reversed(_LAYER_BLOCKS):
+        b = f.reshape(*f.shape[:-1], m, 2, _N // (2 * m))
+        diff = (b[..., 1, :] - b[..., 0, :]) % _Q
+        b[..., 0, :] = (b[..., 0, :] + b[..., 1, :]) % _Q
+        b[..., 1, :] = _ZETAS[2 * m - 1:m - 1:-1, None] * diff % _Q
+    return f * _N_INV % _Q
 
 
 def _rej_ntt_poly(seed34: bytes) -> np.ndarray:
@@ -113,8 +110,9 @@ def _rej_bounded_poly(seed66: bytes) -> np.ndarray:
 
 
 def _bit_pack(values: np.ndarray, width: int) -> bytes:
-    """Little-endian-bit packing of nonnegative values, `width` bits each."""
-    vals = np.asarray(values, dtype=np.uint32)
+    """Little-endian-bit packing of nonnegative values, `width` bits each,
+    in row-major order (a (rows, 256) array packs row after row)."""
+    vals = np.asarray(values, dtype=np.uint32).reshape(-1)
     bits = ((vals[:, None] >> np.arange(width, dtype=np.uint32)) & 1).astype(np.uint8)
     return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
 
@@ -138,38 +136,27 @@ def expand_seed(seed: bytes) -> tuple[bytes, bytes]:
     expanded = hashlib.shake_256(seed + bytes([_K, _L])).digest(128)
     rho, rho_prime, cap_k = expanded[:32], expanded[32:96], expanded[96:128]
 
-    # A is sampled directly in the NTT domain; indices are (column, row).
-    a_hat = [[_rej_ntt_poly(rho + bytes([s, r])) for s in range(_L)]
-             for r in range(_K)]
-    s1 = [_rej_bounded_poly(rho_prime + struct.pack("<H", r)) for r in range(_L)]
-    s2 = [_rej_bounded_poly(rho_prime + struct.pack("<H", _L + r)) for r in range(_K)]
+    # A is sampled directly in the NTT domain as (row, column, coefficient);
+    # the XOF index bytes are (column, row).
+    a_hat = np.array([[_rej_ntt_poly(rho + bytes([s, r])) for s in range(_L)]
+                      for r in range(_K)])
+    s1_s2 = np.array([_rej_bounded_poly(rho_prime + struct.pack("<H", r))
+                      for r in range(_L + _K)])
+    s1, s2 = s1_s2[:_L], s1_s2[_L:]
 
-    s1_hat = [_ntt(p % _Q) for p in s1]
-    t1_polys = []
-    t0_polys = []
+    s1_hat = _ntt(s1 % _Q)
+    t = (_inv_ntt(np.einsum("rsn,sn->rn", a_hat, s1_hat) % _Q) + s2) % _Q
+    # Power2Round: t0 centered in (-2^(d-1), 2^(d-1)], t = t1*2^d + t0.
     half = 1 << (_D - 1)
-    for r in range(_K):
-        acc = np.zeros(_N, dtype=np.int64)
-        for s in range(_L):
-            acc = (acc + a_hat[r][s] * s1_hat[s]) % _Q
-        t = (_inv_ntt(acc) + s2[r]) % _Q
-        # Power2Round: t0 centered in (-2^(d-1), 2^(d-1)], t = t1*2^d + t0.
-        t0 = t & ((1 << _D) - 1)
-        t0 = np.where(t0 > half, t0 - (1 << _D), t0)
-        t1_polys.append((t - t0) >> _D)
-        t0_polys.append(t0)
+    t0 = t & ((1 << _D) - 1)
+    t0 = np.where(t0 > half, t0 - (1 << _D), t0)
+    t1 = (t - t0) >> _D
 
-    public_key = rho + b"".join(_bit_pack(t1, 10) for t1 in t1_polys)
+    public_key = rho + _bit_pack(t1, 10)
     tr = hashlib.shake_256(public_key).digest(64)
-
-    private_key = bytearray(rho + cap_k + tr)
-    for p in s1:
-        private_key += _bit_pack(_ETA - p, 4)
-    for p in s2:
-        private_key += _bit_pack(_ETA - p, 4)
-    for t0 in t0_polys:
-        private_key += _bit_pack(half - t0, 13)
+    private_key = (rho + cap_k + tr + _bit_pack(_ETA - s1_s2, 4)
+                   + _bit_pack(half - t0, 13))
 
     assert len(public_key) == PUBLIC_KEY_BYTES
     assert len(private_key) == PRIVATE_KEY_BYTES
-    return public_key, bytes(private_key)
+    return public_key, private_key

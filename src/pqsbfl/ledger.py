@@ -109,7 +109,12 @@ _SCHEME_CODE = {scheme: i for i, scheme in enumerate(SchemeId)}
 @dataclass(frozen=True)
 class Transaction:
     """One ledger transaction; payload is pk bytes (REGISTER) or
-    hash || signature (SUBMIT_*)."""
+    hash || signature (SUBMIT_*).
+
+    A registration needs a non-empty key. A submit payload may have any
+    length, empty included: the contract rejects one too short to hold a
+    32-byte hash, so a client cannot make a transaction fail to form.
+    """
 
     kind: TxKind
     sender: bytes
@@ -120,10 +125,8 @@ class Transaction:
     def __post_init__(self):
         if len(self.sender) != ADDRESS_BYTES:
             raise ValueError(f"sender must be {ADDRESS_BYTES} bytes")
-        if not self.payload:
-            raise ValueError("payload must be non-empty")
-        if self.kind is not TxKind.REGISTER and len(self.payload) < HASH_BYTES:
-            raise ValueError("submit payload must begin with a 32-byte hash")
+        if self.kind is TxKind.REGISTER and not self.payload:
+            raise ValueError("registration payload must be non-empty")
 
     def encode(self) -> bytes:
         head = struct.pack(
@@ -277,9 +280,9 @@ class ContractState:
         A registration is rejected if the address already holds a key. A
         submit payload is a 32-byte hash followed by the signature; it is
         rejected when its scheme tag differs from the registered one, when
-        the signature does not verify under the registered key, or when its
-        slot (round and sender for updates, round for aggregations) is
-        taken. Raises :class:`UnregisteredClient` for a submit from an
+        the payload is too short to hold the hash, when the signature does
+        not verify under the registered key, or when its slot (round and
+        sender for updates, round for aggregations) is taken. Raises :class:`UnregisteredClient` for a submit from an
         address with no key.
         """
         if tx.kind is TxKind.REGISTER:
@@ -295,7 +298,7 @@ class ContractState:
         if tx.sender not in self.registry:
             raise UnregisteredClient(f"address {tx.sender.hex()[:16]}… not registered")
         public_key, scheme = self.registry[tx.sender]
-        if tx.scheme is not scheme:
+        if tx.scheme is not scheme or len(tx.payload) < HASH_BYTES:
             return TxStatus.REJECTED, b"", 0.0
         update_hash = tx.payload[:HASH_BYTES]
         sig = Signature(scheme, tx.payload[HASH_BYTES:])
@@ -386,7 +389,8 @@ class SimulatedLedger:
             gas = self.gas.register_gas(len(tx.payload))
         else:
             gas = self.gas.submit_gas(
-                tx.scheme, len(tx.payload) - HASH_BYTES, status is TxStatus.VERIFIED
+                tx.scheme, max(0, len(tx.payload) - HASH_BYTES),
+                status is TxStatus.VERIFIED,
             )
         return Receipt(
             tx_hash=tx_hash,
@@ -408,10 +412,11 @@ class SimulatedLedger:
 
         Invalid signatures, scheme tags other than the registered one, hashes
         that are not 32 bytes (the payload's fixed hash field then takes the
-        wrong bytes, so verification fails) and write-once violations yield
-        REJECTED receipts, charged gas, with no state change. Unknown
-        senders raise :class:`UnregisteredClient`, and a payload too short
-        to hold a hash cannot form a transaction (``ValueError``).
+        wrong bytes, so verification fails, or the payload is too short to
+        hold it) and write-once violations yield REJECTED receipts, charged
+        gas, with no state change. A payload under 32 bytes, an empty one
+        included, is charged as if it carried an empty signature. Unknown
+        senders raise :class:`UnregisteredClient`.
         """
         return self._execute(Transaction(
             TxKind.SUBMIT_UPDATE, address, round_, update_hash + sig.bytes, sig.scheme

@@ -377,8 +377,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     (possibly corrupted) submission actually sent; it models in-flight
     adversarial interference and is used by the security tests. A malformed
-    submission (wrong scheme tag, hash of the wrong length) is rejected like
-    a bad signature and excludes only its client.
+    submission (wrong scheme tag, hash of the wrong length, an empty one) is
+    rejected like a bad signature and excludes only its client.
 
     Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
     global model is left unchanged in that case, and in blockchain mode the

@@ -183,10 +183,6 @@ def sign(key: KeyPair, message: bytes) -> Signature:
     if key.scheme is SchemeId.PQC:
         if not isinstance(key.handle, mldsa.MLDSA65PrivateKey):
             raise MalformedKey("PQC key pair has no signing handle")
-        if len(key.private_key) != _expand.PRIVATE_KEY_BYTES:
-            raise MalformedKey(
-                f"PQC private key must be {_expand.PRIVATE_KEY_BYTES} bytes"
-            )
         return Signature(SchemeId.PQC, key.handle.sign(message))
 
     if key.scheme is SchemeId.ECDSA:

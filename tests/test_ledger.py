@@ -152,6 +152,10 @@ class TestSubmitUpdate:
         assert receipt.status is TxStatus.REJECTED
         # charged for the payload it sent: 31 hash bytes + 32 signature bytes
         assert receipt.gas_used == ledger.gas.submit_gas(SchemeId.NONE, 31, stored=False)
+        # an empty submission cannot hold a hash; charged as an empty signature
+        receipt = ledger.submit_update(addr, 1, b"", Signature(SchemeId.NONE, b""))
+        assert receipt.status is TxStatus.REJECTED
+        assert receipt.gas_used == ledger.gas.submit_gas(SchemeId.NONE, 0, stored=False)
         assert ledger.state.verified_updates == {}
         ledger.mine_block()
         assert chain_verify(ledger.chain).intact
@@ -394,7 +398,9 @@ _submit = st.tuples(
     st.sampled_from(["update", "aggregation"]),
     _client,
     st.integers(1, 3),
-    st.sampled_from(["valid", "valid", "tampered", "relabelled", "short_hash"]),
+    st.sampled_from(
+        ["valid", "valid", "tampered", "relabelled", "short_hash", "short_payload"]
+    ),
 )
 # submissions weighted three to one against registrations and mining
 _operations = st.lists(
@@ -446,6 +452,8 @@ class TestReplay:
                 sig = Signature(other, sig.bytes)
             elif form == "short_hash":
                 digest = digest[:-1]
+            elif form == "short_payload":  # hash and signature under 32 bytes
+                digest, sig = digest[:16], Signature(scheme, b"")
             submit = ledger.submit_update if kind == "update" else ledger.submit_aggregation
             if i not in registered:
                 with pytest.raises(UnregisteredClient):
@@ -457,7 +465,7 @@ class TestReplay:
             first = form == "valid" and slot not in expected[kind]
             assert receipt.verified == first
             assert receipt.gas_used == ledger.gas.submit_gas(
-                sig.scheme, len(digest) + len(sig.bytes) - HASH_BYTES, first
+                sig.scheme, max(0, len(digest) + len(sig.bytes) - HASH_BYTES), first
             )
             if first:
                 expected[kind][slot] = digest
@@ -502,8 +510,8 @@ class TestTransactionEncoding:
     def test_payload_invariants(self):
         with pytest.raises(ValueError):
             Transaction(TxKind.REGISTER, bytes(32), 0, b"", SchemeId.NONE)
-        with pytest.raises(ValueError):
-            Transaction(TxKind.SUBMIT_UPDATE, bytes(32), 0, b"short", SchemeId.NONE)
+        # a submit payload of any length forms; the contract rejects short ones
+        Transaction(TxKind.SUBMIT_UPDATE, bytes(32), 0, b"", SchemeId.NONE)
         with pytest.raises(ValueError):
             Transaction(TxKind.REGISTER, bytes(31), 0, b"pk", SchemeId.NONE)
 

@@ -167,7 +167,7 @@ class TestRunRound:
 
     @pytest.mark.parametrize("blockchain", [True, False], ids=["bc", "nobc"])
     def test_malformed_submissions_rejected_round_completes(self, blockchain):
-        cfg = _small_config(scheme=SchemeId.NONE, blockchain=blockchain)
+        cfg = _small_config(scheme=SchemeId.NONE, blockchain=blockchain, n_clients=4)
         state = init_phase(cfg)
 
         def malform(sub):
@@ -175,16 +175,20 @@ class TestRunRound:
                 return dataclasses.replace(sub, sig=Signature(SchemeId.ECDSA, sub.sig.bytes))
             if sub.client_id == 1:  # digest cut to 31 bytes
                 return dataclasses.replace(sub, digest=sub.digest[:31])
+            if sub.client_id == 2:  # hash and signature together under 32 bytes
+                return dataclasses.replace(
+                    sub, digest=sub.digest[:16], sig=Signature(SchemeId.NONE, b"")
+                )
             return sub
 
-        oracle = _fedavg_oracle(init_phase(cfg), {2}, cfg.master_seed)
+        oracle = _fedavg_oracle(init_phase(cfg), {3}, cfg.master_seed)
         metrics = run_round(state, 1, tamper_hook=malform)
-        assert (metrics.verified_count, metrics.rejected_count) == (1, 2)
+        assert (metrics.verified_count, metrics.rejected_count) == (1, 3)
         max_ulps = np.spacing(np.abs(oracle))
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
         if blockchain:
             assert list(state.ledger.state.verified_updates) == [
-                (1, state.client_addresses[2])
+                (1, state.client_addresses[3])
             ]
             assert chain_verify(state.ledger.chain).intact
 
