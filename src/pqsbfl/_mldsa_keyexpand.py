@@ -10,10 +10,15 @@ bit packing).
 
 Polynomials are int64 rows of a (rows, 256) array: A is (6, 5, 256), the
 secrets s1 and s2 are (5, 256) and (6, 256), and the NTTs transform the
-last axis of any such array in one pass per layer. Every coefficient is
-reduced below q < 2^23 before a product, so a product stays below
-q^2 < 2^46 and the sum of the 5 products of a row of A*s1 below 2^50,
-well inside int64.
+last axis of any such array with two 16 x 16 matrix products and one
+elementwise product (see the factorisation above `_ntt`). Each sampler draws
+all polynomials of its distribution in one pass over the joined XOF outputs.
+
+Each transform reduces mod q three times, once after each product. With
+inputs below q in absolute value and table entries below q < 2^23, a
+16-term sum of products stays below 16q^2 < 2^50 and a twiddle product
+below q^2 < 2^46; A*s1 sums 5 products of reduced coefficients, below
+5q^2 < 2^49. Every value stays inside int64.
 
 Only key expansion lives here. Signing and verification stay on the vetted
 OpenSSL backend, and callers are expected to cross-check the public key
@@ -42,79 +47,118 @@ SIGNATURE_BYTES = 48 + _L * 640 + 55 + _K               # 3309
 SEED_BYTES = 32
 
 
-def _bitrev8(n: int) -> int:
-    r = 0
-    for _ in range(8):
-        r = (r << 1) | (n & 1)
-        n >>= 1
-    return r
+# FIPS 204's NTT (Alg. 41) maps coefficients a[j] to a_hat[i] = sum_j a[j] *
+# zeta^((2 * brv8(i) + 1) * j), zeta = 1753 a primitive 512th root of unity
+# mod q; Alg. 42 inverts it. For j = 16 * j1 + j0 and i = 16 * i1 + i0,
+# brv8(i) = 16 * brv4(i0) + brv4(i1), and as zeta^512 = 1 the power splits
+# into the three factors of _FACTORS: a 16-point transform along j1 (_M1),
+# a twiddle (_TW) and a 16-point transform along j0 (_M2).
+_BRV4 = [int(f"{i:04b}"[::-1], 2) for i in range(16)]
+_FACTORS = (lambda i1, j1: 16 * (2 * _BRV4[i1] + 1) * j1,   # _M1[i1, j1]
+            lambda i1, j0: (2 * _BRV4[i1] + 1) * j0,        # _TW[i1, j0]
+            lambda i0, j0: 32 * _BRV4[i0] * j0)             # _M2[i0, j0]
 
 
-# 512th root of unity is 1753; zetas stored in bit-reversed order.
-_ZETAS = np.array([pow(1753, _bitrev8(i), _Q) for i in range(_N)], dtype=np.int64)
-_N_INV = pow(_N, _Q - 2, _Q)
-# Layer m splits each row into m blocks of 2 * (128 // m) coefficients and
-# gives block j the zeta _ZETAS[m + j] (the inverse NTT runs them backwards).
-_LAYER_BLOCKS = [1 << i for i in range(8)]
+def _table(exponent, sign: int = 1, scale: int = 1) -> np.ndarray:
+    """16 x 16 table of scale * zeta^(sign * exponent(row, column)) mod q.
+
+    Built in plain Python: numpy arithmetic at import would page in numpy
+    code that runs without ML-DSA keys never use."""
+    return np.array([[scale * pow(1753, sign * exponent(r, c) % 512, _Q) % _Q
+                      for c in range(16)] for r in range(16)], dtype=np.int64)
+
+
+_M1, _TW, _M2 = (_table(e) for e in _FACTORS)
+# The inverse NTT uses the inverse powers, with its 256^-1 folded into _M1_INV.
+_M1_INV = _table(_FACTORS[0], sign=-1, scale=pow(_N, -1, _Q))
+_TW_INV, _M2_INV = (_table(e, sign=-1) for e in _FACTORS[1:])
 
 
 def _ntt(f: np.ndarray) -> np.ndarray:
-    """Forward NTT (FIPS 204 Alg. 41) along the last axis of (..., 256)."""
-    f = np.array(f, dtype=np.int64)
-    for m in _LAYER_BLOCKS:
-        b = f.reshape(*f.shape[:-1], m, 2, _N // (2 * m))
-        t = _ZETAS[m:2 * m, None] * b[..., 1, :] % _Q
-        b[..., 1, :] = (b[..., 0, :] - t) % _Q
-        b[..., 0, :] = (b[..., 0, :] + t) % _Q
-    return f
+    """Forward NTT (FIPS 204 Alg. 41) along the last axis of (..., 256).
+
+    Takes coefficients of absolute value below q; returns them in [0, q).
+    """
+    x = np.asarray(f, dtype=np.int64).reshape(*np.shape(f)[:-1], 16, 16)  # [j1, j0]
+    b = _M1 @ x % _Q * _TW % _Q                                            # [i1, j0]
+    return (b @ _M2.T % _Q).reshape(np.shape(f))                           # [i1, i0]
 
 
 def _inv_ntt(f: np.ndarray) -> np.ndarray:
-    """Inverse NTT (FIPS 204 Alg. 42) along the last axis, scaled by 256^-1."""
-    f = np.array(f, dtype=np.int64)
-    for m in reversed(_LAYER_BLOCKS):
-        b = f.reshape(*f.shape[:-1], m, 2, _N // (2 * m))
-        diff = (b[..., 1, :] - b[..., 0, :]) % _Q
-        b[..., 0, :] = (b[..., 0, :] + b[..., 1, :]) % _Q
-        b[..., 1, :] = _ZETAS[2 * m - 1:m - 1:-1, None] * diff % _Q
-    return f * _N_INV % _Q
+    """Inverse NTT (FIPS 204 Alg. 42) along the last axis, scaled by 256^-1.
+
+    Takes coefficients of absolute value below q; returns them in [0, q).
+    """
+    y = np.asarray(f, dtype=np.int64).reshape(*np.shape(f)[:-1], 16, 16)  # [i1, i0]
+    d = y @ _M2_INV % _Q * _TW_INV % _Q                                    # [i1, j0]
+    return (_M1_INV.T @ d % _Q).reshape(np.shape(f))                       # [j1, j0]
 
 
-def _rej_ntt_poly(seed34: bytes) -> np.ndarray:
-    """Uniform polynomial in the NTT domain via 3-byte rejection sampling."""
-    xof = hashlib.shake_128(seed34)
-    need = 3 * 300  # ~300 candidates; acceptance rate is q / 2^23 ~ 0.999
-    while True:
-        buf = np.frombuffer(xof.digest(need), dtype=np.uint8).astype(np.int64)
-        triples = buf[: 3 * (len(buf) // 3)].reshape(-1, 3)
-        z = triples[:, 0] | (triples[:, 1] << 8) | ((triples[:, 2] & 0x7F) << 16)
-        z = z[z < _Q]
-        if len(z) >= _N:
-            return z[:_N]
-        need += 3 * 64
+# Initial XOF output per polynomial. A: 300 candidates at acceptance
+# q / 2^23 ~ 0.999. s1, s2: 544 nibbles at acceptance 9/16 give 306 on
+# average and 256 lies 4.3 standard deviations below that, so about 1 row
+# in 1e5 needs a longer digest (384 nibbles would give only 216 on average).
+_UNIFORM_DIGEST_BYTES = 3 * 300
+_BOUNDED_DIGEST_BYTES = 272
 
 
-def _rej_bounded_poly(seed66: bytes) -> np.ndarray:
-    """Secret polynomial with centered coefficients in [-eta, eta]."""
-    xof = hashlib.shake_256(seed66)
-    need = 192  # 384 nibbles at 9/16 acceptance comfortably covers 256
-    while True:
-        buf = np.frombuffer(xof.digest(need), dtype=np.uint8).astype(np.int64)
-        nibbles = np.empty(2 * len(buf), dtype=np.int64)
-        nibbles[0::2] = buf & 0x0F
-        nibbles[1::2] = buf >> 4
-        accepted = nibbles[nibbles < 9]
-        if len(accepted) >= _N:
-            return _ETA - accepted[:_N]
-        need += 64
+def _first_accepted(xofs: list, nbytes: int, decode) -> np.ndarray:
+    """(len(xofs), 256): each row the first 256 accepted candidates of its XOF.
+
+    ``decode(raw, rows, nbytes)`` maps ``rows`` digests of ``nbytes`` each,
+    joined in ``raw`` (plus one padding byte), to (rows, candidates) arrays
+    of candidate values and acceptance. Rows with fewer than 256 accepted
+    candidates are digested again at twice the size until every row is full.
+    """
+    out = np.empty((len(xofs), _N), dtype=np.int64)
+    rows = np.arange(len(xofs))
+    while len(rows):
+        raw = b"".join([xofs[i].digest(nbytes) for i in rows] + [bytes(1)])
+        values, ok = decode(raw, len(rows), nbytes)
+        rank = np.cumsum(ok, axis=1, dtype=np.int16)
+        full = rank[:, -1] >= _N
+        ok &= rank <= _N
+        ok &= full[:, None]
+        out[rows[full]] = values[ok].reshape(-1, _N)
+        rows = rows[~full]
+        nbytes *= 2
+    return out
+
+
+def _decode_uniform(raw: bytes, rows: int, nbytes: int):
+    # Each candidate is the low 23 bits of a little-endian word read at every
+    # third byte (the padding byte covers the last row's last word).
+    words = np.ndarray((rows, nbytes // 3), dtype="<u4", buffer=raw, strides=(nbytes, 3))
+    z = words & 0x7FFFFF
+    return z, z < _Q
+
+
+def _decode_bounded(raw: bytes, rows: int, nbytes: int):
+    buf = np.frombuffer(raw, dtype=np.uint8, count=rows * nbytes).reshape(rows, nbytes)
+    nibbles = np.stack((buf & 0x0F, buf >> 4), axis=-1).reshape(rows, -1)
+    return _ETA - nibbles.astype(np.int8), nibbles < 9
+
+
+def _rej_ntt_polys(seeds34: list) -> np.ndarray:
+    """Uniform polynomials in the NTT domain (FIPS 204 Alg. 30), one row per
+    seed, by 3-byte rejection sampling of SHAKE-128 output."""
+    return _first_accepted([hashlib.shake_128(s) for s in seeds34],
+                           _UNIFORM_DIGEST_BYTES, _decode_uniform)
+
+
+def _rej_bounded_polys(seeds66: list) -> np.ndarray:
+    """Secret polynomials with centered coefficients in [-eta, eta] (FIPS 204
+    Alg. 31), one row per seed, by nibble rejection on SHAKE-256 output."""
+    return _first_accepted([hashlib.shake_256(s) for s in seeds66],
+                           _BOUNDED_DIGEST_BYTES, _decode_bounded)
 
 
 def _bit_pack(values: np.ndarray, width: int) -> bytes:
-    """Little-endian-bit packing of nonnegative values, `width` bits each,
-    in row-major order (a (rows, 256) array packs row after row)."""
-    vals = np.asarray(values, dtype=np.uint32).reshape(-1)
-    bits = ((vals[:, None] >> np.arange(width, dtype=np.uint32)) & 1).astype(np.uint8)
-    return np.packbits(bits.reshape(-1), bitorder="little").tobytes()
+    """Little-endian-bit packing of nonnegative values, `width` <= 16 bits
+    each, in row-major order (a (rows, 256) array packs row after row)."""
+    vals = np.asarray(values, dtype="<u2").reshape(-1, 1).view(np.uint8)
+    bits = np.unpackbits(vals, axis=1, count=width, bitorder="little")
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def _bit_unpack(data: bytes, count: int, width: int) -> np.ndarray:
@@ -138,13 +182,13 @@ def expand_seed(seed: bytes) -> tuple[bytes, bytes]:
 
     # A is sampled directly in the NTT domain as (row, column, coefficient);
     # the XOF index bytes are (column, row).
-    a_hat = np.array([[_rej_ntt_poly(rho + bytes([s, r])) for s in range(_L)]
-                      for r in range(_K)])
-    s1_s2 = np.array([_rej_bounded_poly(rho_prime + struct.pack("<H", r))
-                      for r in range(_L + _K)])
+    a_hat = _rej_ntt_polys([rho + bytes([s, r]) for r in range(_K)
+                            for s in range(_L)]).reshape(_K, _L, _N)
+    s1_s2 = _rej_bounded_polys([rho_prime + struct.pack("<H", r)
+                                for r in range(_L + _K)])
     s1, s2 = s1_s2[:_L], s1_s2[_L:]
 
-    s1_hat = _ntt(s1 % _Q)
+    s1_hat = _ntt(s1)
     t = (_inv_ntt(np.einsum("rsn,sn->rn", a_hat, s1_hat) % _Q) + s2) % _Q
     # Power2Round: t0 centered in (-2^(d-1), 2^(d-1)], t = t1*2^d + t0.
     half = 1 << (_D - 1)

@@ -501,6 +501,8 @@ def main(argv=None) -> int:
 
     try:
         if args.crypto_bench:
+            if args.trials < 1:
+                raise ValidationError([f"--trials must be >= 1, got {args.trials}"])
             schemes = [SchemeId(args.crypto)] if args.crypto else list(SchemeId)
             rows = emit_crypto_table(schemes, trials=args.trials)
             _write_csv(out_dir / "crypto.csv", CRYPTO_CSV_COLUMNS, rows)

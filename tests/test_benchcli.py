@@ -248,6 +248,14 @@ class TestReportFiles:
         assert tuple(rows[0]) == CRYPTO_CSV_COLUMNS
         assert rows[1][0] == "NONE"
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_crypto_bench_rejects_nonpositive_trials(self, tmp_path, capsys, trials):
+        rc = main(["--crypto-bench", "--crypto", "NONE", "--trials", trials,
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
+        assert not (tmp_path / "crypto.csv").exists()
+
 
 def _fast_config_file(tmp_path):
     path = tmp_path / "fast.ini"

@@ -6,6 +6,8 @@ equality with OpenSSL's public key for the same seed validates the whole
 pipeline. The private-key encoding is pinned by a known answer and checked
 for structural consistency by unpacking it and replaying the t = A*s1 + s2
 relation with a schoolbook product, which also serves as the NTT's oracle.
+The batched rejection samplers are checked against byte-by-byte reference
+samplers written from FIPS 204 Alg. 30 and 31.
 """
 
 import hashlib
@@ -68,6 +70,52 @@ def test_private_key_known_answer():
 Q, N = 8380417, 256
 
 
+def _ref_rej_ntt_poly(seed34: bytes) -> list:
+    """FIPS 204 Alg. 30 (RejNTTPoly), one 3-byte candidate at a time."""
+    stream = hashlib.shake_128(seed34).digest(3 * 1024)
+    coeffs, pos = [], 0
+    while len(coeffs) < N:
+        b0, b1, b2 = stream[pos:pos + 3]
+        pos += 3
+        z = ((b2 & 0x7F) << 16) | (b1 << 8) | b0  # CoeffFromThreeBytes
+        if z < Q:
+            coeffs.append(z)
+    return coeffs
+
+
+def _ref_rej_bounded_poly(seed66: bytes, eta: int = 4) -> list:
+    """FIPS 204 Alg. 31 (RejBoundedPoly), one byte (two nibbles) at a time."""
+    stream = hashlib.shake_256(seed66).digest(1024)
+    coeffs, pos = [], 0
+    while len(coeffs) < N:
+        z = stream[pos]
+        pos += 1
+        for nibble in (z & 0x0F, z >> 4):  # CoeffFromHalfByte for eta = 4
+            if nibble < 9 and len(coeffs) < N:
+                coeffs.append(eta - nibble)
+    return coeffs
+
+
+# (uniform, bounded) initial digest sizes: the module's own; tiny, so every
+# row is digested again; and just short of the expected need, so some rows
+# of one call are refilled while the others are done.
+@pytest.mark.parametrize("sizes", [None, (3, 1), (3 * 256, 228)])
+def test_batched_samplers_match_reference(sizes, monkeypatch):
+    if sizes is not None:
+        monkeypatch.setattr(kx, "_UNIFORM_DIGEST_BYTES", sizes[0])
+        monkeypatch.setattr(kx, "_BOUNDED_DIGEST_BYTES", sizes[1])
+    seeds = [hashlib.sha256(f"sampler-{i}".encode()).digest() for i in range(200)]
+    seeds34 = [s + bytes([i % 5, i % 6]) for i, s in enumerate(seeds)]
+    seeds66 = [s + s + i.to_bytes(2, "little") for i, s in enumerate(seeds)]
+
+    a = kx._rej_ntt_polys(seeds34)
+    s = kx._rej_bounded_polys(seeds66)
+    assert a.shape == s.shape == (200, N)
+    for i in range(200):
+        assert a[i].tolist() == _ref_rej_ntt_poly(seeds34[i]), i
+        assert s[i].tolist() == _ref_rej_bounded_poly(seeds66[i]), i
+
+
 def _negacyclic_product(a, b):
     """Schoolbook product in Z_q[X]/(X^256 + 1): X^256 wraps around to -1."""
     full = np.convolve(a % Q, b % Q)  # exact: 256 products below 2^46 each
@@ -91,11 +139,19 @@ def _from_ntt_domain(a_hat):
 
 def test_ntt_product_matches_schoolbook_oracle():
     rng = np.random.default_rng(2024)
-    a = rng.integers(0, Q, size=(7, N), dtype=np.int64)
-    b = rng.integers(0, Q, size=(7, N), dtype=np.int64)
+    # Worst cases for the unreduced sums of products: all q - 1, and 0 / q - 1
+    # alternating (both phases).
+    worst = np.array([np.full(N, Q - 1), np.arange(N) % 2 * (Q - 1),
+                      (np.arange(N) + 1) % 2 * (Q - 1)], dtype=np.int64)
+    a = np.vstack([rng.integers(0, Q, size=(7, N), dtype=np.int64), worst, worst])
+    b = np.vstack([rng.integers(0, Q, size=(7, N), dtype=np.int64), worst, worst[::-1]])
     product = kx._inv_ntt(kx._ntt(a) * kx._ntt(b) % Q)
     for row, (x, y) in enumerate(zip(a, b)):
         assert np.array_equal(product[row], _negacyclic_product(x, y)), row
+    # Each transform on its own against the NTT's definition.
+    assert np.array_equal(kx._inv_ntt(worst), _from_ntt_domain(worst))
+    assert np.array_equal(_from_ntt_domain(kx._ntt(worst)), worst)
+    assert np.array_equal(kx._ntt(kx._inv_ntt(worst)), worst)
 
 
 def test_private_key_secrets_consistent_with_public_key():
@@ -119,7 +175,7 @@ def test_private_key_secrets_consistent_with_public_key():
     assert len(sk) == 128 + (l_dim + k_dim) * 128 + k_dim * 416
 
     a = _from_ntt_domain(np.array(
-        [[kx._rej_ntt_poly(rho + bytes([s, r])) for s in range(l_dim)]
+        [[_ref_rej_ntt_poly(rho + bytes([s, r])) for s in range(l_dim)]
          for r in range(k_dim)]
     ))
     for r in range(k_dim):
