@@ -27,12 +27,12 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import InsufficientPoints, ParseError, PqsBflError, ValidationError
 from .ledger import CALIBRATION_SIG_SIZES
-from .protocol import ExperimentConfig, ExperimentReport, run_experiment
+from .protocol import ExperimentConfig, ExperimentReport, RoundMetrics, run_experiment
 from .sigsuite import SchemeId, keygen, measure_primitives
 
 __all__ = [
@@ -46,22 +46,7 @@ __all__ = [
     "main",
 ]
 
-ROUNDS_CSV_COLUMNS = (
-    "round",
-    "accuracy",
-    "round_time_s",
-    "compute_time_s",
-    "simulated_latency_s",
-    "mean_sign_ms",
-    "mean_verify_ms",
-    "mean_tx_time_s",
-    "mean_gas_per_update",
-    "total_gas",
-    "overhead_ratio",
-    "verified_count",
-    "rejected_count",
-    "model_digest",
-)
+ROUNDS_CSV_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 
 COMPARISON_CSV_COLUMNS = (
     "name",

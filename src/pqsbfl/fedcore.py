@@ -124,7 +124,6 @@ class TrainConfig:
     local_epochs: int = 5
     batch_size: int = 64
     learning_rate: float = 0.001
-    optimizer: str = "ADAM"
     rng_seed: int = 0
 
     def with_seed(self, rng_seed: int) -> "TrainConfig":
@@ -343,8 +342,6 @@ def local_train(
     ``local_epochs=0`` the global model is returned unchanged.
     """
     _check_model_fits(global_params, dataset)
-    if cfg.optimizer != "ADAM":
-        raise ValueError(f"unsupported optimizer {cfg.optimizer!r}")
     if cfg.local_epochs < 0 or cfg.batch_size < 1 or cfg.learning_rate <= 0:
         raise ValueError("epochs must be >= 0, batch_size >= 1, learning_rate > 0")
 

@@ -109,7 +109,8 @@ _SCHEME_CODE = {scheme: i for i, scheme in enumerate(SchemeId)}
 @dataclass(frozen=True)
 class Transaction:
     """One ledger transaction; payload is pk bytes (REGISTER) or
-    hash || signature (SUBMIT_*).
+    hash || signature (SUBMIT_*), as :meth:`registration` and
+    :meth:`submission` lay them out.
 
     A registration needs a non-empty key. A submit payload may have any
     length, empty included: the contract rejects one too short to hold a
@@ -127,6 +128,15 @@ class Transaction:
             raise ValueError(f"sender must be {ADDRESS_BYTES} bytes")
         if self.kind is TxKind.REGISTER and not self.payload:
             raise ValueError("registration payload must be non-empty")
+
+    @classmethod
+    def registration(cls, address: bytes, public_key: bytes, scheme: SchemeId) -> "Transaction":
+        return cls(TxKind.REGISTER, address, -1, public_key, scheme)  # round -1: setup
+
+    @classmethod
+    def submission(cls, kind: TxKind, address: bytes, round_: int,
+                   update_hash: bytes, sig: Signature) -> "Transaction":
+        return cls(kind, address, round_, update_hash + sig.bytes, sig.scheme)
 
     def encode(self) -> bytes:
         head = struct.pack(
@@ -149,7 +159,7 @@ class Receipt:
     gas_used: int
     confirm_time_s: float
     block_height: int
-    verify_ms: float = 0.0  # instrumentation: wall time of the verify call
+    verify_ms: float = 0.0  # instrumentation: wall time of the contract call
 
     @property
     def verified(self) -> bool:
@@ -178,18 +188,16 @@ class GasModel:
         )
 
 
-def calibrate_gas(
-    targets: dict = None, sig_sizes: dict = None, base: GasModel = None
-) -> GasModel:
+def calibrate_gas(targets: dict = None, sig_sizes: dict = None) -> GasModel:
     """Solve per-scheme verification surcharges so that a stored submit
     transaction with the nominal signature size costs exactly ``targets[s]``.
 
-    g_base/g_byte/g_store stay at their defaults (or ``base``'s values).
-    Raises :class:`InfeasibleCalibration` if any surcharge would go negative.
+    g_base/g_byte/g_store stay at their defaults. Raises
+    :class:`InfeasibleCalibration` if any surcharge would go negative.
     """
     targets = DEFAULT_GAS_TARGETS if targets is None else targets
     sig_sizes = CALIBRATION_SIG_SIZES if sig_sizes is None else sig_sizes
-    base = GasModel() if base is None else base
+    base = GasModel()
     g_verify = {}
     for scheme, total in targets.items():
         if total <= 0:
@@ -272,40 +280,36 @@ class ContractState:
     def apply(self, tx: Transaction) -> tuple:
         """The contract's state-transition function: execute ``tx``.
 
-        Returns ``(status, record, verify_ms)``. ``record`` is the injective
-        encoding of what ``tx`` wrote (a kind byte, then fixed-width or
-        length-prefixed fields), empty when it was rejected; ``verify_ms``
-        is the wall time of the signature check.
+        Returns the 2-tuple ``(status, record)``. ``record`` is the
+        injective encoding of what ``tx`` wrote (a kind byte, then
+        fixed-width or length-prefixed fields), empty when it was rejected.
 
         A registration is rejected if the address already holds a key. A
         submit payload is a 32-byte hash followed by the signature; it is
         rejected when its scheme tag differs from the registered one, when
         the payload is too short to hold the hash, when the signature does
         not verify under the registered key, or when its slot (round and
-        sender for updates, round for aggregations) is taken. Raises :class:`UnregisteredClient` for a submit from an
-        address with no key.
+        sender for updates, round for aggregations) is taken. Raises
+        :class:`UnregisteredClient` for a submit from an address with no key.
         """
         if tx.kind is TxKind.REGISTER:
             if tx.sender in self.registry:
-                return TxStatus.REJECTED, b"", 0.0
+                return TxStatus.REJECTED, b""
             self.registry[tx.sender] = (tx.payload, tx.scheme)
             record = struct.pack(
                 "<B32sBI", _KIND_CODE[tx.kind], tx.sender,
                 _SCHEME_CODE[tx.scheme], len(tx.payload),
             ) + tx.payload
-            return TxStatus.VERIFIED, record, 0.0
+            return TxStatus.VERIFIED, record
 
         if tx.sender not in self.registry:
             raise UnregisteredClient(f"address {tx.sender.hex()[:16]}… not registered")
         public_key, scheme = self.registry[tx.sender]
         if tx.scheme is not scheme or len(tx.payload) < HASH_BYTES:
-            return TxStatus.REJECTED, b"", 0.0
+            return TxStatus.REJECTED, b""
         update_hash = tx.payload[:HASH_BYTES]
         sig = Signature(scheme, tx.payload[HASH_BYTES:])
-
-        t0 = time.perf_counter()
         valid = verify(public_key, scheme, update_hash, sig)
-        verify_ms = (time.perf_counter() - t0) * 1e3
 
         if tx.kind is TxKind.SUBMIT_UPDATE:
             table, slot = self.verified_updates, (tx.round, tx.sender)
@@ -316,9 +320,9 @@ class ContractState:
             table, slot = self.aggregation_records, tx.round
             record = struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
         if not valid or slot in table:
-            return TxStatus.REJECTED, b"", verify_ms
+            return TxStatus.REJECTED, b""
         table[slot] = update_hash
-        return TxStatus.VERIFIED, record, verify_ms
+        return TxStatus.VERIFIED, record
 
 
 @dataclass
@@ -381,7 +385,9 @@ class SimulatedLedger:
 
     def _execute(self, tx: Transaction) -> Receipt:
         """Apply ``tx``, queue it for the next block, and charge its gas."""
-        status, record, verify_ms = self.state.apply(tx)
+        t0 = time.perf_counter()
+        status, record = self.state.apply(tx)
+        verify_ms = (time.perf_counter() - t0) * 1e3
         tx_hash = tx.tx_hash()
         self._pending.append((tx_hash, record))
         self.chain.tx_store[tx_hash] = tx
@@ -404,7 +410,7 @@ class SimulatedLedger:
     def register_client(self, address: bytes, public_key: bytes, scheme: SchemeId) -> Receipt:
         """Store a client's public key; duplicate registration is rejected
         (gas still charged) and never replaces the existing key."""
-        return self._execute(Transaction(TxKind.REGISTER, address, -1, public_key, scheme))
+        return self._execute(Transaction.registration(address, public_key, scheme))
 
     def submit_update(self, address: bytes, round_: int,
                       update_hash: bytes, sig: Signature) -> Receipt:
@@ -418,17 +424,17 @@ class SimulatedLedger:
         included, is charged as if it carried an empty signature. Unknown
         senders raise :class:`UnregisteredClient`.
         """
-        return self._execute(Transaction(
-            TxKind.SUBMIT_UPDATE, address, round_, update_hash + sig.bytes, sig.scheme
-        ))
+        return self._execute(
+            Transaction.submission(TxKind.SUBMIT_UPDATE, address, round_, update_hash, sig)
+        )
 
     def submit_aggregation(self, address: bytes, round_: int,
                            update_hash: bytes, sig: Signature) -> Receipt:
         """Same semantics as :meth:`submit_update`, recording the round's
         aggregated-model hash instead (one record per round)."""
-        return self._execute(Transaction(
-            TxKind.SUBMIT_AGGREGATION, address, round_, update_hash + sig.bytes, sig.scheme
-        ))
+        return self._execute(
+            Transaction.submission(TxKind.SUBMIT_AGGREGATION, address, round_, update_hash, sig)
+        )
 
     def mine_block(self, timestamp: float = None) -> Block:
         """Package all pending transactions FIFO into a new block.

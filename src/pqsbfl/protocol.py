@@ -10,11 +10,12 @@ any in-flight tampering excludes that client from the round.
 
 Two submission modes share all other code paths. With a blockchain the
 signed hash goes through the simulated ledger's smart contract (gas metered,
-confirmation latency sampled); without one ("NoBC") the aggregator verifies
-signatures directly and a fixed configurable delay stands in for the
-transaction time. Delays are accounted arithmetically, never slept, so runs
-stay fast; wall-clock compute time and simulated latency are reported as
-separate components.
+confirmation latency sampled); without one ("NoBC") the same contract rules
+run on a bare :class:`~pqsbfl.ledger.ContractState`, with no chain and no
+gas, and a fixed configurable delay stands in for the transaction time.
+Delays are accounted arithmetically, never slept, so runs stay fast;
+wall-clock compute time and simulated latency are reported as separate
+components.
 
 Learning is deliberately independent of the signature scheme: all training
 randomness derives from the master seed alone, so for a fixed seed the
@@ -26,17 +27,20 @@ this system has, and the test suite leans on it.
 import hashlib
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import fedcore, sigsuite
 from .errors import NotApplicable, NoVerifiedUpdates, ValidationError, ZeroDenominator
 from .fedcore import ClientUpdate, ModelParams, TrainConfig
 from .ledger import (
-    CALIBRATION_SIG_SIZES,
     DEFAULT_GAS_TARGETS,
     DEFAULT_LATENCY_S,
     ConstantLatency,
+    ContractState,
     SimulatedLedger,
+    Transaction,
+    TxKind,
+    TxStatus,
     UniformLatency,
     calibrate_gas,
 )
@@ -99,7 +103,6 @@ class ExperimentConfig:
     synth_samples: int = 2000
     synth_features: int = 20
     synth_classes: int = 5
-    client_ids: tuple = None         # defaults to 0..n_clients-1
     submit_aggregation: bool = True
 
     def dataset_label(self) -> str:
@@ -111,11 +114,6 @@ class ExperimentConfig:
     def name(self) -> str:
         mode = "BC" if self.blockchain else "NoBC"
         return f"{self.dataset_label()}-{self.scheme.value}-{self.n_clients}c-{mode}"
-
-    def resolved_client_ids(self) -> tuple:
-        if self.client_ids is not None:
-            return tuple(self.client_ids)
-        return tuple(range(self.n_clients))
 
     def violations(self) -> list:
         """Every violated constraint, empty when the config is valid."""
@@ -132,12 +130,6 @@ class ExperimentConfig:
             out.append(f"dataset must be 'synth' or 'csv:<path>', got {self.dataset!r}")
         if self.nobc_fixed_delay_s < 0:
             out.append("nobc_fixed_delay_s must be >= 0")
-        if self.client_ids is not None:
-            ids = tuple(self.client_ids)
-            if len(ids) != self.n_clients:
-                out.append(f"client_ids lists {len(ids)} ids for {self.n_clients} clients")
-            if len(set(ids)) != len(ids):
-                out.append("client_ids contains duplicates")
         if self.train.local_epochs < 0:
             out.append("train.local_epochs must be >= 0")
         if self.train.batch_size < 1:
@@ -172,7 +164,7 @@ class ExperimentConfig:
                 "local_epochs": self.train.local_epochs,
                 "batch_size": self.train.batch_size,
                 "learning_rate": self.train.learning_rate,
-                "optimizer": self.train.optimizer,
+                "optimizer": "ADAM",
             },
             "gas_targets": {s.value: t for s, t in self.gas_targets.items()},
             "latency_s": self.latency_s,
@@ -205,26 +197,8 @@ class RoundMetrics:
     rejected_count: int
     model_digest: str  # hex SHA3-256 of the round's canonical global model
 
-    NUMERIC_FIELDS = (
-        "accuracy",
-        "round_time_s",
-        "compute_time_s",
-        "simulated_latency_s",
-        "mean_sign_ms",
-        "mean_verify_ms",
-        "mean_tx_time_s",
-        "mean_gas_per_update",
-        "total_gas",
-        "overhead_ratio",
-        "verified_count",
-        "rejected_count",
-    )
-
     def to_dict(self) -> dict:
-        d = {"round": self.round}
-        d.update({f: getattr(self, f) for f in self.NUMERIC_FIELDS})
-        d["model_digest"] = self.model_digest
-        return d
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -244,17 +218,16 @@ class SystemState:
     """Mutable world state of one experiment between rounds."""
 
     config: ExperimentConfig
-    client_ids: tuple
     train_set: fedcore.Dataset
     test_set: fedcore.Dataset
     partitions: list
     global_params: ModelParams
-    client_keys: dict
-    client_addresses: dict
+    client_keys: list        # indexed by client id
+    client_addresses: list   # likewise
     aggregator_key: KeyPair
     aggregator_address: bytes
-    ledger: SimulatedLedger
-    local_registry: dict
+    ledger: SimulatedLedger  # None without a blockchain
+    contract: ContractState  # ledger.state, or a bare one without a blockchain
     initial_accuracy: float
     model_trajectory: list = field(default_factory=list)
     sig_sizes_seen: list = field(default_factory=list)
@@ -272,9 +245,9 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     """Key generation, registration, data build: run once per experiment.
 
     Validates the config up front (before any key generation), creates one
-    key pair per client plus one for the aggregator, registers them on the
-    ledger in blockchain mode (a plain local registry otherwise), and builds
-    the dataset, the Dirichlet partitions, and the initial global model.
+    key pair per client plus one for the aggregator, registers them with the
+    contract (on the ledger in blockchain mode), and builds the dataset, the
+    Dirichlet partitions, and the initial global model.
     """
     problems = config.violations()
     if problems:
@@ -299,41 +272,35 @@ def init_phase(config: ExperimentConfig) -> SystemState:
         train_set.n_features, train_set.n_classes, derive_seed(master, "model-init")
     )
 
-    client_ids = config.resolved_client_ids()
-    client_keys = {
-        cid: sigsuite.keygen(config.scheme, derive_seed(master, "keygen", cid))
-        for cid in client_ids
-    }
-    client_addresses = {cid: _client_address(cid) for cid in client_ids}
+    client_keys = [
+        sigsuite.keygen(config.scheme, derive_seed(master, "keygen", cid))
+        for cid in range(config.n_clients)
+    ]
+    client_addresses = [_client_address(cid) for cid in range(config.n_clients)]
     aggregator_key = sigsuite.keygen(config.scheme, derive_seed(master, "keygen-aggregator"))
 
-    ledger = None
-    local_registry = {}
     if config.blockchain:
         ledger = SimulatedLedger(
-            gas_model=calibrate_gas(config.gas_targets, CALIBRATION_SIG_SIZES),
+            gas_model=calibrate_gas(config.gas_targets),
             latency=_build_latency_model(config),
             rng_seed=derive_seed(master, "latency"),
         )
-        for cid in client_ids:
-            ledger.register_client(
-                client_addresses[cid], client_keys[cid].public_key, config.scheme
-            )
-        ledger.register_client(
-            _AGGREGATOR_ADDRESS, aggregator_key.public_key, config.scheme
-        )
-        ledger.mine_block()
+        contract, register = ledger.state, ledger.register_client
     else:
-        for cid in client_ids:
-            local_registry[client_addresses[cid]] = (
-                client_keys[cid].public_key,
-                config.scheme,
-            )
-        local_registry[_AGGREGATOR_ADDRESS] = (aggregator_key.public_key, config.scheme)
+        ledger, contract = None, ContractState()
+
+        def register(address, public_key, scheme):
+            contract.apply(Transaction.registration(address, public_key, scheme))
+
+    for address, key in zip(
+        client_addresses + [_AGGREGATOR_ADDRESS], client_keys + [aggregator_key]
+    ):
+        register(address, key.public_key, config.scheme)
+    if ledger is not None:
+        ledger.mine_block()
 
     return SystemState(
         config=config,
-        client_ids=client_ids,
         train_set=train_set,
         test_set=test_set,
         partitions=partitions,
@@ -343,16 +310,16 @@ def init_phase(config: ExperimentConfig) -> SystemState:
         aggregator_key=aggregator_key,
         aggregator_address=_AGGREGATOR_ADDRESS,
         ledger=ledger,
-        local_registry=local_registry,
+        contract=contract,
         initial_accuracy=fedcore.evaluate(global_params, test_set),
     )
 
 
-def _client_work(state: SystemState, position: int, client_id: int) -> ClientSubmission:
+def _client_work(state: SystemState, client_id: int) -> ClientSubmission:
     """Train, hash, sign: the per-client portion of one round."""
     config = state.config
     cfg = config.train.with_seed((config.master_seed ^ client_id) & _MASK64)
-    partition = state.partitions[position]
+    partition = state.partitions[client_id]
     params = fedcore.local_train(state.global_params, state.train_set, partition, cfg)
     digest = sigsuite.digest_model(params)
     t0 = time.perf_counter()
@@ -389,8 +356,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     config = state.config
     started = time.perf_counter()
 
-    ids = state.client_ids
-    submissions = [_client_work(state, pos, cid) for pos, cid in enumerate(ids)]
+    submissions = [_client_work(state, cid) for cid in range(config.n_clients)]
 
     if tamper_hook is not None:
         submissions = [tamper_hook(sub) for sub in submissions]
@@ -405,41 +371,31 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     for sub in submissions:
         offchain[sub.client_id] = sub
         state.sig_sizes_seen.append(len(sub.sig.bytes))
+        address = state.client_addresses[sub.client_id]
         if config.blockchain:
-            receipt = state.ledger.submit_update(
-                state.client_addresses[sub.client_id], t, sub.digest, sub.sig
-            )
+            receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
+            status = receipt.status
             confirm_times.append(receipt.confirm_time_s)
             verify_times_ms.append(receipt.verify_ms)
             gas_per_update.append(receipt.gas_used)
             total_gas += receipt.gas_used
-            if receipt.verified:
-                verified_ids.add(sub.client_id)
         else:
-            pk, scheme = state.local_registry[state.client_addresses[sub.client_id]]
+            tx = Transaction.submission(TxKind.SUBMIT_UPDATE, address, t, sub.digest, sub.sig)
             t0 = time.perf_counter()
-            # A signature tagged with another scheme is rejected, as on-chain.
-            valid = sub.sig.scheme is scheme and sigsuite.verify(
-                pk, scheme, sub.digest, sub.sig
-            )
+            status, _ = state.contract.apply(tx)
             verify_times_ms.append((time.perf_counter() - t0) * 1e3)
             confirm_times.append(config.nobc_fixed_delay_s)
-            if valid:
-                verified_ids.add(sub.client_id)
+        if status is TxStatus.VERIFIED:
+            verified_ids.add(sub.client_id)
 
     # Hash binding: aggregate only clients whose off-chain parameters
     # re-digest to the hash that passed verification.
     updates = []
-    for cid in ids:
+    for cid in range(config.n_clients):
         if cid not in verified_ids:
             continue
         sub = offchain[cid]
-        if config.blockchain:
-            onchain = state.ledger.state.verified_updates.get(
-                (t, state.client_addresses[cid])
-            )
-        else:
-            onchain = sub.digest
+        onchain = state.contract.verified_updates.get((t, state.client_addresses[cid]))
         if onchain is None or sigsuite.digest_model(sub.params) != onchain:
             verified_ids.discard(cid)
             continue
@@ -496,7 +452,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         total_gas=total_gas,
         overhead_ratio=ratio,
         verified_count=len(verified_ids),
-        rejected_count=len(ids) - len(verified_ids),
+        rejected_count=config.n_clients - len(verified_ids),
         model_digest=hashlib.sha3_256(model_bytes).hexdigest(),
     )
 
@@ -535,11 +491,14 @@ class ExperimentReport:
 
 
 def _summarize(metrics: list, initial_accuracy: float) -> dict:
-    summary = {f: 0.0 for f in RoundMetrics.NUMERIC_FIELDS}
+    numeric = [
+        f.name for f in fields(RoundMetrics) if f.name not in ("round", "model_digest")
+    ]
+    summary = {f: 0.0 for f in numeric}
     if not metrics:
         summary["accuracy"] = initial_accuracy
         return summary
-    for f in RoundMetrics.NUMERIC_FIELDS:
+    for f in numeric:
         summary[f] = sum(getattr(m, f) for m in metrics) / len(metrics)
     return summary
 
@@ -553,7 +512,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     state = init_phase(config)
     metrics = [run_round(state, t) for t in range(1, config.rounds + 1)]
 
-    key = state.client_keys[state.client_ids[0]]
+    key = state.client_keys[0]
     sizes = state.sig_sizes_seen
     crypto_sizes = {
         "public_key_b": len(key.public_key),

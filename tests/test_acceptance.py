@@ -192,20 +192,20 @@ def test_c07_verified_subset_equivalence():
     rng = np.random.default_rng(515)
 
     for t in range(1, 51):
-        n = len(state.client_ids)
+        n = cfg.n_clients
         n_bad = int(rng.integers(0, n))  # always leaves one honest client
         bad = set(rng.choice(n, size=n_bad, replace=False).tolist())
 
         # independent oracle from the pre-round model
         weighted, total = None, 0
-        for pos, cid in enumerate(state.client_ids):
+        for cid in range(n):
             if cid in bad:
                 continue
             t_cfg = cfg.train.with_seed((cfg.master_seed ^ cid) & (2**64 - 1))
             local = fedcore.local_train(
-                state.global_params, state.train_set, state.partitions[pos], t_cfg
+                state.global_params, state.train_set, state.partitions[cid], t_cfg
             )
-            size = len(state.partitions[pos])
+            size = len(state.partitions[cid])
             total += size
             term = size * local.values.astype(np.float64)
             weighted = term if weighted is None else weighted + term

@@ -9,7 +9,6 @@ from pqsbfl import benchcli
 from pqsbfl.benchcli import (
     COMPARISON_CSV_COLUMNS,
     CRYPTO_CSV_COLUMNS,
-    ROUNDS_CSV_COLUMNS,
     SCALING_CSV_COLUMNS,
     emit_crypto_table,
     emit_scaling_data,
@@ -226,7 +225,22 @@ class TestReportFiles:
         run_dir = tmp_path / "synth-NONE-2c-BC"
         with open(run_dir / "rounds.csv", newline="") as fh:
             header = next(csv.reader(fh))
-        assert tuple(header) == ROUNDS_CSV_COLUMNS
+        assert tuple(header) == (
+            "round",
+            "accuracy",
+            "round_time_s",
+            "compute_time_s",
+            "simulated_latency_s",
+            "mean_sign_ms",
+            "mean_verify_ms",
+            "mean_tx_time_s",
+            "mean_gas_per_update",
+            "total_gas",
+            "overhead_ratio",
+            "verified_count",
+            "rejected_count",
+            "model_digest",
+        )
         report = json.loads((run_dir / "report.json").read_text())
         assert report["config"]["name"] == "synth-NONE-2c-BC"
         assert len(report["rounds"]) == 2

@@ -52,14 +52,14 @@ def _fedavg_oracle(state, client_ids, round_seed_master):
     """Recompute each client's local model independently and average by hand."""
     weighted = None
     total = 0
-    for pos, cid in enumerate(state.client_ids):
+    for cid in range(state.config.n_clients):
         if cid not in client_ids:
             continue
         cfg = state.config.train.with_seed((round_seed_master ^ cid) & (2**64 - 1))
         local = fedcore.local_train(
-            state.global_params, state.train_set, state.partitions[pos], cfg
+            state.global_params, state.train_set, state.partitions[cid], cfg
         )
-        n = len(state.partitions[pos])
+        n = len(state.partitions[cid])
         total += n
         term = n * local.values.astype(np.float64)
         weighted = term if weighted is None else weighted + term
@@ -75,7 +75,7 @@ class TestInitPhase:
     def test_nobc_issues_zero_ledger_transactions(self):
         state = init_phase(_small_config(blockchain=False))
         assert state.ledger is None
-        assert len(state.local_registry) == 4
+        assert len(state.contract.registry) == 4  # 3 clients + aggregator
 
     def test_duplicate_client_ids_rejected_before_keygen(self, monkeypatch):
         calls = []
@@ -87,7 +87,7 @@ class TestInitPhase:
 
         monkeypatch.setattr(protocol.sigsuite, "keygen", counting_keygen)
         with pytest.raises(ValidationError):
-            init_phase(_small_config(client_ids=(0, 1, 1)))
+            init_phase(_small_config(alpha=-1.0))
         assert calls == []
 
     def test_all_violations_listed(self):
@@ -186,10 +186,8 @@ class TestRunRound:
         assert (metrics.verified_count, metrics.rejected_count) == (1, 3)
         max_ulps = np.spacing(np.abs(oracle))
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
+        assert list(state.contract.verified_updates) == [(1, state.client_addresses[3])]
         if blockchain:
-            assert list(state.ledger.state.verified_updates) == [
-                (1, state.client_addresses[3])
-            ]
             assert chain_verify(state.ledger.chain).intact
 
     def test_chain_head_reproducible_for_fixed_seed(self):
@@ -214,7 +212,7 @@ class TestRunRound:
 
 def _fedavg_oracle_initial(cfg):
     state = init_phase(cfg)
-    return _fedavg_oracle(state, set(state.client_ids), cfg.master_seed)
+    return _fedavg_oracle(state, set(range(cfg.n_clients)), cfg.master_seed)
 
 
 class TestOverheadRatio:
