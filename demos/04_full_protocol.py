@@ -24,7 +24,7 @@ for scheme in (SchemeId.PQC, SchemeId.ECDSA, SchemeId.NONE):
             blockchain=blockchain, master_seed=99,
         )
         report = run_experiment(cfg)
-        trajectories[cfg.name()] = report.model_trajectory
+        trajectories[cfg.name()] = [m.model_digest for m in report.rounds]
         gas = f"{report.gas_per_round:12,.0f}" if blockchain else "         n/a"
         print(
             f"{cfg.name():>22}: accuracy {report.final_accuracy:.4f}  "

@@ -100,7 +100,6 @@ CRYPTO_CSV_COLUMNS = (
 class SuiteSpec:
     configs: list
     out_dir: Path
-    formats: tuple = ("csv", "json")
 
 
 @dataclass
@@ -163,7 +162,6 @@ _EXPERIMENT_FIELDS = {
     "synth_samples": ("synth_samples", _parse_int),
     "synth_features": ("synth_features", _parse_int),
     "synth_classes": ("synth_classes", _parse_int),
-    "submit_aggregation": ("submit_aggregation", _parse_bool),
 }
 _TRAIN_KEYS = {"local_epochs", "batch_size", "learning_rate"}
 _LATENCY_KEYS = {"constant", "uniform"}
@@ -201,19 +199,13 @@ def _apply_section(cfg: ExperimentConfig, section: str, items, where_prefix: str
             if key not in _LATENCY_KEYS:
                 raise ParseError(f"{where}: unknown key {key!r}")
             if key == "constant":
-                cfg = replace(cfg, latency_s=_parse_float(raw, where), latency_range=None)
+                seconds = _parse_float(raw, where)
+                cfg = replace(cfg, latency=(seconds, seconds))
             else:
                 parts = raw.split(",")
                 if len(parts) != 2:
                     raise ParseError(f"{where}: expected low,high")
-                cfg = replace(
-                    cfg,
-                    latency_range=(
-                        _parse_float(parts[0], where),
-                        _parse_float(parts[1], where),
-                    ),
-                    latency_s=None,
-                )
+                cfg = replace(cfg, latency=tuple(_parse_float(p, where) for p in parts))
         else:
             raise ParseError(f"{where_prefix}: unknown section [{section}]")
     return cfg
@@ -266,7 +258,6 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
     """
     parser = _read_ini(Path(path))
     suite_seed = 0
-    formats = ("csv", "json")
     out = Path(out_dir) if out_dir is not None else None
 
     if parser.has_section("suite"):
@@ -277,11 +268,6 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
             elif key == "out":
                 if out is None:
                     out = Path(raw.strip())
-            elif key == "formats":
-                formats = tuple(f.strip() for f in raw.split(",") if f.strip())
-                unknown = set(formats) - {"csv", "json"}
-                if unknown:
-                    raise ParseError(f"{where}: unknown formats {sorted(unknown)}")
             else:
                 raise ParseError(f"{where}: unknown key {key!r}")
     if base_seed is not None:
@@ -310,7 +296,7 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
         names.add(cfg.name())
         configs.append(cfg)
 
-    return SuiteSpec(configs=configs, out_dir=out, formats=formats)
+    return SuiteSpec(configs=configs, out_dir=out)
 
 
 def _write_csv(path: Path, columns, rows):
@@ -322,20 +308,18 @@ def _write_csv(path: Path, columns, rows):
             writer.writerow([row[c] for c in columns])
 
 
-def write_report_files(report: ExperimentReport, out_dir: Path, formats=("csv", "json")):
+def write_report_files(report: ExperimentReport, out_dir: Path):
     """Write ``report.json`` and ``rounds.csv`` for one finished run."""
     run_dir = out_dir / report.config.name()
     run_dir.mkdir(parents=True, exist_ok=True)
-    if "json" in formats:
-        with open(run_dir / "report.json", "w") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    if "csv" in formats:
-        _write_csv(
-            run_dir / "rounds.csv",
-            ROUNDS_CSV_COLUMNS,
-            [m.to_dict() for m in report.rounds],
-        )
+    with open(run_dir / "report.json", "w") as fh:
+        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    _write_csv(
+        run_dir / "rounds.csv",
+        ROUNDS_CSV_COLUMNS,
+        [m.to_dict() for m in report.rounds],
+    )
     return run_dir
 
 
@@ -395,15 +379,14 @@ def run_suite(spec: SuiteSpec):
         rows[cfg.name()] = _comparison_row(cfg, report, error)
         if report is not None:
             reports[cfg.name()] = report
-            write_report_files(report, spec.out_dir, spec.formats)
+            write_report_files(report, spec.out_dir)
 
     table = ComparisonTable(COMPARISON_CSV_COLUMNS, rows)
-    if "csv" in spec.formats:
-        _write_csv(spec.out_dir / "comparison.csv", table.columns, list(rows.values()))
-        counts = {r.config.n_clients for r in reports.values()}
-        if len(counts) >= 2:
-            scaling = emit_scaling_data(list(reports.values()))
-            _write_csv(spec.out_dir / "scaling.csv", SCALING_CSV_COLUMNS, scaling)
+    _write_csv(spec.out_dir / "comparison.csv", table.columns, list(rows.values()))
+    counts = {r.config.n_clients for r in reports.values()}
+    if len(counts) >= 2:
+        scaling = emit_scaling_data(list(reports.values()))
+        _write_csv(spec.out_dir / "scaling.csv", SCALING_CSV_COLUMNS, scaling)
     return table, reports
 
 

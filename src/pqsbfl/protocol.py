@@ -96,14 +96,12 @@ class ExperimentConfig:
     nobc_fixed_delay_s: float = 0.05
     train: TrainConfig = field(default_factory=TrainConfig)
     gas_targets: dict = field(default_factory=lambda: dict(DEFAULT_GAS_TARGETS))
-    latency_s: float = None          # constant confirmation latency override
-    latency_range: tuple = None      # (low, high) for a uniform latency model
+    latency: tuple = None  # (low, high) confirmation seconds; None: scheme default
     master_seed: int = 0
     alpha: float = 0.5
     synth_samples: int = 2000
     synth_features: int = 20
     synth_classes: int = 5
-    submit_aggregation: bool = True
 
     def dataset_label(self) -> str:
         if self.dataset.startswith("csv:"):
@@ -143,12 +141,10 @@ class ExperimentConfig:
         for scheme, target in self.gas_targets.items():
             if target <= 0:
                 out.append(f"gas target for {scheme} must be positive")
-        if self.latency_s is not None and self.latency_s < 0:
-            out.append("latency_s must be >= 0")
-        if self.latency_range is not None:
-            lo, hi = self.latency_range
-            if lo < 0 or hi < lo:
-                out.append("latency_range must satisfy 0 <= low <= high")
+        if self.latency is not None:
+            lo, hi = self.latency
+            if not 0 <= lo <= hi:  # also rejects NaN
+                out.append("latency must satisfy 0 <= low <= high")
         return out
 
     def to_dict(self) -> dict:
@@ -167,14 +163,12 @@ class ExperimentConfig:
                 "optimizer": "ADAM",
             },
             "gas_targets": {s.value: t for s, t in self.gas_targets.items()},
-            "latency_s": self.latency_s,
-            "latency_range": list(self.latency_range) if self.latency_range else None,
+            "latency": list(self.latency) if self.latency is not None else None,
             "master_seed": self.master_seed,
             "alpha": self.alpha,
             "synth_samples": self.synth_samples,
             "synth_features": self.synth_features,
             "synth_classes": self.synth_classes,
-            "submit_aggregation": self.submit_aggregation,
         }
 
 
@@ -229,16 +223,14 @@ class SystemState:
     ledger: SimulatedLedger  # None without a blockchain
     contract: ContractState  # ledger.state, or a bare one without a blockchain
     initial_accuracy: float
-    model_trajectory: list = field(default_factory=list)
     sig_sizes_seen: list = field(default_factory=list)
 
 
 def _build_latency_model(config: ExperimentConfig):
-    if config.latency_range is not None:
-        return UniformLatency(*config.latency_range)
-    if config.latency_s is not None:
-        return ConstantLatency(config.latency_s)
-    return ConstantLatency(DEFAULT_LATENCY_S[config.scheme])
+    if config.latency is None:
+        return ConstantLatency(DEFAULT_LATENCY_S[config.scheme])
+    low, high = config.latency
+    return ConstantLatency(low) if low == high else UniformLatency(low, high)
 
 
 def init_phase(config: ExperimentConfig) -> SystemState:
@@ -347,6 +339,11 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     submission (wrong scheme tag, hash of the wrong length, an empty one) is
     rejected like a bad signature and excludes only its client.
 
+    Each submission is hash-bound as soon as the contract verifies it: it is
+    aggregated only if its own off-chain parameters re-digest to the hash
+    the contract recorded. A rejected submission that names another client
+    therefore cannot displace that client's update.
+
     Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
     global model is left unchanged in that case, and in blockchain mode the
     round's block is still mined so it holds the rejected transactions.
@@ -365,11 +362,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     verify_times_ms = []
     gas_per_update = []
     total_gas = 0
-    verified_ids = set()
-    offchain = {}
+    updates = []
 
     for sub in submissions:
-        offchain[sub.client_id] = sub
         state.sig_sizes_seen.append(len(sub.sig.bytes))
         address = state.client_addresses[sub.client_id]
         if config.blockchain:
@@ -385,21 +380,13 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
             status, _ = state.contract.apply(tx)
             verify_times_ms.append((time.perf_counter() - t0) * 1e3)
             confirm_times.append(config.nobc_fixed_delay_s)
-        if status is TxStatus.VERIFIED:
-            verified_ids.add(sub.client_id)
-
-    # Hash binding: aggregate only clients whose off-chain parameters
-    # re-digest to the hash that passed verification.
-    updates = []
-    for cid in range(config.n_clients):
-        if cid not in verified_ids:
-            continue
-        sub = offchain[cid]
-        onchain = state.contract.verified_updates.get((t, state.client_addresses[cid]))
-        if onchain is None or sigsuite.digest_model(sub.params) != onchain:
-            verified_ids.discard(cid)
-            continue
-        updates.append(ClientUpdate(cid, sub.params, sub.n_samples, t))
+        # Hash binding: aggregate a verified submission only if its own
+        # off-chain parameters re-digest to the hash the contract recorded.
+        if (
+            status is TxStatus.VERIFIED
+            and sigsuite.digest_model(sub.params) == state.contract.verified_updates[(t, address)]
+        ):
+            updates.append(ClientUpdate(sub.client_id, sub.params, sub.n_samples, t))
 
     if not updates:
         if config.blockchain:
@@ -410,22 +397,18 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     new_global = fedcore.aggregate(updates)
     state.global_params = new_global
+    global_digest = sigsuite.digest_model(new_global)
     accuracy = fedcore.evaluate(new_global, state.test_set)
 
     agg_latency = 0.0
-    if config.blockchain and config.submit_aggregation:
-        agg_digest = sigsuite.digest_model(new_global)
-        agg_sig = sigsuite.sign(state.aggregator_key, agg_digest)
+    if config.blockchain:
+        agg_sig = sigsuite.sign(state.aggregator_key, global_digest)
         receipt = state.ledger.submit_aggregation(
-            state.aggregator_address, t, agg_digest, agg_sig
+            state.aggregator_address, t, global_digest, agg_sig
         )
         total_gas += receipt.gas_used
         agg_latency = receipt.confirm_time_s
-    if config.blockchain:
         state.ledger.mine_block()
-
-    model_bytes = fedcore.canonical_bytes(new_global)
-    state.model_trajectory.append(model_bytes)
 
     compute_time = time.perf_counter() - started
     simulated_latency = sum(confirm_times) + agg_latency
@@ -451,9 +434,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         ),
         total_gas=total_gas,
         overhead_ratio=ratio,
-        verified_count=len(verified_ids),
-        rejected_count=config.n_clients - len(verified_ids),
-        model_digest=hashlib.sha3_256(model_bytes).hexdigest(),
+        verified_count=len(updates),
+        rejected_count=config.n_clients - len(updates),
+        model_digest=global_digest.hex(),
     )
 
 
@@ -462,9 +445,9 @@ class ExperimentReport:
     """Everything one experiment produced, ready for serialization.
 
     ``summary`` holds arithmetic means of the per-round metrics (for a
-    zero-round run it reports the initial model's accuracy). The raw
-    canonical model bytes per round stay on the object for oracle tests and
-    are not serialized.
+    zero-round run it reports the initial model's accuracy). Each round's
+    ``model_digest`` is the SHA3-256 of its canonical global model, so
+    ``[m.model_digest for m in rounds]`` is the model trajectory.
     """
 
     config: ExperimentConfig
@@ -475,7 +458,6 @@ class ExperimentReport:
     final_accuracy: float
     gas_per_round: float = None          # None for no-blockchain runs
     accuracy_gain_per_gas: float = None  # likewise
-    model_trajectory: list = field(repr=False, default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -528,7 +510,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         crypto_sizes=crypto_sizes,
         initial_accuracy=state.initial_accuracy,
         final_accuracy=final_accuracy,
-        model_trajectory=list(state.model_trajectory),
     )
     if config.blockchain and metrics:
         report.gas_per_round, report.accuracy_gain_per_gas = gas_efficiency(report)

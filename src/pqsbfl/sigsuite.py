@@ -14,8 +14,10 @@ Three interchangeable backends:
   the key material is a pair of fixed opaque tokens, so payload and size
   accounting stay meaningful without any cryptography.
 
-Signing under ML-DSA uses the backend's default hedged (randomized) mode,
-so two signatures over the same message generally differ; only verification
+ECDSA signs deterministically (RFC 6979): one key and message always give
+the same signature. ML-DSA signs in the backend's default hedged
+(randomized) mode, as the backend has no deterministic one, so two ML-DSA
+signatures over the same message generally differ; only verification
 outcomes are comparable across runs.
 
 All operations are pure given their inputs (entropy and clocks aside) and
@@ -188,7 +190,7 @@ def sign(key: KeyPair, message: bytes) -> Signature:
     if key.scheme is SchemeId.ECDSA:
         if not isinstance(key.handle, ec.EllipticCurvePrivateKey):
             raise MalformedKey("ECDSA key pair has no signing handle")
-        der = key.handle.sign(message, ec.ECDSA(hashes.SHA256()))
+        der = key.handle.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
         return Signature(SchemeId.ECDSA, der)
 
     raise UnsupportedScheme(f"unknown scheme {key.scheme!r}")

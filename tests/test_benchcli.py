@@ -69,7 +69,12 @@ class TestParseConfig:
         assert cfg.blockchain is False
         assert cfg.train == TrainConfig(local_epochs=3, batch_size=16, learning_rate=0.01)
         assert cfg.gas_targets[SchemeId.PQC] == 2_000_000
-        assert cfg.latency_s == 0.25
+        assert cfg.latency == (0.25, 0.25)
+        path.write_text("[latency]\nuniform = 0.1,0.5\n")
+        assert parse_config(path).latency == (0.1, 0.5)
+        path.write_text("[latency]\nuniform = nan,nan\n")
+        with pytest.raises(ValidationError, match="latency"):
+            parse_config(path)
 
     def test_parse_errors_identify_location(self, tmp_path):
         path = tmp_path / "exp.ini"

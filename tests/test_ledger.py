@@ -100,8 +100,12 @@ class TestSubmitUpdate:
         ledger, key, addr = self._registered(SchemeId.ECDSA)
         digest = hashlib.sha3_256(b"update").digest()
         sig = sign(key, digest)
+        i = 0
         while len(sig.bytes) != 71:  # calibration assumes the 71-byte average
+            # ECDSA signs deterministically: vary the message to vary the size
+            digest = hashlib.sha3_256(b"update" + bytes([i])).digest()
             sig = sign(key, digest)
+            i += 1
         receipt = ledger.submit_update(addr, 1, digest, sig)
         assert receipt.gas_used == 188_900
 
