@@ -52,6 +52,7 @@ from .sigsuite import (
     Signature,
     digest_model,
     keygen,
+    keygen_batch,
     measure_primitives,
     sign,
     verify,

@@ -8,17 +8,24 @@ derives both from a seed by running the FIPS 204 key-generation pipeline
 (seed expansion, matrix/secret sampling, NTT arithmetic, Power2Round,
 bit packing).
 
-Polynomials are int64 rows of a (rows, 256) array: A is (6, 5, 256), the
-secrets s1 and s2 are (5, 256) and (6, 256), and the NTTs transform the
-last axis of any such array with two 16 x 16 matrix products and one
-elementwise product (see the factorisation above `_ntt`). Each sampler draws
-all polynomials of its distribution in one pass over the joined XOF outputs.
+All keys of a batch go through the pipeline together, with a leading key
+axis: polynomials are rows of (keys, rows, 256) arrays. A is uint32
+(keys, 6, 5, 256), the secrets s1 and s2 are int8 (keys, 5, 256) and
+(keys, 6, 256), and the NTTs transform the last axis of any such array with
+two 16 x 16 matrix products and one elementwise product (see the
+factorisation above `_ntt`). Each sampler draws all polynomials of its
+distribution, for every key, in one pass over the joined XOF outputs, and
+each encoded field is bit-packed once for the whole batch and sliced per key.
 
-Each transform reduces mod q three times, once after each product. With
-inputs below q in absolute value and table entries below q < 2^23, a
-16-term sum of products stays below 16q^2 < 2^50 and a twiddle product
-below q^2 < 2^46; A*s1 sums 5 products of reduced coefficients, below
-5q^2 < 2^49. Every value stays inside int64.
+Each transform reduces mod q three times, once after each product. The two
+matrix products run in float64 (BLAS) and are cast back to int64 before
+reduction; the twiddle product stays int64. With inputs below q in absolute
+value and table entries below q < 2^23, every entry of a matrix product is a
+sum of 16 integer products, each below q^2 < 2^46 and together below
+16q^2 < 2^50 < 2^53, so float64 holds every partial sum exactly, whatever
+the summation order or use of fused multiply-add. A twiddle product stays
+below q^2 < 2^46, and A*s1 sums 5 products of reduced coefficients, below
+5q^2 < 2^49, both inside int64.
 
 Only key expansion lives here. Signing and verification stay on the vetted
 OpenSSL backend, and callers are expected to cross-check the public key
@@ -26,7 +33,7 @@ produced here against the backend's own encoding for the same seed, which
 exercises every step of this pipeline.
 
 No constant-time discipline is attempted: this code handles simulator key
-material only and runs once per key pair.
+material only and runs once per batch of key pairs.
 """
 
 import hashlib
@@ -59,19 +66,28 @@ _FACTORS = (lambda i1, j1: 16 * (2 * _BRV4[i1] + 1) * j1,   # _M1[i1, j1]
             lambda i0, j0: 32 * _BRV4[i0] * j0)             # _M2[i0, j0]
 
 
-def _table(exponent, sign: int = 1, scale: int = 1) -> np.ndarray:
-    """16 x 16 table of scale * zeta^(sign * exponent(row, column)) mod q.
+def _table(exponent, sign: int = 1, scale: int = 1, dtype=np.float64) -> np.ndarray:
+    """16 x 16 table of scale * zeta^(sign * exponent(row, column)) mod q,
+    exact in either dtype (entries are below q < 2^23).
 
     Built in plain Python: numpy arithmetic at import would page in numpy
     code that runs without ML-DSA keys never use."""
     return np.array([[scale * pow(1753, sign * exponent(r, c) % 512, _Q) % _Q
-                      for c in range(16)] for r in range(16)], dtype=np.int64)
+                      for c in range(16)] for r in range(16)], dtype=dtype)
 
 
-_M1, _TW, _M2 = (_table(e) for e in _FACTORS)
+# The matrices feed float64 products; the twiddles stay int64.
+_M1, _M2 = (_table(e) for e in _FACTORS[::2])
+_TW = _table(_FACTORS[1], dtype=np.int64)
 # The inverse NTT uses the inverse powers, with its 256^-1 folded into _M1_INV.
 _M1_INV = _table(_FACTORS[0], sign=-1, scale=pow(_N, -1, _Q))
-_TW_INV, _M2_INV = (_table(e, sign=-1) for e in _FACTORS[1:])
+_M2_INV = _table(_FACTORS[2], sign=-1)
+_TW_INV = _table(_FACTORS[1], sign=-1, dtype=np.int64)
+
+
+def _exact(product: np.ndarray) -> np.ndarray:
+    """A float64 matrix product of integers, back in int64 and reduced mod q."""
+    return product.astype(np.int64) % _Q
 
 
 def _ntt(f: np.ndarray) -> np.ndarray:
@@ -79,9 +95,9 @@ def _ntt(f: np.ndarray) -> np.ndarray:
 
     Takes coefficients of absolute value below q; returns them in [0, q).
     """
-    x = np.asarray(f, dtype=np.int64).reshape(*np.shape(f)[:-1], 16, 16)  # [j1, j0]
-    b = _M1 @ x % _Q * _TW % _Q                                            # [i1, j0]
-    return (b @ _M2.T % _Q).reshape(np.shape(f))                           # [i1, i0]
+    x = np.asarray(f, dtype=np.float64).reshape(*np.shape(f)[:-1], 16, 16)  # [j1, j0]
+    b = _exact(_M1 @ x) * _TW % _Q                                           # [i1, j0]
+    return _exact(b.astype(np.float64) @ _M2.T).reshape(np.shape(f))         # [i1, i0]
 
 
 def _inv_ntt(f: np.ndarray) -> np.ndarray:
@@ -89,32 +105,37 @@ def _inv_ntt(f: np.ndarray) -> np.ndarray:
 
     Takes coefficients of absolute value below q; returns them in [0, q).
     """
-    y = np.asarray(f, dtype=np.int64).reshape(*np.shape(f)[:-1], 16, 16)  # [i1, i0]
-    d = y @ _M2_INV % _Q * _TW_INV % _Q                                    # [i1, j0]
-    return (_M1_INV.T @ d % _Q).reshape(np.shape(f))                       # [j1, j0]
+    y = np.asarray(f, dtype=np.float64).reshape(*np.shape(f)[:-1], 16, 16)  # [i1, i0]
+    d = _exact(y @ _M2_INV) * _TW_INV % _Q                                   # [i1, j0]
+    return _exact(_M1_INV.T @ d.astype(np.float64)).reshape(np.shape(f))     # [j1, j0]
 
 
-# Initial XOF output per polynomial. A: 300 candidates at acceptance
-# q / 2^23 ~ 0.999. s1, s2: 544 nibbles at acceptance 9/16 give 306 on
-# average and 256 lies 4.3 standard deviations below that, so about 1 row
-# in 1e5 needs a longer digest (384 nibbles would give only 216 on average).
-_UNIFORM_DIGEST_BYTES = 3 * 300
+# Initial XOF output per polynomial. A: 840 bytes, five SHAKE-128 blocks of
+# 168, give 280 candidates at acceptance q / 2^23 ~ 0.999, about 0.27
+# rejections on average where 24 would be needed to fall short. s1, s2: 544
+# nibbles at acceptance 9/16 give 306 on average and 256 lies 4.3 standard
+# deviations below that, so about 1 row in 1e5 needs a longer digest (384
+# nibbles would give only 216 on average). A short row is digested again at
+# twice the size, so the output never depends on these sizes.
+_UNIFORM_DIGEST_BYTES = 5 * 168
 _BOUNDED_DIGEST_BYTES = 272
 
 
-def _first_accepted(xofs: list, nbytes: int, decode) -> np.ndarray:
-    """(len(xofs), 256): each row the first 256 accepted candidates of its XOF.
+def _first_accepted(xofs: list, nbytes: int, decode, dtype) -> np.ndarray:
+    """(len(xofs), 256) of ``dtype``: each row the first 256 accepted
+    candidates of its XOF.
 
     ``decode(raw, rows, nbytes)`` maps ``rows`` digests of ``nbytes`` each,
     joined in ``raw`` (plus one padding byte), to (rows, candidates) arrays
     of candidate values and acceptance. Rows with fewer than 256 accepted
     candidates are digested again at twice the size until every row is full.
     """
-    out = np.empty((len(xofs), _N), dtype=np.int64)
+    out = np.empty((len(xofs), _N), dtype=dtype)
     rows = np.arange(len(xofs))
     while len(rows):
-        raw = b"".join([xofs[i].digest(nbytes) for i in rows] + [bytes(1)])
-        values, ok = decode(raw, len(rows), nbytes)
+        # The joined digests are freed as soon as they are decoded.
+        values, ok = decode(b"".join([xofs[i].digest(nbytes) for i in rows] + [bytes(1)]),
+                            len(rows), nbytes)
         rank = np.cumsum(ok, axis=1, dtype=np.int16)
         full = rank[:, -1] >= _N
         ok &= rank <= _N
@@ -143,14 +164,14 @@ def _rej_ntt_polys(seeds34: list) -> np.ndarray:
     """Uniform polynomials in the NTT domain (FIPS 204 Alg. 30), one row per
     seed, by 3-byte rejection sampling of SHAKE-128 output."""
     return _first_accepted([hashlib.shake_128(s) for s in seeds34],
-                           _UNIFORM_DIGEST_BYTES, _decode_uniform)
+                           _UNIFORM_DIGEST_BYTES, _decode_uniform, np.uint32)
 
 
 def _rej_bounded_polys(seeds66: list) -> np.ndarray:
     """Secret polynomials with centered coefficients in [-eta, eta] (FIPS 204
     Alg. 31), one row per seed, by nibble rejection on SHAKE-256 output."""
     return _first_accepted([hashlib.shake_256(s) for s in seeds66],
-                           _BOUNDED_DIGEST_BYTES, _decode_bounded)
+                           _BOUNDED_DIGEST_BYTES, _decode_bounded, np.int8)
 
 
 def _bit_pack(values: np.ndarray, width: int) -> bytes:
@@ -168,39 +189,56 @@ def _bit_unpack(data: bytes, count: int, width: int) -> np.ndarray:
     return bits @ (1 << np.arange(width, dtype=np.int64))
 
 
-def expand_seed(seed: bytes) -> tuple[bytes, bytes]:
-    """Expand a 32-byte ML-DSA-65 seed into (public_key, private_key) bytes.
+def expand_seeds(seeds: list) -> list:
+    """Expand 32-byte ML-DSA-65 seeds into (public_key, private_key) pairs.
 
-    Returns the standard encodings: 1952-byte public key and 4032-byte
-    expanded private key. Deterministic in the seed.
+    Returns one pair per seed, in order, each in the standard encodings:
+    1952-byte public key and 4032-byte expanded private key. Deterministic
+    in each seed and independent of the other seeds of the batch.
     """
-    if len(seed) != SEED_BYTES:
-        raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
+    for seed in seeds:
+        if len(seed) != SEED_BYTES:
+            raise ValueError(f"seed must be {SEED_BYTES} bytes, got {len(seed)}")
+    n = len(seeds)
+    if not n:
+        return []
 
-    expanded = hashlib.shake_256(seed + bytes([_K, _L])).digest(128)
-    rho, rho_prime, cap_k = expanded[:32], expanded[32:96], expanded[96:128]
+    expanded = [hashlib.shake_256(seed + bytes([_K, _L])).digest(128) for seed in seeds]
+    rhos = [e[:32] for e in expanded]
 
-    # A is sampled directly in the NTT domain as (row, column, coefficient);
-    # the XOF index bytes are (column, row).
-    a_hat = _rej_ntt_polys([rho + bytes([s, r]) for r in range(_K)
-                            for s in range(_L)]).reshape(_K, _L, _N)
-    s1_s2 = _rej_bounded_polys([rho_prime + struct.pack("<H", r)
-                                for r in range(_L + _K)])
-    s1, s2 = s1_s2[:_L], s1_s2[_L:]
+    # A is sampled directly in the NTT domain as (key, row, column,
+    # coefficient); the XOF index bytes are (column, row).
+    a_hat = _rej_ntt_polys([rho + bytes([s, r]) for rho in rhos for r in range(_K)
+                            for s in range(_L)]).reshape(n, _K, _L, _N)
+    s1_s2 = _rej_bounded_polys([e[32:96] + struct.pack("<H", r) for e in expanded
+                                for r in range(_L + _K)]).reshape(n, _L + _K, _N)
 
-    s1_hat = _ntt(s1)
-    t = (_inv_ntt(np.einsum("rsn,sn->rn", a_hat, s1_hat) % _Q) + s2) % _Q
+    s1_hat = _ntt(s1_s2[:, :_L])
+    t = (_inv_ntt(np.einsum("krsn,ksn->krn", a_hat, s1_hat) % _Q) + s1_s2[:, _L:]) % _Q
     # Power2Round: t0 centered in (-2^(d-1), 2^(d-1)], t = t1*2^d + t0.
     half = 1 << (_D - 1)
     t0 = t & ((1 << _D) - 1)
     t0 = np.where(t0 > half, t0 - (1 << _D), t0)
     t1 = (t - t0) >> _D
 
-    public_key = rho + _bit_pack(t1, 10)
-    tr = hashlib.shake_256(public_key).digest(64)
-    private_key = (rho + cap_k + tr + _bit_pack(_ETA - s1_s2, 4)
-                   + _bit_pack(half - t0, 13))
+    # Each field packs all keys at once; every key's share is whole bytes.
+    t1_packed = _bit_pack(t1, 10)
+    s_packed = _bit_pack(_ETA - s1_s2, 4)
+    t0_packed = _bit_pack(half - t0, 13)
+    t1_len, s_len, t0_len = len(t1_packed) // n, len(s_packed) // n, len(t0_packed) // n
 
-    assert len(public_key) == PUBLIC_KEY_BYTES
-    assert len(private_key) == PRIVATE_KEY_BYTES
-    return public_key, private_key
+    pairs = []
+    for i, (rho, e) in enumerate(zip(rhos, expanded)):
+        public_key = rho + t1_packed[i * t1_len:(i + 1) * t1_len]
+        tr = hashlib.shake_256(public_key).digest(64)
+        private_key = (rho + e[96:128] + tr + s_packed[i * s_len:(i + 1) * s_len]
+                       + t0_packed[i * t0_len:(i + 1) * t0_len])
+        assert len(public_key) == PUBLIC_KEY_BYTES
+        assert len(private_key) == PRIVATE_KEY_BYTES
+        pairs.append((public_key, private_key))
+    return pairs
+
+
+def expand_seed(seed: bytes) -> tuple[bytes, bytes]:
+    """Expand one seed: :func:`expand_seeds` on a batch of one."""
+    return expand_seeds([seed])[0]

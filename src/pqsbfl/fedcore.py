@@ -16,6 +16,7 @@ injective byte encoding that is hashed and signed elsewhere.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -97,7 +98,7 @@ class ModelParams:
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         self.layout = tuple((name, tuple(shape)) for name, shape in self.layout)
-        expect = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in self.layout)
+        expect = sum(math.prod(shape) for _, shape in self.layout)
         if expect != self.values.size:
             raise LayoutMismatch(
                 f"layout describes {expect} elements, vector holds {self.values.size}"
@@ -111,7 +112,7 @@ class ModelParams:
         out = {}
         offset = 0
         for name, shape in self.layout:
-            size = int(np.prod(shape, dtype=np.int64))
+            size = math.prod(shape)
             out[name] = self.values[offset:offset + size].reshape(shape)
             offset += size
         return out
@@ -233,7 +234,7 @@ def partition_dirichlet(
     """
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-    if alpha <= 0:
+    if not alpha > 0:  # also rejects NaN
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if n_clients > dataset.n_samples:
         raise TooManyClients(

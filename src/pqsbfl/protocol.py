@@ -120,26 +120,26 @@ class ExperimentConfig:
             out.append(f"n_clients must be >= 1, got {self.n_clients}")
         if self.rounds < 0:
             out.append(f"rounds must be >= 0, got {self.rounds}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:  # the negated forms also reject NaN
             out.append(f"alpha must be > 0, got {self.alpha}")
         if not isinstance(self.scheme, SchemeId):
             out.append(f"unknown scheme {self.scheme!r}")
         if not (self.dataset == "synth" or self.dataset.startswith("csv:")):
             out.append(f"dataset must be 'synth' or 'csv:<path>', got {self.dataset!r}")
-        if self.nobc_fixed_delay_s < 0:
+        if not self.nobc_fixed_delay_s >= 0:
             out.append("nobc_fixed_delay_s must be >= 0")
         if self.train.local_epochs < 0:
             out.append("train.local_epochs must be >= 0")
         if self.train.batch_size < 1:
             out.append("train.batch_size must be >= 1")
-        if self.train.learning_rate <= 0:
+        if not self.train.learning_rate > 0:
             out.append("train.learning_rate must be > 0")
         if self.synth_classes < 2 or self.synth_samples < self.synth_classes:
             out.append("need synth_samples >= synth_classes >= 2")
         if self.synth_features < 1:
             out.append("synth_features must be >= 1")
         for scheme, target in self.gas_targets.items():
-            if target <= 0:
+            if not target > 0:
                 out.append(f"gas target for {scheme} must be positive")
         if self.latency is not None:
             lo, hi = self.latency
@@ -237,7 +237,9 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     """Key generation, registration, data build: run once per experiment.
 
     Validates the config up front (before any key generation), creates one
-    key pair per client plus one for the aggregator, registers them with the
+    key pair per client plus one for the aggregator in a single batch (under
+    PQC one FIPS 204 expansion for all of them, with every key still
+    cross-checked against the signing backend), registers them with the
     contract (on the ledger in blockchain mode), and builds the dataset, the
     Dirichlet partitions, and the initial global model.
     """
@@ -264,12 +266,13 @@ def init_phase(config: ExperimentConfig) -> SystemState:
         train_set.n_features, train_set.n_classes, derive_seed(master, "model-init")
     )
 
-    client_keys = [
-        sigsuite.keygen(config.scheme, derive_seed(master, "keygen", cid))
-        for cid in range(config.n_clients)
-    ]
+    keys = sigsuite.keygen_batch(
+        config.scheme,
+        [derive_seed(master, "keygen", cid) for cid in range(config.n_clients)]
+        + [derive_seed(master, "keygen-aggregator")],
+    )
+    client_keys, aggregator_key = keys[:-1], keys[-1]
     client_addresses = [_client_address(cid) for cid in range(config.n_clients)]
-    aggregator_key = sigsuite.keygen(config.scheme, derive_seed(master, "keygen-aggregator"))
 
     if config.blockchain:
         ledger = SimulatedLedger(

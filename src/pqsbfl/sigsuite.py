@@ -5,8 +5,9 @@ Three interchangeable backends:
 * ``PQC``   -- ML-DSA-65 (FIPS 204, lattice-based). Key generation, signing
   and verification run on the OpenSSL backend of the ``cryptography``
   package; the expanded standard encodings come from
-  :mod:`pqsbfl._mldsa_keyexpand` and are cross-checked against the backend
-  on every key generation.
+  :mod:`pqsbfl._mldsa_keyexpand`, which expands a whole batch of seeds at
+  once (``keygen_batch``); every key's expanded public key is still
+  cross-checked against the backend's own encoding.
 * ``ECDSA`` -- classical ECDSA over SECP256k1 with SHA-256 message digesting
   and DER-encoded signatures. DER length varies with integer encoding, so
   signature sizes are recorded per signature, never pinned.
@@ -44,6 +45,7 @@ __all__ = [
     "Signature",
     "CryptoTimings",
     "keygen",
+    "keygen_batch",
     "sign",
     "verify",
     "digest_model",
@@ -139,41 +141,56 @@ def _ecdsa_scalar(rng_seed: int) -> int:
 
 
 def keygen(scheme: SchemeId, rng_seed: int) -> KeyPair:
-    """Generate a key pair; deterministic in ``rng_seed`` for every scheme.
+    """Generate a key pair; :func:`keygen_batch` on a batch of one."""
+    return keygen_batch(scheme, [rng_seed])[0]
+
+
+def keygen_batch(scheme: SchemeId, rng_seeds: list) -> list:
+    """One key pair per seed, in order; deterministic in each seed alone.
+
+    Under PQC the FIPS 204 expansion runs once over all seeds, and every
+    key's expanded public key is checked against the backend's encoding for
+    the same seed (:class:`MalformedKey` on any disagreement). NONE and
+    ECDSA generate key by key.
 
     Raises :class:`UnsupportedScheme` when the backend lacks the algorithm
     (ML-DSA needs an OpenSSL >= 3.5 build of ``cryptography``).
     """
-    if scheme is SchemeId.NONE:
-        return KeyPair(scheme, NONE_PUBLIC_TOKEN, NONE_PRIVATE_TOKEN)
-
     if scheme is SchemeId.PQC:
-        seed = _pqc_seed(rng_seed)
+        seeds = [_pqc_seed(s) for s in rng_seeds]
         try:
-            handle = mldsa.MLDSA65PrivateKey.from_seed_bytes(seed)
+            handles = [mldsa.MLDSA65PrivateKey.from_seed_bytes(seed) for seed in seeds]
         except UnsupportedAlgorithm as exc:
             raise UnsupportedScheme(f"ML-DSA-65 backend unavailable: {exc}") from exc
-        public_key, private_key = _expand.expand_seed(seed)
-        # The expansion re-derives the public key from scratch; byte equality
-        # with the backend validates the whole expansion pipeline.
-        if public_key != handle.public_key().public_bytes_raw():
+        keys = [KeyPair(scheme, public_key, private_key, handle)
+                for handle, (public_key, private_key) in zip(handles, _expand.expand_seeds(seeds))]
+        # The expansion re-derives each public key from scratch; byte
+        # equality with the backend validates the whole expansion pipeline.
+        if any(key.public_key != key.handle.public_key().public_bytes_raw() for key in keys):
             raise MalformedKey("expanded public key disagrees with the signing backend")
-        return KeyPair(scheme, public_key, private_key, handle)
+        return keys
+
+    if scheme is SchemeId.NONE:
+        return [KeyPair(scheme, NONE_PUBLIC_TOKEN, NONE_PRIVATE_TOKEN) for _ in rng_seeds]
 
     if scheme is SchemeId.ECDSA:
-        handle = ec.derive_private_key(_ecdsa_scalar(rng_seed), ec.SECP256K1())
-        public_key = handle.public_key().public_bytes(
-            serialization.Encoding.PEM,
-            serialization.PublicFormat.SubjectPublicKeyInfo,
-        )
-        private_key = handle.private_bytes(
-            serialization.Encoding.PEM,
-            serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption(),
-        )
-        return KeyPair(scheme, public_key, private_key, handle)
+        return [_ecdsa_keygen(s) for s in rng_seeds]
 
     raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+
+
+def _ecdsa_keygen(rng_seed: int) -> KeyPair:
+    handle = ec.derive_private_key(_ecdsa_scalar(rng_seed), ec.SECP256K1())
+    public_key = handle.public_key().public_bytes(
+        serialization.Encoding.PEM,
+        serialization.PublicFormat.SubjectPublicKeyInfo,
+    )
+    private_key = handle.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    )
+    return KeyPair(SchemeId.ECDSA, public_key, private_key, handle)
 
 
 def sign(key: KeyPair, message: bytes) -> Signature:

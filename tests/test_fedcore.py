@@ -110,8 +110,9 @@ class TestPartitionDirichlet:
         train, _ = generate_synthetic(4, 40, 6, 4)
         with pytest.raises(ValueError):
             partition_dirichlet(train, 0, 0.5, seed=0)
-        with pytest.raises(ValueError):
-            partition_dirichlet(train, 2, 0.0, seed=0)
+        for alpha in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                partition_dirichlet(train, 2, alpha, seed=0)
 
 
 class TestLocalTrain:

@@ -7,7 +7,8 @@ pipeline. The private-key encoding is pinned by a known answer and checked
 for structural consistency by unpacking it and replaying the t = A*s1 + s2
 relation with a schoolbook product, which also serves as the NTT's oracle.
 The batched rejection samplers are checked against byte-by-byte reference
-samplers written from FIPS 204 Alg. 30 and 31.
+samplers written from FIPS 204 Alg. 30 and 31, and a multi-key batch
+against each key expanded on its own.
 """
 
 import hashlib
@@ -101,6 +102,8 @@ def _ref_rej_bounded_poly(seed66: bytes, eta: int = 4) -> list:
 # of one call are refilled while the others are done.
 @pytest.mark.parametrize("sizes", [None, (3, 1), (3 * 256, 228)])
 def test_batched_samplers_match_reference(sizes, monkeypatch):
+    key_seeds = [hashlib.sha256(f"batch-key-{i}".encode()).digest() for i in range(5)]
+    per_key = [kx.expand_seed(seed) for seed in key_seeds]  # at the module's sizes
     if sizes is not None:
         monkeypatch.setattr(kx, "_UNIFORM_DIGEST_BYTES", sizes[0])
         monkeypatch.setattr(kx, "_BOUNDED_DIGEST_BYTES", sizes[1])
@@ -114,6 +117,22 @@ def test_batched_samplers_match_reference(sizes, monkeypatch):
     for i in range(200):
         assert a[i].tolist() == _ref_rej_ntt_poly(seeds34[i]), i
         assert s[i].tolist() == _ref_rej_bounded_poly(seeds66[i]), i
+
+    # A multi-key batch gives each key the bytes it gets on its own, also
+    # when some of the batch's rows are refilled and others are not.
+    rows_decoded = {"_decode_uniform": [], "_decode_bounded": []}
+    for name, seen in rows_decoded.items():
+        def recording(raw, rows, nbytes, decode=getattr(kx, name), seen=seen):
+            seen.append(rows)
+            return decode(raw, rows, nbytes)
+
+        monkeypatch.setattr(kx, name, recording)
+    assert kx.expand_seeds(key_seeds) == per_key
+    assert rows_decoded["_decode_uniform"][0] == 5 * 30
+    assert rows_decoded["_decode_bounded"][0] == 5 * 11
+    if sizes == (3 * 256, 228):
+        for rows in rows_decoded.values():
+            assert 0 < rows[1] < rows[0]
 
 
 def _negacyclic_product(a, b):
@@ -139,10 +158,12 @@ def _from_ntt_domain(a_hat):
 
 def test_ntt_product_matches_schoolbook_oracle():
     rng = np.random.default_rng(2024)
-    # Worst cases for the unreduced sums of products: all q - 1, and 0 / q - 1
-    # alternating (both phases).
-    worst = np.array([np.full(N, Q - 1), np.arange(N) % 2 * (Q - 1),
-                      (np.arange(N) + 1) % 2 * (Q - 1)], dtype=np.int64)
+    # Worst cases for the sums of products that the float64 matrix products
+    # must hold exactly: all +(q - 1), all -(q - 1), 0 / q - 1 alternating
+    # (both phases), and +(q - 1) / -(q - 1) in alternating and random signs.
+    worst = (Q - 1) * np.array([np.ones(N), -np.ones(N), np.arange(N) % 2,
+                                (np.arange(N) + 1) % 2, (-1) ** np.arange(N),
+                                rng.choice([-1, 1], size=N)], dtype=np.int64)
     a = np.vstack([rng.integers(0, Q, size=(7, N), dtype=np.int64), worst, worst])
     b = np.vstack([rng.integers(0, Q, size=(7, N), dtype=np.int64), worst, worst[::-1]])
     product = kx._inv_ntt(kx._ntt(a) * kx._ntt(b) % Q)
@@ -150,8 +171,8 @@ def test_ntt_product_matches_schoolbook_oracle():
         assert np.array_equal(product[row], _negacyclic_product(x, y)), row
     # Each transform on its own against the NTT's definition.
     assert np.array_equal(kx._inv_ntt(worst), _from_ntt_domain(worst))
-    assert np.array_equal(_from_ntt_domain(kx._ntt(worst)), worst)
-    assert np.array_equal(kx._ntt(kx._inv_ntt(worst)), worst)
+    assert np.array_equal(_from_ntt_domain(kx._ntt(worst)), worst % Q)
+    assert np.array_equal(kx._ntt(kx._inv_ntt(worst)), worst % Q)
 
 
 def test_private_key_secrets_consistent_with_public_key():

@@ -14,7 +14,7 @@ from pqsbfl.errors import (
     ZeroDenominator,
 )
 from pqsbfl.fedcore import TrainConfig
-from pqsbfl.ledger import chain_verify
+from pqsbfl.ledger import DEFAULT_GAS_TARGETS, chain_verify
 from pqsbfl.protocol import (
     ExperimentConfig,
     derive_seed,
@@ -25,6 +25,8 @@ from pqsbfl.protocol import (
     run_round,
 )
 from pqsbfl.sigsuite import SchemeId, Signature
+
+NAN = float("nan")
 
 
 def _small_config(**kwargs) -> ExperimentConfig:
@@ -84,16 +86,28 @@ class TestInitPhase:
 
     def test_duplicate_client_ids_rejected_before_keygen(self, monkeypatch):
         calls = []
-        original = sigsuite.keygen
+        original = sigsuite.keygen_batch
 
         def counting_keygen(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(protocol.sigsuite, "keygen", counting_keygen)
+        monkeypatch.setattr(protocol.sigsuite, "keygen_batch", counting_keygen)
         with pytest.raises(ValidationError):
             init_phase(_small_config(alpha=-1.0))
         assert calls == []
+
+    @pytest.mark.parametrize("override", [
+        dict(alpha=NAN),
+        dict(nobc_fixed_delay_s=NAN),
+        dict(train=TrainConfig(learning_rate=NAN)),
+        dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.ECDSA: NAN}),
+    ], ids=["alpha", "nobc_fixed_delay_s", "train.learning_rate", "gas_targets"])
+    def test_nan_rejected(self, override):
+        cfg = _small_config(**override)
+        assert len(cfg.violations()) == 1
+        with pytest.raises(ValidationError):
+            init_phase(cfg)
 
     def test_all_violations_listed(self):
         cfg = _small_config(n_clients=0, alpha=-1.0, latency=(0.5, 0.1))

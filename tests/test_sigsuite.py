@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsbfl import fedcore
+from pqsbfl import fedcore, sigsuite
 from pqsbfl.errors import MalformedKey, SchemeMismatch, UnsupportedScheme
+from pqsbfl.protocol import derive_seed
 from pqsbfl.sigsuite import (
     NONE_PRIVATE_TOKEN,
     NONE_PUBLIC_TOKEN,
@@ -17,6 +18,7 @@ from pqsbfl.sigsuite import (
     Signature,
     digest_model,
     keygen,
+    keygen_batch,
     measure_primitives,
     sign,
     verify,
@@ -85,6 +87,47 @@ class TestKeygen:
     def test_unknown_scheme_name_rejected(self):
         with pytest.raises(UnsupportedScheme):
             SchemeId.from_name("RSA")
+
+
+class TestKeygenBatch:
+    def test_init_phase_batch_known_answer(self):
+        # SHA3-256 over public || private key of the 16 client keys and the
+        # aggregator key that init_phase derives for master seed 2025,
+        # captured from the per-key expansion this batch replaced.
+        seeds = [derive_seed(2025, "keygen", cid) for cid in range(16)]
+        seeds.append(derive_seed(2025, "keygen-aggregator"))
+        h = hashlib.sha3_256()
+        for key in keygen_batch(SchemeId.PQC, seeds):
+            h.update(key.public_key + key.private_key)
+        assert h.hexdigest() == (
+            "50a93ecb0431a456e9680828569e4a69d7c4aaa636bff672c3da5b354b8e3bf1"
+        )
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    def test_batch_matches_per_key_keygen(self, scheme):
+        seeds = [7, 123456789, 7, 2**64 - 1]
+        batch = keygen_batch(scheme, seeds)
+        assert [(k.public_key, k.private_key) for k in batch] == [
+            (k.public_key, k.private_key) for k in (keygen(scheme, s) for s in seeds)
+        ]
+        assert keygen_batch(scheme, []) == []
+
+    def test_one_corrupted_expansion_fails_the_batch(self, monkeypatch):
+        expand_seeds = sigsuite._expand.expand_seeds
+
+        def corrupt_third(seeds):
+            pairs = expand_seeds(seeds)
+            public_key, private_key = pairs[2]
+            pairs[2] = (_flip_bit(public_key, 8 * 100), private_key)
+            return pairs
+
+        monkeypatch.setattr(sigsuite._expand, "expand_seeds", corrupt_third)
+        with pytest.raises(MalformedKey):
+            keygen_batch(SchemeId.PQC, [10, 11, 12, 13])
+
+    def test_unknown_scheme_rejected(self):
+        with pytest.raises(UnsupportedScheme):
+            keygen_batch("RSA", [1])
 
 
 class TestSignVerify:
