@@ -17,15 +17,23 @@ factorisation above `_ntt`). Each sampler draws all polynomials of its
 distribution, for every key, in one pass over the joined XOF outputs, and
 each encoded field is bit-packed once for the whole batch and sliced per key.
 
-Each transform reduces mod q three times, once after each product. The two
-matrix products run in float64 (BLAS) and are cast back to int64 before
-reduction; the twiddle product stays int64. With inputs below q in absolute
-value and table entries below q < 2^23, every entry of a matrix product is a
-sum of 16 integer products, each below q^2 < 2^46 and together below
-16q^2 < 2^50 < 2^53, so float64 holds every partial sum exactly, whatever
-the summation order or use of fused multiply-add. A twiddle product stays
-below q^2 < 2^46, and A*s1 sums 5 products of reduced coefficients, below
-5q^2 < 2^49, both inside int64.
+The samplers share one selection routine, `_first_accepted`. A row whose
+first 256 candidates are all accepted is copied as it is (for A, about
+(q / 2^23)^256 ~ 78 % of rows); every other row takes its first 256
+accepted candidates by a gather over the positions of all accepted ones.
+
+The NTTs and A*s1 run in float64 from end to end, and every value stays an
+integer below 2^53, so float64 holds it exactly. Inputs are below q in
+absolute value and table entries below q < 2^23, so every entry of a matrix
+product is a sum of 16 integer products below q^2 < 2^46 each, below
+16q^2 < 2^50 in absolute value, whatever the summation order or use of fused
+multiply-add; a twiddle product stays below q^2 and a sum of A*s1 below
+5q^2 < 2^49. `_reduce` maps such a p to p mod q as p - floor(p / q) * q.
+The quotient p / q lies below 16q < 2^27 in absolute value, so its
+correctly rounded value is off by at most 2^-27. That is less than the
+1/q ~ 2^-23 gap between p / q and the next integer when q does not divide
+p, and the quotient is exact when q does, so the floor is exact, and so
+are its product with q and the difference.
 
 Only key expansion lives here. Signing and verification stay on the vetted
 OpenSSL backend, and callers are expected to cross-check the public key
@@ -66,48 +74,54 @@ _FACTORS = (lambda i1, j1: 16 * (2 * _BRV4[i1] + 1) * j1,   # _M1[i1, j1]
             lambda i0, j0: 32 * _BRV4[i0] * j0)             # _M2[i0, j0]
 
 
-def _table(exponent, sign: int = 1, scale: int = 1, dtype=np.float64) -> np.ndarray:
-    """16 x 16 table of scale * zeta^(sign * exponent(row, column)) mod q,
-    exact in either dtype (entries are below q < 2^23).
+def _table(exponent, sign: int = 1, scale: int = 1) -> np.ndarray:
+    """16 x 16 float64 table of scale * zeta^(sign * exponent(row, column))
+    mod q, exact (entries are below q < 2^23).
 
     Built in plain Python: numpy arithmetic at import would page in numpy
     code that runs without ML-DSA keys never use."""
     return np.array([[scale * pow(1753, sign * exponent(r, c) % 512, _Q) % _Q
-                      for c in range(16)] for r in range(16)], dtype=dtype)
+                      for c in range(16)] for r in range(16)], dtype=np.float64)
 
 
-# The matrices feed float64 products; the twiddles stay int64.
-_M1, _M2 = (_table(e) for e in _FACTORS[::2])
-_TW = _table(_FACTORS[1], dtype=np.int64)
+_M1, _TW, _M2 = (_table(e) for e in _FACTORS)
 # The inverse NTT uses the inverse powers, with its 256^-1 folded into _M1_INV.
 _M1_INV = _table(_FACTORS[0], sign=-1, scale=pow(_N, -1, _Q))
-_M2_INV = _table(_FACTORS[2], sign=-1)
-_TW_INV = _table(_FACTORS[1], sign=-1, dtype=np.int64)
+_TW_INV, _M2_INV = (_table(e, sign=-1) for e in _FACTORS[1:])
 
 
-def _exact(product: np.ndarray) -> np.ndarray:
-    """A float64 matrix product of integers, back in int64 and reduced mod q."""
-    return product.astype(np.int64) % _Q
+def _reduce(p: np.ndarray) -> np.ndarray:
+    """p mod q, in place, for a float64 array of integers of absolute value
+    below 16q^2 (exact; see the module docstring)."""
+    quotient = np.floor(p / _Q)
+    quotient *= _Q
+    p -= quotient
+    return p
 
 
 def _ntt(f: np.ndarray) -> np.ndarray:
     """Forward NTT (FIPS 204 Alg. 41) along the last axis of (..., 256).
 
-    Takes coefficients of absolute value below q; returns them in [0, q).
+    Takes integer coefficients of absolute value below q; returns float64
+    integers in [0, q).
     """
-    x = np.asarray(f, dtype=np.float64).reshape(*np.shape(f)[:-1], 16, 16)  # [j1, j0]
-    b = _exact(_M1 @ x) * _TW % _Q                                           # [i1, j0]
-    return _exact(b.astype(np.float64) @ _M2.T).reshape(np.shape(f))         # [i1, i0]
+    x = np.asarray(f, dtype=np.float64).reshape(-1, 16, 16)   # [j1, j0]
+    b = _reduce(_M1 @ x)                                       # [i1, j0]
+    b *= _TW
+    b = _reduce(b).reshape(-1, 16)
+    return _reduce(b @ _M2.T).reshape(np.shape(f))             # [i1, i0]
 
 
 def _inv_ntt(f: np.ndarray) -> np.ndarray:
     """Inverse NTT (FIPS 204 Alg. 42) along the last axis, scaled by 256^-1.
 
-    Takes coefficients of absolute value below q; returns them in [0, q).
+    Takes integer coefficients of absolute value below q; returns float64
+    integers in [0, q).
     """
-    y = np.asarray(f, dtype=np.float64).reshape(*np.shape(f)[:-1], 16, 16)  # [i1, i0]
-    d = _exact(y @ _M2_INV) * _TW_INV % _Q                                   # [i1, j0]
-    return _exact(_M1_INV.T @ d.astype(np.float64)).reshape(np.shape(f))     # [j1, j0]
+    y = np.asarray(f, dtype=np.float64).reshape(-1, 16)       # [i1, i0]
+    d = _reduce(y @ _M2_INV).reshape(-1, 16, 16)               # [i1, j0]
+    d *= _TW_INV
+    return _reduce(_M1_INV.T @ _reduce(d)).reshape(np.shape(f))  # [j1, j0]
 
 
 # Initial XOF output per polynomial. A: 840 bytes, five SHAKE-128 blocks of
@@ -136,11 +150,19 @@ def _first_accepted(xofs: list, nbytes: int, decode, dtype) -> np.ndarray:
         # The joined digests are freed as soon as they are decoded.
         values, ok = decode(b"".join([xofs[i].digest(nbytes) for i in rows] + [bytes(1)]),
                             len(rows), nbytes)
-        rank = np.cumsum(ok, axis=1, dtype=np.int16)
-        full = rank[:, -1] >= _N
-        ok &= rank <= _N
-        ok &= full[:, None]
-        out[rows[full]] = values[ok].reshape(-1, _N)
+        # A row whose first 256 candidates are all accepted is copied as it
+        # is; a digest too short to hold 256 candidates has no such row.
+        clean = ok[:, :_N].all(axis=1) & (ok.shape[1] >= _N)
+        if clean.any():
+            out[rows[clean]] = values[clean, :_N]
+            values, ok, rows = values[~clean], ok[~clean], rows[~clean]
+        counts = np.count_nonzero(ok, axis=1)
+        full = counts >= _N
+        # Row r's accepted positions start at offset starts[r] of the flat
+        # list of accepted positions of all full rows, in row order.
+        accepted = np.flatnonzero(ok[full])
+        starts = np.cumsum(counts[full]) - counts[full]
+        out[rows[full]] = values[full].ravel()[accepted[starts[:, None] + np.arange(_N)]]
         rows = rows[~full]
         nbytes *= 2
     return out
@@ -176,14 +198,27 @@ def _rej_bounded_polys(seeds66: list) -> np.ndarray:
 
 def _bit_pack(values: np.ndarray, width: int) -> bytes:
     """Little-endian-bit packing of nonnegative values, `width` <= 16 bits
-    each, in row-major order (a (rows, 256) array packs row after row)."""
-    vals = np.asarray(values, dtype="<u2").reshape(-1, 1).view(np.uint8)
-    bits = np.unpackbits(vals, axis=1, count=width, bitorder="little")
-    return np.packbits(bits, bitorder="little").tobytes()
+    each, in row-major order (a (rows, 256) array packs row after row); the
+    number of values must be a multiple of 8.
+
+    Each group of 8 values fills `width` bytes, accumulated in two 64-bit
+    words: value j takes bits j * width onwards of the 128-bit pair."""
+    groups = np.asarray(values, dtype=np.uint64).reshape(-1, 8)
+    words = np.zeros((len(groups), 2), dtype="<u8")
+    for j in range(8):
+        v, shift = groups[:, j], j * width
+        if shift < 64:
+            words[:, 0] |= v << shift
+            if shift + width > 64:
+                words[:, 1] |= v >> (64 - shift)
+        else:
+            words[:, 1] |= v << (shift - 64)
+    return words.view(np.uint8)[:, :width].tobytes()
 
 
 def _bit_unpack(data: bytes, count: int, width: int) -> np.ndarray:
-    """Inverse of :func:`_bit_pack`; used by consistency checks and tests."""
+    """Inverse of :func:`_bit_pack`, bit by bit; used by consistency checks
+    and tests."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     bits = bits[: count * width].reshape(count, width).astype(np.int64)
     return bits @ (1 << np.arange(width, dtype=np.int64))
@@ -214,7 +249,8 @@ def expand_seeds(seeds: list) -> list:
                                 for r in range(_L + _K)]).reshape(n, _L + _K, _N)
 
     s1_hat = _ntt(s1_s2[:, :_L])
-    t = (_inv_ntt(np.einsum("krsn,ksn->krn", a_hat, s1_hat) % _Q) + s1_s2[:, _L:]) % _Q
+    a_s1 = _reduce(np.einsum("krsn,ksn->krn", a_hat.astype(np.float64), s1_hat))
+    t = (_inv_ntt(a_s1).astype(np.int64) + s1_s2[:, _L:]) % _Q
     # Power2Round: t0 centered in (-2^(d-1), 2^(d-1)], t = t1*2^d + t0.
     half = 1 << (_D - 1)
     t0 = t & ((1 << _D) - 1)

@@ -16,6 +16,7 @@ injective byte encoding that is hashed and signed elsewhere.
 """
 
 import csv
+import functools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -45,6 +46,7 @@ __all__ = [
     "evaluate",
     "cross_entropy",
     "canonical_bytes",
+    "canonical_parts",
 ]
 
 HIDDEN_WIDTH = 32
@@ -234,8 +236,8 @@ def partition_dirichlet(
     """
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-    if not alpha > 0:  # also rejects NaN
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (alpha > 0 and math.isfinite(alpha)):  # also rejects NaN
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n_clients > dataset.n_samples:
         raise TooManyClients(
             f"{n_clients} clients but only {dataset.n_samples} samples"
@@ -423,6 +425,26 @@ def evaluate(params: ModelParams, test_dataset: Dataset) -> float:
     return float((predicted == test_dataset.labels).mean())
 
 
+@functools.lru_cache(maxsize=64)
+def _layout_header(layout: tuple) -> bytes:
+    out = bytearray(struct.pack("<I", len(layout)))
+    for name, shape in layout:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded))
+        out += encoded
+        out += struct.pack("<I", len(shape))
+        for dim in shape:
+            out += struct.pack("<I", dim)
+    return bytes(out)
+
+
+def canonical_parts(params: ModelParams) -> tuple:
+    """The (header, body) of :func:`canonical_bytes`, without joining them:
+    the header bytes, encoded once per layout, and the float32 values as a
+    buffer that shares the model's memory."""
+    return _layout_header(params.layout), params.values.astype("<f4", copy=False).data
+
+
 def canonical_bytes(params: ModelParams) -> bytes:
     """Injective byte encoding of (layout, values).
 
@@ -430,13 +452,4 @@ def canonical_bytes(params: ModelParams) -> bytes:
     ndim, then the dims. Body: the flat values as little-endian float32.
     All integers little-endian 32-bit.
     """
-    out = bytearray(struct.pack("<I", len(params.layout)))
-    for name, shape in params.layout:
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded))
-        out += encoded
-        out += struct.pack("<I", len(shape))
-        for dim in shape:
-            out += struct.pack("<I", dim)
-    out += params.values.astype("<f4", copy=False).tobytes()
-    return bytes(out)
+    return b"".join(canonical_parts(params))

@@ -25,6 +25,7 @@ this system has, and the test suite leans on it.
 """
 
 import hashlib
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -120,31 +121,32 @@ class ExperimentConfig:
             out.append(f"n_clients must be >= 1, got {self.n_clients}")
         if self.rounds < 0:
             out.append(f"rounds must be >= 0, got {self.rounds}")
-        if not self.alpha > 0:  # the negated forms also reject NaN
-            out.append(f"alpha must be > 0, got {self.alpha}")
+        # `not ... > 0` also rejects NaN; `math.isfinite` rejects infinity.
+        if not (self.alpha > 0 and math.isfinite(self.alpha)):
+            out.append(f"alpha must be finite and > 0, got {self.alpha}")
         if not isinstance(self.scheme, SchemeId):
             out.append(f"unknown scheme {self.scheme!r}")
         if not (self.dataset == "synth" or self.dataset.startswith("csv:")):
             out.append(f"dataset must be 'synth' or 'csv:<path>', got {self.dataset!r}")
-        if not self.nobc_fixed_delay_s >= 0:
-            out.append("nobc_fixed_delay_s must be >= 0")
+        if not (self.nobc_fixed_delay_s >= 0 and math.isfinite(self.nobc_fixed_delay_s)):
+            out.append("nobc_fixed_delay_s must be finite and >= 0")
         if self.train.local_epochs < 0:
             out.append("train.local_epochs must be >= 0")
         if self.train.batch_size < 1:
             out.append("train.batch_size must be >= 1")
-        if not self.train.learning_rate > 0:
-            out.append("train.learning_rate must be > 0")
+        if not (self.train.learning_rate > 0 and math.isfinite(self.train.learning_rate)):
+            out.append("train.learning_rate must be finite and > 0")
         if self.synth_classes < 2 or self.synth_samples < self.synth_classes:
             out.append("need synth_samples >= synth_classes >= 2")
         if self.synth_features < 1:
             out.append("synth_features must be >= 1")
         for scheme, target in self.gas_targets.items():
-            if not target > 0:
-                out.append(f"gas target for {scheme} must be positive")
+            if not (target > 0 and math.isfinite(target)):
+                out.append(f"gas target for {scheme} must be finite and positive")
         if self.latency is not None:
             lo, hi = self.latency
-            if not 0 <= lo <= hi:  # also rejects NaN
-                out.append("latency must satisfy 0 <= low <= high")
+            if not (0 <= lo <= hi and math.isfinite(hi)):  # also rejects NaN
+                out.append("latency must satisfy 0 <= low <= high < inf")
         return out
 
     def to_dict(self) -> dict:

@@ -253,9 +253,12 @@ def digest_model(params) -> bytes:
     Equal parameters (values and layout) always digest equally; the
     canonical encoding is defined by :func:`pqsbfl.fedcore.canonical_bytes`.
     """
-    from .fedcore import canonical_bytes
+    from .fedcore import canonical_parts
 
-    return hashlib.sha3_256(canonical_bytes(params)).digest()
+    header, body = canonical_parts(params)
+    h = hashlib.sha3_256(header)
+    h.update(body)
+    return h.digest()
 
 
 def measure_primitives(

@@ -110,7 +110,7 @@ class TestPartitionDirichlet:
         train, _ = generate_synthetic(4, 40, 6, 4)
         with pytest.raises(ValueError):
             partition_dirichlet(train, 0, 0.5, seed=0)
-        for alpha in (0.0, float("nan")):
+        for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 partition_dirichlet(train, 2, alpha, seed=0)
 

@@ -214,7 +214,86 @@ def test_ntt_roundtrip():
 def test_bit_pack_roundtrip():
     rng = np.random.default_rng(99)
     for width in (4, 10, 13):
-        vals = rng.integers(0, 1 << width, size=256, dtype=np.int64)
-        packed = kx._bit_pack(vals, width)
-        assert len(packed) == 256 * width // 8
-        assert np.array_equal(kx._bit_unpack(packed, 256, width), vals)
+        top = (1 << width) - 1
+        for vals in (np.zeros(256, dtype=np.int64), np.full(256, top, dtype=np.int64),
+                     rng.integers(0, 1 << width, size=256, dtype=np.int64),
+                     rng.integers(0, 1 << width, size=(3, 256), dtype=np.int64)):
+            packed = kx._bit_pack(vals, width)
+            assert len(packed) == vals.size * width // 8
+            # Value i takes bits i * width onwards of one little-endian integer.
+            expected = sum(int(v) << (i * width) for i, v in enumerate(vals.ravel()))
+            assert packed == expected.to_bytes(len(packed), "little")
+            assert np.array_equal(kx._bit_unpack(packed, vals.size, width), vals.ravel())
+
+
+def test_reduce_is_exact_at_multiples_of_q():
+    # k*q and its neighbours up to the documented bound |p| < 16q^2, where
+    # the float64 quotient is closest to an integer, and the largest sum of
+    # 16 products of reduced coefficients; each with both signs.
+    ps = [k * Q + d for k in (0, 1, 2, 3, 1 << 20, 16 * Q - 2, 16 * Q - 1)
+          for d in (-1, 0, 1)] + [16 * (Q - 1) ** 2]
+    ps += [-p for p in ps]
+    assert max(abs(p) for p in ps) < 16 * Q * Q
+    assert kx._reduce(np.array(ps, dtype=np.float64)).tolist() == [p % Q for p in ps]
+
+
+def _uniform_edge_stream(seed34: bytes, rejected_at: tuple) -> bytes:
+    """SHAKE-128 output of ``seed34`` with candidates 0-255 made accepted
+    (values below 2^22, the ignored bit 23 left as drawn, candidate 1 at
+    q - 1), except those at ``rejected_at``, set to q with bit 23 set."""
+    stream = bytearray(hashlib.shake_128(seed34).digest(3 * 1024))
+    for c in range(N):
+        stream[3 * c + 2] &= 0xBF
+    stream[3:6] = (Q - 1).to_bytes(3, "little")
+    for c in rejected_at:
+        stream[3 * c:3 * c + 3] = (Q | 1 << 23).to_bytes(3, "little")
+    return bytes(stream)
+
+
+def _bounded_edge_stream(seed66: bytes, rejected_at: tuple) -> bytes:
+    """SHAKE-256 output of ``seed66`` with nibbles 0-255 made accepted
+    (below 9), except those at ``rejected_at``, made rejected (9 or above)."""
+    stream = bytearray(hashlib.shake_256(seed66).digest(1024))
+    for c in range(N):
+        shift = 4 * (c % 2)
+        nibble = (stream[c // 2] >> shift) & 0xF
+        nibble = 9 + nibble % 7 if c in rejected_at else nibble % 9
+        stream[c // 2] = stream[c // 2] & ~(0xF << shift) | nibble << shift
+    return bytes(stream)
+
+
+class _CraftedXof:
+    """Stands in for hashlib.shake_128/256: the crafted stream of a seed."""
+
+    streams = {}
+
+    def __init__(self, seed):
+        self.stream = self.streams[seed]
+
+    def digest(self, n):
+        assert n <= len(self.stream)
+        return self.stream[:n]
+
+
+# Rows whose first 256 candidates are all accepted are copied; rows with a
+# rejection among them, first or last, are gathered.
+@pytest.mark.parametrize("rejected_at", [(), (0,), (255,)], ids=["none", "first", "last"])
+def test_sampler_edge_rows_match_reference(rejected_at, monkeypatch):
+    seeds = [hashlib.sha256(f"edge-row-{i}".encode()).digest() for i in range(3)]
+    seeds34 = [s + bytes([1, i]) for i, s in enumerate(seeds)]
+    seeds66 = [s + s + i.to_bytes(2, "little") for i, s in enumerate(seeds)]
+    # The middle row of each batch is crafted; its neighbours are as drawn.
+    streams = {s: hashlib.shake_128(s).digest(3 * 1024) for s in seeds34}
+    streams |= {s: hashlib.shake_256(s).digest(1024) for s in seeds66}
+    streams[seeds34[1]] = _uniform_edge_stream(seeds34[1], rejected_at)
+    streams[seeds66[1]] = _bounded_edge_stream(seeds66[1], rejected_at)
+    monkeypatch.setattr(_CraftedXof, "streams", streams)
+    monkeypatch.setattr(hashlib, "shake_128", _CraftedXof)
+    monkeypatch.setattr(hashlib, "shake_256", _CraftedXof)
+
+    a = kx._rej_ntt_polys(seeds34)
+    s = kx._rej_bounded_polys(seeds66)
+    for i in range(3):
+        assert a[i].tolist() == _ref_rej_ntt_poly(seeds34[i]), i
+        assert s[i].tolist() == _ref_rej_bounded_poly(seeds66[i]), i
+    assert Q - 1 in a[1].tolist()

@@ -27,6 +27,7 @@ from pqsbfl.protocol import (
 from pqsbfl.sigsuite import SchemeId, Signature
 
 NAN = float("nan")
+INF = float("inf")
 
 
 def _small_config(**kwargs) -> ExperimentConfig:
@@ -108,6 +109,25 @@ class TestInitPhase:
         assert len(cfg.violations()) == 1
         with pytest.raises(ValidationError):
             init_phase(cfg)
+
+    @pytest.mark.parametrize("override", [
+        dict(alpha=INF),
+        dict(nobc_fixed_delay_s=INF),
+        dict(train=TrainConfig(learning_rate=INF)),
+        dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.PQC: INF}),
+        dict(latency=(INF, INF)),
+        dict(latency=(0.1, INF)),
+    ], ids=["alpha", "nobc_fixed_delay_s", "train.learning_rate", "gas_targets",
+            "latency.low", "latency.high"])
+    def test_infinity_rejected_before_keygen(self, override, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol.sigsuite, "keygen_batch",
+                            lambda *args, **kwargs: calls.append(args))
+        cfg = _small_config(**override)
+        assert len(cfg.violations()) == 1
+        with pytest.raises(ValidationError):
+            init_phase(cfg)
+        assert calls == []
 
     def test_all_violations_listed(self):
         cfg = _small_config(n_clients=0, alpha=-1.0, latency=(0.5, 0.1))

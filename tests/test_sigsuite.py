@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsbfl import fedcore, sigsuite
+from pqsbfl import _mldsa_keyexpand, fedcore, sigsuite
 from pqsbfl.errors import MalformedKey, SchemeMismatch, UnsupportedScheme
 from pqsbfl.protocol import derive_seed
 from pqsbfl.sigsuite import (
@@ -101,6 +101,20 @@ class TestKeygenBatch:
             h.update(key.public_key + key.private_key)
         assert h.hexdigest() == (
             "50a93ecb0431a456e9680828569e4a69d7c4aaa636bff672c3da5b354b8e3bf1"
+        )
+
+    @pytest.mark.parametrize("batch", [1, 17, 64])
+    def test_expansion_wide_known_answer(self, batch):
+        # SHA3-256 over public || private key of 256 fixed seeds expanded in
+        # batches of `batch`, captured from the int64-reduction, cumsum-select
+        # and unpackbits implementation that the float64 one replaced.
+        seeds = [hashlib.sha256(f"wide-pin-{i}".encode()).digest() for i in range(256)]
+        h = hashlib.sha3_256()
+        for start in range(0, len(seeds), batch):
+            for public_key, private_key in _mldsa_keyexpand.expand_seeds(seeds[start:start + batch]):
+                h.update(public_key + private_key)
+        assert h.hexdigest() == (
+            "c8bec0582fe41f080e6b0f71227d29c76079cc25bac25ee8d2005e2314e7ad4b"
         )
 
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
