@@ -32,7 +32,13 @@ from pathlib import Path
 
 from .errors import InsufficientPoints, ParseError, PqsBflError, ValidationError
 from .ledger import CALIBRATION_SIG_SIZES
-from .protocol import ExperimentConfig, ExperimentReport, RoundMetrics, run_experiment
+from .protocol import (
+    SUMMARY_FIELDS,
+    ExperimentConfig,
+    ExperimentReport,
+    RoundMetrics,
+    run_experiment,
+)
 from .sigsuite import SchemeId, keygen, measure_primitives
 
 __all__ = [
@@ -48,33 +54,13 @@ __all__ = [
 
 ROUNDS_CSV_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 
+_IDENTITY_COLUMNS = ("name", "dataset", "scheme", "n_clients", "blockchain", "rounds", "status")
+_REPORT_COLUMNS = ("initial_accuracy", "final_accuracy", "gas_per_round", "accuracy_gain_per_gas")
+# comparison column -> the summary field it reports, e.g. mean_total_gas -> total_gas
+_SUMMARY_COLUMNS = {f if f.startswith("mean_") else f"mean_{f}": f for f in SUMMARY_FIELDS}
+_CRYPTO_SIZE_COLUMNS = ("sig_size_mean_b", "public_key_b", "private_key_b")
 COMPARISON_CSV_COLUMNS = (
-    "name",
-    "dataset",
-    "scheme",
-    "n_clients",
-    "blockchain",
-    "rounds",
-    "status",
-    "initial_accuracy",
-    "final_accuracy",
-    "mean_accuracy",
-    "mean_round_time_s",
-    "mean_compute_time_s",
-    "mean_simulated_latency_s",
-    "mean_sign_ms",
-    "mean_verify_ms",
-    "mean_tx_time_s",
-    "mean_gas_per_update",
-    "mean_total_gas",
-    "mean_overhead_ratio",
-    "verified_per_round",
-    "rejected_per_round",
-    "sig_size_mean_b",
-    "public_key_b",
-    "private_key_b",
-    "gas_per_round",
-    "accuracy_gain_per_gas",
+    _IDENTITY_COLUMNS + _REPORT_COLUMNS + tuple(_SUMMARY_COLUMNS) + _CRYPTO_SIZE_COLUMNS
 )
 
 SCALING_CSV_COLUMNS = (
@@ -158,7 +144,6 @@ _EXPERIMENT_FIELDS = {
     "blockchain": ("blockchain", _parse_bool),
     "seed": ("master_seed", _parse_int),
     "alpha": ("alpha", _parse_float),
-    "nobc_fixed_delay_s": ("nobc_fixed_delay_s", _parse_float),
     "synth_samples": ("synth_samples", _parse_int),
     "synth_features": ("synth_features", _parse_int),
     "synth_classes": ("synth_classes", _parse_int),
@@ -336,28 +321,9 @@ def _comparison_row(cfg: ExperimentConfig, report=None, error=None) -> dict:
     )
     if report is None:
         return row
-    s = report.summary
-    row.update(
-        initial_accuracy=report.initial_accuracy,
-        final_accuracy=report.final_accuracy,
-        mean_accuracy=s["accuracy"],
-        mean_round_time_s=s["round_time_s"],
-        mean_compute_time_s=s["compute_time_s"],
-        mean_simulated_latency_s=s["simulated_latency_s"],
-        mean_sign_ms=s["mean_sign_ms"],
-        mean_verify_ms=s["mean_verify_ms"],
-        mean_tx_time_s=s["mean_tx_time_s"],
-        mean_gas_per_update=s["mean_gas_per_update"],
-        mean_total_gas=s["total_gas"],
-        mean_overhead_ratio=s["overhead_ratio"],
-        verified_per_round=s["verified_count"],
-        rejected_per_round=s["rejected_count"],
-        sig_size_mean_b=report.crypto_sizes["sig_size_mean_b"],
-        public_key_b=report.crypto_sizes["public_key_b"],
-        private_key_b=report.crypto_sizes["private_key_b"],
-        gas_per_round=report.gas_per_round,
-        accuracy_gain_per_gas=report.accuracy_gain_per_gas,
-    )
+    row.update({c: getattr(report, c) for c in _REPORT_COLUMNS})
+    row.update({c: report.summary[f] for c, f in _SUMMARY_COLUMNS.items()})
+    row.update({c: report.crypto_sizes[c] for c in _CRYPTO_SIZE_COLUMNS})
     return row
 
 

@@ -8,14 +8,14 @@ verification. The aggregator only averages updates whose hashes were
 verified and whose off-chain parameters re-digest to the verified hash, so
 any in-flight tampering excludes that client from the round.
 
-Two submission modes share all other code paths. With a blockchain the
-signed hash goes through the simulated ledger's smart contract (gas metered,
-confirmation latency sampled); without one ("NoBC") the same contract rules
-run on a bare :class:`~pqsbfl.ledger.ContractState`, with no chain and no
-gas, and a fixed configurable delay stands in for the transaction time.
-Delays are accounted arithmetically, never slept, so runs stay fast;
-wall-clock compute time and simulated latency are reported as separate
-components.
+Both submission modes send every signed hash through the simulated
+ledger's smart contract, which returns a receipt and mines one block per
+round. With a blockchain the contract is gas metered and confirmation
+latency defaults to a per-scheme constant; without one ("NoBC") the same
+ledger charges zero gas, latency defaults to a 50 ms constant, and the
+aggregator records no aggregation hash. Delays are accounted
+arithmetically, never slept, so runs stay fast; wall-clock compute time and
+simulated latency are reported as separate components.
 
 Learning is deliberately independent of the signature scheme: all training
 randomness derives from the master seed alone, so for a fixed seed the
@@ -26,6 +26,7 @@ this system has, and the test suite leans on it.
 
 import hashlib
 import math
+import statistics
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -37,11 +38,8 @@ from .ledger import (
     DEFAULT_GAS_TARGETS,
     DEFAULT_LATENCY_S,
     ConstantLatency,
-    ContractState,
+    GasModel,
     SimulatedLedger,
-    Transaction,
-    TxKind,
-    TxStatus,
     UniformLatency,
     calibrate_gas,
 )
@@ -59,6 +57,8 @@ __all__ = [
     "overhead_ratio",
     "gas_efficiency",
     "derive_seed",
+    "SUMMARY_FIELDS",
+    "NOBC_LATENCY_S",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -79,6 +79,9 @@ def _client_address(client_id: int) -> bytes:
 
 _AGGREGATOR_ADDRESS = hashlib.sha3_256(b"aggregator-address").digest()
 
+# Default confirmation latency without a blockchain, seconds.
+NOBC_LATENCY_S = 0.05
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -94,10 +97,11 @@ class ExperimentConfig:
     n_clients: int = 3
     rounds: int = 50
     blockchain: bool = True
-    nobc_fixed_delay_s: float = 0.05
     train: TrainConfig = field(default_factory=TrainConfig)
     gas_targets: dict = field(default_factory=lambda: dict(DEFAULT_GAS_TARGETS))
-    latency: tuple = None  # (low, high) confirmation seconds; None: scheme default
+    # (low, high) confirmation seconds in either mode; None: the scheme's
+    # DEFAULT_LATENCY_S with a blockchain, NOBC_LATENCY_S without one
+    latency: tuple = None
     master_seed: int = 0
     alpha: float = 0.5
     synth_samples: int = 2000
@@ -128,8 +132,6 @@ class ExperimentConfig:
             out.append(f"unknown scheme {self.scheme!r}")
         if not (self.dataset == "synth" or self.dataset.startswith("csv:")):
             out.append(f"dataset must be 'synth' or 'csv:<path>', got {self.dataset!r}")
-        if not (self.nobc_fixed_delay_s >= 0 and math.isfinite(self.nobc_fixed_delay_s)):
-            out.append("nobc_fixed_delay_s must be finite and >= 0")
         if self.train.local_epochs < 0:
             out.append("train.local_epochs must be >= 0")
         if self.train.batch_size < 1:
@@ -157,7 +159,6 @@ class ExperimentConfig:
             "n_clients": self.n_clients,
             "rounds": self.rounds,
             "blockchain": self.blockchain,
-            "nobc_fixed_delay_s": self.nobc_fixed_delay_s,
             "train": {
                 "local_epochs": self.train.local_epochs,
                 "batch_size": self.train.batch_size,
@@ -203,7 +204,6 @@ class ClientSubmission:
 
     client_id: int
     params: ModelParams
-    n_samples: int
     digest: bytes
     sig: Signature
     sign_ms: float
@@ -222,15 +222,15 @@ class SystemState:
     client_addresses: list   # likewise
     aggregator_key: KeyPair
     aggregator_address: bytes
-    ledger: SimulatedLedger  # None without a blockchain
-    contract: ContractState  # ledger.state, or a bare one without a blockchain
+    ledger: SimulatedLedger  # charges zero gas without a blockchain
     initial_accuracy: float
     sig_sizes_seen: list = field(default_factory=list)
 
 
 def _build_latency_model(config: ExperimentConfig):
     if config.latency is None:
-        return ConstantLatency(DEFAULT_LATENCY_S[config.scheme])
+        default = DEFAULT_LATENCY_S[config.scheme] if config.blockchain else NOBC_LATENCY_S
+        return ConstantLatency(default)
     low, high = config.latency
     return ConstantLatency(low) if low == high else UniformLatency(low, high)
 
@@ -241,9 +241,9 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     Validates the config up front (before any key generation), creates one
     key pair per client plus one for the aggregator in a single batch (under
     PQC one FIPS 204 expansion for all of them, with every key still
-    cross-checked against the signing backend), registers them with the
-    contract (on the ledger in blockchain mode), and builds the dataset, the
-    Dirichlet partitions, and the initial global model.
+    cross-checked against the signing backend), registers them on the
+    ledger in one block, and builds the dataset, the Dirichlet partitions,
+    and the initial global model.
     """
     problems = config.violations()
     if problems:
@@ -276,25 +276,16 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     client_keys, aggregator_key = keys[:-1], keys[-1]
     client_addresses = [_client_address(cid) for cid in range(config.n_clients)]
 
-    if config.blockchain:
-        ledger = SimulatedLedger(
-            gas_model=calibrate_gas(config.gas_targets),
-            latency=_build_latency_model(config),
-            rng_seed=derive_seed(master, "latency"),
-        )
-        contract, register = ledger.state, ledger.register_client
-    else:
-        ledger, contract = None, ContractState()
-
-        def register(address, public_key, scheme):
-            contract.apply(Transaction.registration(address, public_key, scheme))
-
+    ledger = SimulatedLedger(
+        gas_model=calibrate_gas(config.gas_targets) if config.blockchain else GasModel(0, 0, 0),
+        latency=_build_latency_model(config),
+        rng_seed=derive_seed(master, "latency"),
+    )
     for address, key in zip(
         client_addresses + [_AGGREGATOR_ADDRESS], client_keys + [aggregator_key]
     ):
-        register(address, key.public_key, config.scheme)
-    if ledger is not None:
-        ledger.mine_block()
+        ledger.register_client(address, key.public_key, config.scheme)
+    ledger.mine_block()
 
     return SystemState(
         config=config,
@@ -307,7 +298,6 @@ def init_phase(config: ExperimentConfig) -> SystemState:
         aggregator_key=aggregator_key,
         aggregator_address=_AGGREGATOR_ADDRESS,
         ledger=ledger,
-        contract=contract,
         initial_accuracy=fedcore.evaluate(global_params, test_set),
     )
 
@@ -322,7 +312,7 @@ def _client_work(state: SystemState, client_id: int) -> ClientSubmission:
     t0 = time.perf_counter()
     sig = sigsuite.sign(state.client_keys[client_id], digest)
     sign_ms = (time.perf_counter() - t0) * 1e3
-    return ClientSubmission(client_id, params, len(partition), digest, sig, sign_ms)
+    return ClientSubmission(client_id, params, digest, sig, sign_ms)
 
 
 def overhead_ratio(sign_ms: float, verify_ms: float, denominator_s: float) -> float:
@@ -347,11 +337,13 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     Each submission is hash-bound as soon as the contract verifies it: it is
     aggregated only if its own off-chain parameters re-digest to the hash
     the contract recorded. A rejected submission that names another client
-    therefore cannot displace that client's update.
+    therefore cannot displace that client's update. FedAvg weights each
+    update by the size of its client's partition, which the aggregator
+    holds, never by a figure the submission carries.
 
     Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
-    global model is left unchanged in that case, and in blockchain mode the
-    round's block is still mined so it holds the rejected transactions.
+    global model is left unchanged in that case, and the round's block is
+    still mined so it holds the rejected transactions.
     """
     if t < 1:
         raise ValueError(f"rounds are numbered from 1, got {t}")
@@ -363,41 +355,27 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     if tamper_hook is not None:
         submissions = [tamper_hook(sub) for sub in submissions]
 
-    confirm_times = []
-    verify_times_ms = []
-    gas_per_update = []
-    total_gas = 0
+    receipts = []
     updates = []
-
     for sub in submissions:
         state.sig_sizes_seen.append(len(sub.sig.bytes))
         address = state.client_addresses[sub.client_id]
-        if config.blockchain:
-            receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
-            status = receipt.status
-            confirm_times.append(receipt.confirm_time_s)
-            verify_times_ms.append(receipt.verify_ms)
-            gas_per_update.append(receipt.gas_used)
-            total_gas += receipt.gas_used
-        else:
-            tx = Transaction.submission(TxKind.SUBMIT_UPDATE, address, t, sub.digest, sub.sig)
-            t0 = time.perf_counter()
-            status, _ = state.contract.apply(tx)
-            verify_times_ms.append((time.perf_counter() - t0) * 1e3)
-            confirm_times.append(config.nobc_fixed_delay_s)
+        receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
+        receipts.append(receipt)
         # Hash binding: aggregate a verified submission only if its own
         # off-chain parameters re-digest to the hash the contract recorded.
         if (
-            status is TxStatus.VERIFIED
-            and sigsuite.digest_model(sub.params) == state.contract.verified_updates[(t, address)]
+            receipt.verified
+            and sigsuite.digest_model(sub.params)
+            == state.ledger.state.verified_updates[(t, address)]
         ):
-            updates.append(ClientUpdate(sub.client_id, sub.params, sub.n_samples, t))
+            n_samples = len(state.partitions[sub.client_id])
+            updates.append(ClientUpdate(sub.client_id, sub.params, n_samples, t))
 
     if not updates:
-        if config.blockchain:
-            # Close the round's block over its rejected transactions so they
-            # do not land in the next round's block.
-            state.ledger.mine_block()
+        # Close the round's block over its rejected transactions so they
+        # do not land in the next round's block.
+        state.ledger.mine_block()
         raise NoVerifiedUpdates(f"round {t}: every client submission was rejected")
 
     new_global = fedcore.aggregate(updates)
@@ -405,6 +383,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     global_digest = sigsuite.digest_model(new_global)
     accuracy = fedcore.evaluate(new_global, state.test_set)
 
+    gas_per_update = [r.gas_used for r in receipts]
+    confirm_times = [r.confirm_time_s for r in receipts]
+    total_gas = sum(gas_per_update)
     agg_latency = 0.0
     if config.blockchain:
         agg_sig = sigsuite.sign(state.aggregator_key, global_digest)
@@ -413,16 +394,13 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         )
         total_gas += receipt.gas_used
         agg_latency = receipt.confirm_time_s
-        state.ledger.mine_block()
+    state.ledger.mine_block()
 
     compute_time = time.perf_counter() - started
     simulated_latency = sum(confirm_times) + agg_latency
     mean_sign = sum(s.sign_ms for s in submissions) / len(submissions)
-    mean_verify = sum(verify_times_ms) / len(verify_times_ms)
-    if config.blockchain:
-        mean_tx = sum(confirm_times) / len(confirm_times)
-    else:
-        mean_tx = config.nobc_fixed_delay_s  # the fixed delay, by definition
+    mean_verify = sum(r.verify_ms for r in receipts) / len(receipts)
+    mean_tx = statistics.mean(confirm_times)  # correctly rounded: a constant stays exact
     ratio = overhead_ratio(mean_sign, mean_verify, mean_tx) if mean_tx > 0 else 0.0
 
     return RoundMetrics(
@@ -434,9 +412,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         mean_sign_ms=mean_sign,
         mean_verify_ms=mean_verify,
         mean_tx_time_s=mean_tx,
-        mean_gas_per_update=(
-            sum(gas_per_update) / len(gas_per_update) if gas_per_update else 0.0
-        ),
+        mean_gas_per_update=sum(gas_per_update) / len(gas_per_update),
         total_gas=total_gas,
         overhead_ratio=ratio,
         verified_count=len(updates),
@@ -477,15 +453,18 @@ class ExperimentReport:
         }
 
 
+# The per-round metrics an experiment summary averages.
+SUMMARY_FIELDS = tuple(
+    f.name for f in fields(RoundMetrics) if f.name not in ("round", "model_digest")
+)
+
+
 def _summarize(metrics: list, initial_accuracy: float) -> dict:
-    numeric = [
-        f.name for f in fields(RoundMetrics) if f.name not in ("round", "model_digest")
-    ]
-    summary = {f: 0.0 for f in numeric}
+    summary = {f: 0.0 for f in SUMMARY_FIELDS}
     if not metrics:
         summary["accuracy"] = initial_accuracy
         return summary
-    for f in numeric:
+    for f in SUMMARY_FIELDS:
         summary[f] = sum(getattr(m, f) for m in metrics) / len(metrics)
     return summary
 

@@ -80,10 +80,12 @@ class TestInitPhase:
         assert len(state.ledger.state.registry) == 4  # 3 clients + aggregator
         assert state.aggregator_address in state.ledger.state.registry
 
-    def test_nobc_issues_zero_ledger_transactions(self):
+    def test_nobc_ledger_charges_zero_gas(self):
         state = init_phase(_small_config(blockchain=False))
-        assert state.ledger is None
-        assert len(state.contract.registry) == 4  # 3 clients + aggregator
+        assert len(state.ledger.state.registry) == 4  # 3 clients + aggregator
+        metrics = [run_round(state, t) for t in (1, 2)]
+        assert [m.total_gas for m in metrics] == [0, 0]
+        assert chain_verify(state.ledger.chain).intact
 
     def test_duplicate_client_ids_rejected_before_keygen(self, monkeypatch):
         calls = []
@@ -100,10 +102,10 @@ class TestInitPhase:
 
     @pytest.mark.parametrize("override", [
         dict(alpha=NAN),
-        dict(nobc_fixed_delay_s=NAN),
+        dict(latency=(NAN, NAN)),
         dict(train=TrainConfig(learning_rate=NAN)),
         dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.ECDSA: NAN}),
-    ], ids=["alpha", "nobc_fixed_delay_s", "train.learning_rate", "gas_targets"])
+    ], ids=["alpha", "latency", "train.learning_rate", "gas_targets"])
     def test_nan_rejected(self, override):
         cfg = _small_config(**override)
         assert len(cfg.violations()) == 1
@@ -112,13 +114,11 @@ class TestInitPhase:
 
     @pytest.mark.parametrize("override", [
         dict(alpha=INF),
-        dict(nobc_fixed_delay_s=INF),
         dict(train=TrainConfig(learning_rate=INF)),
         dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.PQC: INF}),
         dict(latency=(INF, INF)),
         dict(latency=(0.1, INF)),
-    ], ids=["alpha", "nobc_fixed_delay_s", "train.learning_rate", "gas_targets",
-            "latency.low", "latency.high"])
+    ], ids=["alpha", "train.learning_rate", "gas_targets", "latency.low", "latency.high"])
     def test_infinity_rejected_before_keygen(self, override, monkeypatch):
         calls = []
         monkeypatch.setattr(protocol.sigsuite, "keygen_batch",
@@ -186,6 +186,15 @@ class TestRunRound:
         # longer digest to the verified hash, so client 0 must be excluded
         assert metrics.verified_count == 2
 
+    def test_submission_fields_are_signed_or_bound(self):
+        # Each field is signed (digest, sig), hash-bound (params), checked
+        # against the registry (client_id) or instrumentation (sign_ms). A
+        # FedAvg weight here would be none of these and could be rewritten
+        # in flight, so the weights come from the aggregator's partitions.
+        assert [f.name for f in dataclasses.fields(protocol.ClientSubmission)] == [
+            "client_id", "params", "digest", "sig", "sign_ms",
+        ]
+
     @pytest.mark.parametrize("blockchain", [True, False], ids=["bc", "nobc"])
     def test_rejected_impostor_keeps_named_client(self, blockchain):
         cfg = _small_config(blockchain=blockchain)
@@ -242,9 +251,8 @@ class TestRunRound:
         assert (metrics.verified_count, metrics.rejected_count) == (1, 3)
         max_ulps = np.spacing(np.abs(oracle))
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
-        assert list(state.contract.verified_updates) == [(1, state.client_addresses[3])]
-        if blockchain:
-            assert chain_verify(state.ledger.chain).intact
+        assert list(state.ledger.state.verified_updates) == [(1, state.client_addresses[3])]
+        assert chain_verify(state.ledger.chain).intact
 
     @pytest.mark.parametrize("scheme", [SchemeId.NONE, SchemeId.ECDSA], ids=["none", "ecdsa"])
     def test_chain_head_reproducible_for_fixed_seed(self, scheme):
@@ -389,9 +397,10 @@ class TestConfig:
         assert csv_cfg.name() == "readings-PQC-3c-BC"
 
     def test_nobc_mean_tx_time_is_fixed_delay(self):
-        report = run_experiment(_small_config(blockchain=False))
-        for m in report.rounds:
-            assert m.mean_tx_time_s == 0.05
+        for latency, expected in ((None, 0.05), ((0.2, 0.2), 0.2)):
+            report = run_experiment(_small_config(blockchain=False, latency=latency))
+            for m in report.rounds:
+                assert m.mean_tx_time_s == expected
 
     def test_bc_default_latency_constant(self):
         report = run_experiment(_small_config())
@@ -404,12 +413,13 @@ class TestConfig:
         assert derive_seed(1, "a") != derive_seed(2, "a")
 
     def test_uniform_latency_range_end_to_end(self):
-        cfg = _small_config(latency=(0.1, 0.5), rounds=3)
-        report = run_experiment(cfg)
-        for m in report.rounds:
-            assert 0.1 <= m.mean_tx_time_s <= 0.5
-        spread = {m.mean_tx_time_s for m in report.rounds}
-        assert len(spread) > 1  # actually sampling, not a constant
+        for blockchain in (True, False):
+            cfg = _small_config(latency=(0.1, 0.5), rounds=3, blockchain=blockchain)
+            report = run_experiment(cfg)
+            for m in report.rounds:
+                assert 0.1 <= m.mean_tx_time_s <= 0.5
+            spread = {m.mean_tx_time_s for m in report.rounds}
+            assert len(spread) > 1  # actually sampling, not a constant
 
     def test_csv_dataset_end_to_end(self, tmp_path):
         rng = np.random.default_rng(3)
