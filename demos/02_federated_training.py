@@ -42,8 +42,7 @@ cfg = TrainConfig()  # 5 local epochs, batch 64, Adam at 0.001
 for round_number in range(1, 11):
     updates = []
     for part in partitions:
-        local = local_train(global_params, train_set, part,
-                            cfg.with_seed(SEED ^ part.client_id))
+        local = local_train(global_params, train_set, part, cfg, SEED ^ part.client_id)
         updates.append(ClientUpdate(part.client_id, local, len(part), round_number))
     global_params = aggregate(updates)  # weighted by each client's sample count
     acc = evaluate(global_params, test_set)

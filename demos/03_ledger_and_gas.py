@@ -11,7 +11,6 @@ import dataclasses
 import hashlib
 
 from pqsbfl.ledger import (
-    ConstantLatency,
     SimulatedLedger,
     calibrate_gas,
     chain_verify,
@@ -27,7 +26,8 @@ print("calibrated verification surcharges:")
 for scheme, surcharge in gas_model.g_verify.items():
     print(f"  {scheme.value:>5}: {surcharge:,}")
 
-ledger = SimulatedLedger(gas_model=gas_model, latency=ConstantLatency(0.32))
+# Every receipt confirms after 0.32 s: equal (low, high) latency bounds.
+ledger = SimulatedLedger(gas_model=gas_model, latency=(0.32, 0.32))
 client_key = keygen(SchemeId.PQC, rng_seed=1)
 address = hashlib.sha3_256(b"demo-client").digest()
 

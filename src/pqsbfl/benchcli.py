@@ -135,65 +135,62 @@ def _parse_scheme(raw: str, where: str) -> SchemeId:
         raise ParseError(f"{where}: unknown crypto {raw!r}") from None
 
 
-# INI/flag key -> (ExperimentConfig field, parser(raw, where)).
-_EXPERIMENT_FIELDS = {
-    "dataset": ("dataset", lambda raw, where: raw.strip()),
-    "crypto": ("scheme", _parse_scheme),
-    "clients": ("n_clients", _parse_int),
-    "rounds": ("rounds", _parse_int),
-    "blockchain": ("blockchain", _parse_bool),
-    "seed": ("master_seed", _parse_int),
-    "alpha": ("alpha", _parse_float),
-    "synth_samples": ("synth_samples", _parse_int),
-    "synth_features": ("synth_features", _parse_int),
-    "synth_classes": ("synth_classes", _parse_int),
+def _parse_constant(raw: str, where: str) -> tuple:
+    seconds = _parse_float(raw, where)
+    return seconds, seconds
+
+
+def _parse_bounds(raw: str, where: str) -> tuple:
+    parts = raw.split(",")
+    if len(parts) != 2:
+        raise ParseError(f"{where}: expected low,high")
+    return tuple(_parse_float(p, where) for p in parts)
+
+
+def _field(name):
+    return lambda cfg, value: replace(cfg, **{name: value})
+
+
+def _train(name):
+    return lambda cfg, value: replace(cfg, train=replace(cfg.train, **{name: value}))
+
+
+def _gas(scheme):
+    return lambda cfg, value: replace(cfg, gas_targets={**cfg.gas_targets, scheme: value})
+
+
+# "section.key" -> (parser(raw, where), setter(cfg, value)); configparser
+# lowercases keys, hence gas.pqc.
+_KEYS = {
+    "experiment.dataset": (lambda raw, where: raw.strip(), _field("dataset")),
+    "experiment.crypto": (_parse_scheme, _field("scheme")),
+    "experiment.clients": (_parse_int, _field("n_clients")),
+    "experiment.rounds": (_parse_int, _field("rounds")),
+    "experiment.blockchain": (_parse_bool, _field("blockchain")),
+    "experiment.seed": (_parse_int, _field("master_seed")),
+    "experiment.alpha": (_parse_float, _field("alpha")),
+    "experiment.synth_samples": (_parse_int, _field("synth_samples")),
+    "experiment.synth_features": (_parse_int, _field("synth_features")),
+    "experiment.synth_classes": (_parse_int, _field("synth_classes")),
+    "train.local_epochs": (_parse_int, _train("local_epochs")),
+    "train.batch_size": (_parse_int, _train("batch_size")),
+    "train.learning_rate": (_parse_float, _train("learning_rate")),
+    "latency.constant": (_parse_constant, _field("latency")),
+    "latency.uniform": (_parse_bounds, _field("latency")),
+    **{f"gas.{s.value.lower()}": (_parse_int, _gas(s)) for s in SchemeId},
 }
-_TRAIN_KEYS = {"local_epochs", "batch_size", "learning_rate"}
-_LATENCY_KEYS = {"constant", "uniform"}
 
 
-def _apply_experiment_key(cfg: ExperimentConfig, key: str, raw: str, where: str):
+def _apply(cfg: ExperimentConfig, key: str, raw: str, where: str) -> ExperimentConfig:
+    """Set one ``section.key`` from its raw text; a bare key means
+    ``experiment.<key>``."""
+    if "." not in key:
+        key = f"experiment.{key}"
     try:
-        field_name, parse = _EXPERIMENT_FIELDS[key]
+        parse, setter = _KEYS[key]
     except KeyError:
         raise ParseError(f"{where}: unknown key {key!r}") from None
-    return replace(cfg, **{field_name: parse(raw, where)})
-
-
-def _apply_section(cfg: ExperimentConfig, section: str, items, where_prefix: str):
-    for key, raw in items:
-        where = f"{where_prefix}[{section}].{key}"
-        if section == "experiment":
-            cfg = _apply_experiment_key(cfg, key, raw, where)
-        elif section == "train":
-            if key not in _TRAIN_KEYS:
-                raise ParseError(f"{where}: unknown key {key!r}")
-            if key == "learning_rate":
-                cfg = replace(cfg, train=replace(cfg.train, learning_rate=_parse_float(raw, where)))
-            else:
-                cfg = replace(cfg, train=replace(cfg.train, **{key: _parse_int(raw, where)}))
-        elif section == "gas":
-            try:
-                scheme = SchemeId(key.upper())
-            except ValueError:
-                raise ParseError(f"{where}: unknown scheme {key!r}") from None
-            targets = dict(cfg.gas_targets)
-            targets[scheme] = _parse_int(raw, where)
-            cfg = replace(cfg, gas_targets=targets)
-        elif section == "latency":
-            if key not in _LATENCY_KEYS:
-                raise ParseError(f"{where}: unknown key {key!r}")
-            if key == "constant":
-                seconds = _parse_float(raw, where)
-                cfg = replace(cfg, latency=(seconds, seconds))
-            else:
-                parts = raw.split(",")
-                if len(parts) != 2:
-                    raise ParseError(f"{where}: expected low,high")
-                cfg = replace(cfg, latency=tuple(_parse_float(p, where) for p in parts))
-        else:
-            raise ParseError(f"{where_prefix}: unknown section [{section}]")
-    return cfg
+    return setter(cfg, parse(raw, where))
 
 
 def _read_ini(path: Path) -> configparser.ConfigParser:
@@ -219,12 +216,12 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
     if path is not None:
         parser = _read_ini(Path(path))
         for section in parser.sections():
-            cfg = _apply_section(cfg, section, parser.items(section), f"{path}:")
+            for key, raw in parser.items(section):
+                cfg = _apply(cfg, f"{section}.{key}", raw, f"{path}:[{section}].{key}")
 
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        cfg = _apply_experiment_key(cfg, key, str(value), f"--{key}")
+        if value is not None:
+            cfg = _apply(cfg, key, str(value), f"--{key}")
 
     problems = cfg.violations()
     if problems:
@@ -235,11 +232,12 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
 def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
     """Read a suite file: a ``[suite]`` section plus one section per entry.
 
-    Entry sections use the experiment keys (``crypto = PQC`` etc.) with
-    optional dotted sub-config keys (``train.local_epochs``, ``gas.PQC``,
-    ``latency.constant``). Every entry's master seed is the suite seed XORed
-    with a stable hash of its learning identity (dataset, client count,
-    rounds), so scheme variants of one setup share the trajectory.
+    An entry section accepts every ``section.key`` of a config file
+    (``train.local_epochs``, ``gas.PQC``, ``latency.constant``), with a bare
+    key meaning ``experiment.<key>`` (``crypto = PQC``). Every entry's
+    master seed is the suite seed XORed with a stable hash of its learning
+    identity (dataset, client count, rounds), so scheme variants of one
+    setup share the trajectory.
     """
     parser = _read_ini(Path(path))
     suite_seed = 0
@@ -266,13 +264,8 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
         if section == "suite":
             continue
         cfg = replace(ExperimentConfig(), master_seed=suite_seed)
-        plain, dotted = [], []
         for key, raw in parser.items(section):
-            (dotted if "." in key else plain).append((key, raw))
-        cfg = _apply_section(cfg, "experiment", plain, f"{path}:")
-        for key, raw in dotted:
-            sub, _, subkey = key.partition(".")
-            cfg = _apply_section(cfg, sub, [(subkey, raw)], f"{path}:")
+            cfg = _apply(cfg, key, raw, f"{path}:[{section}].{key}")
 
         identity = f"{cfg.dataset_label()}-{cfg.n_clients}c-{cfg.rounds}r"
         cfg = replace(cfg, master_seed=cfg.master_seed ^ stable_name_hash(identity))

@@ -39,10 +39,6 @@ class EmptyUpdateSet(PqsBflError):
 
 # -- ledger -----------------------------------------------------------------
 
-class UnregisteredClient(PqsBflError):
-    """A transaction came from an address with no registered key."""
-
-
 class InfeasibleCalibration(PqsBflError):
     """Gas targets are too small to leave a nonnegative verification cost."""
 

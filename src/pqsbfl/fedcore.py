@@ -19,7 +19,7 @@ import csv
 import functools
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,10 +127,6 @@ class TrainConfig:
     local_epochs: int = 5
     batch_size: int = 64
     learning_rate: float = 0.001
-    rng_seed: int = 0
-
-    def with_seed(self, rng_seed: int) -> "TrainConfig":
-        return replace(self, rng_seed=rng_seed)
 
 
 @dataclass(frozen=True)
@@ -337,12 +333,13 @@ def local_train(
     dataset: Dataset,
     partition: Partition,
     cfg: TrainConfig,
+    rng_seed: int,
 ) -> ModelParams:
     """Run the client's local epochs of mini-batch Adam from the global model.
 
-    Deterministic given (global_params, partition, cfg.rng_seed): shuffling
-    comes from a private generator and every tensor op is float32. With
-    ``local_epochs=0`` the global model is returned unchanged.
+    Deterministic given (global_params, partition, cfg, rng_seed): shuffling
+    comes from a generator seeded with ``rng_seed`` and every tensor op is
+    float32. With ``local_epochs=0`` the global model is returned unchanged.
     """
     _check_model_fits(global_params, dataset)
     if cfg.local_epochs < 0 or cfg.batch_size < 1 or cfg.learning_rate <= 0:
@@ -357,7 +354,7 @@ def local_train(
     y_all = dataset.labels[partition.sample_indices]
     n = len(y_all)
 
-    rng = np.random.default_rng(cfg.rng_seed)
+    rng = np.random.default_rng(rng_seed)
     lr = np.float32(cfg.learning_rate)
     beta1, beta2 = np.float32(0.9), np.float32(0.999)
     eps = np.float32(1e-8)

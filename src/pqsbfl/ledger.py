@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _mldsa_keyexpand
-from .errors import InfeasibleCalibration, UnregisteredClient
+from .errors import InfeasibleCalibration
 from .sigsuite import HASH_BYTES, SchemeId, Signature, verify
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "Transaction",
     "Receipt",
     "GasModel",
-    "ConstantLatency",
-    "UniformLatency",
     "Block",
     "ContractState",
     "Chain",
@@ -188,15 +186,15 @@ class GasModel:
         )
 
 
-def calibrate_gas(targets: dict = None, sig_sizes: dict = None) -> GasModel:
+def calibrate_gas(targets: dict = None) -> GasModel:
     """Solve per-scheme verification surcharges so that a stored submit
-    transaction with the nominal signature size costs exactly ``targets[s]``.
+    transaction with the nominal signature size
+    (:data:`CALIBRATION_SIG_SIZES`) costs exactly ``targets[s]``.
 
     g_base/g_byte/g_store stay at their defaults. Raises
     :class:`InfeasibleCalibration` if any surcharge would go negative.
     """
     targets = DEFAULT_GAS_TARGETS if targets is None else targets
-    sig_sizes = CALIBRATION_SIG_SIZES if sig_sizes is None else sig_sizes
     base = GasModel()
     g_verify = {}
     for scheme, total in targets.items():
@@ -204,7 +202,7 @@ def calibrate_gas(targets: dict = None, sig_sizes: dict = None) -> GasModel:
             raise InfeasibleCalibration(f"{scheme}: target must be positive")
         fixed = (
             base.g_base
-            + base.g_byte * (HASH_BYTES + sig_sizes[scheme])
+            + base.g_byte * (HASH_BYTES + CALIBRATION_SIG_SIZES[scheme])
             + base.g_store
         )
         surcharge = total - fixed
@@ -214,27 +212,6 @@ def calibrate_gas(targets: dict = None, sig_sizes: dict = None) -> GasModel:
             )
         g_verify[scheme] = surcharge
     return GasModel(base.g_base, base.g_byte, base.g_store, g_verify)
-
-
-@dataclass(frozen=True)
-class ConstantLatency:
-    """Every transaction confirms after exactly ``seconds``."""
-
-    seconds: float
-
-    def sample(self, rng) -> float:
-        return self.seconds
-
-
-@dataclass(frozen=True)
-class UniformLatency:
-    """Confirmation time drawn uniformly from [low, high] seconds."""
-
-    low: float
-    high: float
-
-    def sample(self, rng) -> float:
-        return float(rng.uniform(self.low, self.high))
 
 
 @dataclass(frozen=True)
@@ -288,9 +265,9 @@ class ContractState:
         submit payload is a 32-byte hash followed by the signature; it is
         rejected when its scheme tag differs from the registered one, when
         the payload is too short to hold the hash, when the signature does
-        not verify under the registered key, or when its slot (round and
-        sender for updates, round for aggregations) is taken. Raises
-        :class:`UnregisteredClient` for a submit from an address with no key.
+        not verify under the registered key, when its sender has no
+        registered key, or when its slot (round and sender for updates, round
+        for aggregations) is taken.
         """
         if tx.kind is TxKind.REGISTER:
             if tx.sender in self.registry:
@@ -302,9 +279,8 @@ class ContractState:
             ) + tx.payload
             return TxStatus.VERIFIED, record
 
-        if tx.sender not in self.registry:
-            raise UnregisteredClient(f"address {tx.sender.hex()[:16]}… not registered")
-        public_key, scheme = self.registry[tx.sender]
+        # An unregistered sender has no scheme, so its tag never matches.
+        public_key, scheme = self.registry.get(tx.sender, (None, None))
         if tx.scheme is not scheme or len(tx.payload) < HASH_BYTES:
             return TxStatus.REJECTED, b""
         update_hash = tx.payload[:HASH_BYTES]
@@ -355,17 +331,19 @@ class SimulatedLedger:
     Every contract call returns a :class:`Receipt`; gas is charged whether or
     not the call succeeds. Processed transactions wait in a pending list,
     with the records they wrote, and are packaged FIFO into the next mined
-    block.
+    block. ``latency`` is the ``(low, high)`` bounds of each receipt's
+    confirmation time in seconds: exactly ``low`` when the bounds are equal,
+    otherwise one uniform draw from the ledger's ``rng_seed`` stream.
     """
 
     def __init__(
         self,
         gas_model: GasModel = None,
-        latency: object = None,
+        latency: tuple = (0.0, 0.0),
         rng_seed: int = 0,
     ):
         self.gas = calibrate_gas() if gas_model is None else gas_model
-        self.latency = ConstantLatency(0.0) if latency is None else latency
+        self.latency = latency
         self.state = ContractState()
         self.chain = Chain()
         self._rng = np.random.default_rng(rng_seed)
@@ -379,9 +357,6 @@ class SimulatedLedger:
         )
         self.chain.blocks.append(genesis)
         self.chain.head_hash = genesis.block_hash()
-
-    def latency_sample(self) -> float:
-        return self.latency.sample(self._rng)
 
     def _execute(self, tx: Transaction) -> Receipt:
         """Apply ``tx``, queue it for the next block, and charge its gas."""
@@ -398,11 +373,12 @@ class SimulatedLedger:
                 tx.scheme, max(0, len(tx.payload) - HASH_BYTES),
                 status is TxStatus.VERIFIED,
             )
+        low, high = self.latency
         return Receipt(
             tx_hash=tx_hash,
             status=status,
             gas_used=gas,
-            confirm_time_s=self.latency_sample(),
+            confirm_time_s=low if low == high else float(self._rng.uniform(low, high)),
             block_height=len(self.chain.blocks),
             verify_ms=verify_ms,
         )
@@ -420,9 +396,9 @@ class SimulatedLedger:
         that are not 32 bytes (the payload's fixed hash field then takes the
         wrong bytes, so verification fails, or the payload is too short to
         hold it) and write-once violations yield REJECTED receipts, charged
-        gas, with no state change. A payload under 32 bytes, an empty one
-        included, is charged as if it carried an empty signature. Unknown
-        senders raise :class:`UnregisteredClient`.
+        gas, with no state change; so does a sender with no registered key.
+        A payload under 32 bytes, an empty one included, is charged as if it
+        carried an empty signature.
         """
         return self._execute(
             Transaction.submission(TxKind.SUBMIT_UPDATE, address, round_, update_hash, sig)
@@ -473,8 +449,9 @@ def chain_verify(chain: Chain) -> ChainCheck:
     the previous block's digest, lists only stored transactions that
     re-hash to their ids, and carries the replayed state root, and the last
     block hashes to the chain's recorded head hash. Otherwise
-    ``broken_height`` is the first height that fails; a submit from an
-    address the replay has not registered fails at its block.
+    ``broken_height`` is the first height that fails. A submit from an
+    address the replay has not registered replays as rejected, so a chain
+    whose block claims it wrote a record fails at that block's root.
     """
     if not chain.blocks:
         raise ValueError("chain is empty")
@@ -489,10 +466,7 @@ def chain_verify(chain: Chain) -> ChainCheck:
             tx = chain.tx_store.get(txh)
             if tx is None or tx.tx_hash() != txh:
                 return ChainCheck(False, i)
-            try:
-                records.append(state.apply(tx)[1])
-            except UnregisteredClient:
-                return ChainCheck(False, i)
+            records.append(state.apply(tx)[1])
         root = _next_root(root, records)
         if block.state_root != root:
             return ChainCheck(False, i)

@@ -24,6 +24,7 @@ blockchain modes. That invariant is the cheapest strong regression oracle
 this system has, and the test suite leans on it.
 """
 
+import functools
 import hashlib
 import math
 import statistics
@@ -37,10 +38,8 @@ from .fedcore import ClientUpdate, ModelParams, TrainConfig
 from .ledger import (
     DEFAULT_GAS_TARGETS,
     DEFAULT_LATENCY_S,
-    ConstantLatency,
     GasModel,
     SimulatedLedger,
-    UniformLatency,
     calibrate_gas,
 )
 from .sigsuite import KeyPair, SchemeId, Signature
@@ -73,6 +72,7 @@ def derive_seed(master_seed: int, *tags) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+@functools.cache  # one bytes object per client, shared by its transactions
 def _client_address(client_id: int) -> bytes:
     return hashlib.sha3_256(b"client-address:" + struct.pack("<q", client_id)).digest()
 
@@ -99,8 +99,9 @@ class ExperimentConfig:
     blockchain: bool = True
     train: TrainConfig = field(default_factory=TrainConfig)
     gas_targets: dict = field(default_factory=lambda: dict(DEFAULT_GAS_TARGETS))
-    # (low, high) confirmation seconds in either mode; None: the scheme's
-    # DEFAULT_LATENCY_S with a blockchain, NOBC_LATENCY_S without one
+    # (low, high) bounds of every receipt's confirmation seconds, in either
+    # mode; None: the scheme's DEFAULT_LATENCY_S constant with a blockchain,
+    # NOBC_LATENCY_S without one
     latency: tuple = None
     master_seed: int = 0
     alpha: float = 0.5
@@ -219,20 +220,11 @@ class SystemState:
     partitions: list
     global_params: ModelParams
     client_keys: list        # indexed by client id
-    client_addresses: list   # likewise
     aggregator_key: KeyPair
     aggregator_address: bytes
     ledger: SimulatedLedger  # charges zero gas without a blockchain
     initial_accuracy: float
     sig_sizes_seen: list = field(default_factory=list)
-
-
-def _build_latency_model(config: ExperimentConfig):
-    if config.latency is None:
-        default = DEFAULT_LATENCY_S[config.scheme] if config.blockchain else NOBC_LATENCY_S
-        return ConstantLatency(default)
-    low, high = config.latency
-    return ConstantLatency(low) if low == high else UniformLatency(low, high)
 
 
 def init_phase(config: ExperimentConfig) -> SystemState:
@@ -274,16 +266,15 @@ def init_phase(config: ExperimentConfig) -> SystemState:
         + [derive_seed(master, "keygen-aggregator")],
     )
     client_keys, aggregator_key = keys[:-1], keys[-1]
-    client_addresses = [_client_address(cid) for cid in range(config.n_clients)]
 
+    default_latency = DEFAULT_LATENCY_S[config.scheme] if config.blockchain else NOBC_LATENCY_S
     ledger = SimulatedLedger(
         gas_model=calibrate_gas(config.gas_targets) if config.blockchain else GasModel(0, 0, 0),
-        latency=_build_latency_model(config),
+        latency=config.latency or (default_latency, default_latency),
         rng_seed=derive_seed(master, "latency"),
     )
-    for address, key in zip(
-        client_addresses + [_AGGREGATOR_ADDRESS], client_keys + [aggregator_key]
-    ):
+    addresses = [_client_address(cid) for cid in range(config.n_clients)]
+    for address, key in zip(addresses + [_AGGREGATOR_ADDRESS], keys):
         ledger.register_client(address, key.public_key, config.scheme)
     ledger.mine_block()
 
@@ -294,7 +285,6 @@ def init_phase(config: ExperimentConfig) -> SystemState:
         partitions=partitions,
         global_params=global_params,
         client_keys=client_keys,
-        client_addresses=client_addresses,
         aggregator_key=aggregator_key,
         aggregator_address=_AGGREGATOR_ADDRESS,
         ledger=ledger,
@@ -305,9 +295,10 @@ def init_phase(config: ExperimentConfig) -> SystemState:
 def _client_work(state: SystemState, client_id: int) -> ClientSubmission:
     """Train, hash, sign: the per-client portion of one round."""
     config = state.config
-    cfg = config.train.with_seed((config.master_seed ^ client_id) & _MASK64)
-    partition = state.partitions[client_id]
-    params = fedcore.local_train(state.global_params, state.train_set, partition, cfg)
+    params = fedcore.local_train(
+        state.global_params, state.train_set, state.partitions[client_id], config.train,
+        (config.master_seed ^ client_id) & _MASK64,
+    )
     digest = sigsuite.digest_model(params)
     t0 = time.perf_counter()
     sig = sigsuite.sign(state.client_keys[client_id], digest)
@@ -331,8 +322,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     (possibly corrupted) submission actually sent; it models in-flight
     adversarial interference and is used by the security tests. A malformed
-    submission (wrong scheme tag, hash of the wrong length, an empty one) is
-    rejected like a bad signature and excludes only its client.
+    submission (wrong scheme tag, hash of the wrong length, an empty one, a
+    client id the run does not have) is rejected like a bad signature and
+    excludes only its client.
 
     Each submission is hash-bound as soon as the contract verifies it: it is
     aggregated only if its own off-chain parameters re-digest to the hash
@@ -359,7 +351,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     updates = []
     for sub in submissions:
         state.sig_sizes_seen.append(len(sub.sig.bytes))
-        address = state.client_addresses[sub.client_id]
+        address = _client_address(sub.client_id)
         receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
         receipts.append(receipt)
         # Hash binding: aggregate a verified submission only if its own

@@ -15,9 +15,7 @@ import pytest
 from pqsbfl import fedcore, sigsuite
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import (
-    CALIBRATION_SIG_SIZES,
     DEFAULT_GAS_TARGETS,
-    ConstantLatency,
     SimulatedLedger,
     Transaction,
     TxKind,
@@ -64,10 +62,10 @@ def test_c01_size_pinning():
 
 def test_c02_gas_reproduction_exact():
     """Calibrated submit gas: 1,724,100 / 188,900 / 173,650 as integers."""
-    gas_model = calibrate_gas(DEFAULT_GAS_TARGETS, CALIBRATION_SIG_SIZES)
+    gas_model = calibrate_gas(DEFAULT_GAS_TARGETS)
     observed = {}
     for scheme in ALL_SCHEMES:
-        ledger = SimulatedLedger(gas_model=gas_model, latency=ConstantLatency(0.0))
+        ledger = SimulatedLedger(gas_model=gas_model)
         key = keygen(scheme, 13)
         addr = _address(f"client-{scheme.value}")
         ledger.register_client(addr, key.public_key, scheme)
@@ -136,7 +134,7 @@ def test_c05_scheme_independence_oracle():
 def test_c06_security_properties():
     """>=1000 single-bit tampers rejected with zero state writes; cross-key
     verification rejects; digest-mismatched off-chain params are excluded."""
-    ledger = SimulatedLedger(latency=ConstantLatency(0.0))
+    ledger = SimulatedLedger()
     key = keygen(SchemeId.PQC, 3)
     addr = _address("client")
     ledger.register_client(addr, key.public_key, SchemeId.PQC)
@@ -207,9 +205,9 @@ def test_c07_verified_subset_equivalence():
         for cid in range(n):
             if cid in bad:
                 continue
-            t_cfg = cfg.train.with_seed((cfg.master_seed ^ cid) & (2**64 - 1))
             local = fedcore.local_train(
-                state.global_params, state.train_set, state.partitions[cid], t_cfg
+                state.global_params, state.train_set, state.partitions[cid], cfg.train,
+                (cfg.master_seed ^ cid) & (2**64 - 1),
             )
             size = len(state.partitions[cid])
             total += size

@@ -1,6 +1,7 @@
 """CLI contracts: config parsing, suites, report files, table schemas."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -91,6 +92,59 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError):
             parse_config(tmp_path / "absent.ini")
+
+
+# One valid raw value per config key, spelled as a user would write it.
+_KEY_SAMPLES = {
+    "experiment.dataset": "csv:data/iris.csv",
+    "experiment.crypto": "ECDSA",
+    "experiment.clients": "4",
+    "experiment.rounds": "7",
+    "experiment.blockchain": "off",
+    "experiment.seed": "99",
+    "experiment.alpha": "0.3",
+    "experiment.synth_samples": "600",
+    "experiment.synth_features": "9",
+    "experiment.synth_classes": "4",
+    "train.local_epochs": "2",
+    "train.batch_size": "16",
+    "train.learning_rate": "0.01",
+    "latency.constant": "0.25",
+    "latency.uniform": "0.1,0.5",
+    "gas.pqc": "2000000",
+    "gas.ecdsa": "200000",
+    "gas.none": "180000",
+}
+
+
+class TestKeyTable:
+    @pytest.mark.parametrize("key", sorted(benchcli._KEYS))
+    def test_file_section_and_suite_entry_agree(self, tmp_path, key):
+        section, name = key.split(".")
+        name = name.upper() if section == "gas" else name  # gas.PQC, as documented
+        raw = _KEY_SAMPLES[key]
+        config_file = tmp_path / "exp.ini"
+        config_file.write_text(f"[{section}]\n{name} = {raw}\n")
+        suite_file = tmp_path / "suite.ini"
+        entry_key = name if section == "experiment" else f"{section}.{name}"
+        suite_file.write_text(f"[entry]\n{entry_key} = {raw}\n")
+
+        from_file = parse_config(config_file)
+        (from_suite,) = parse_suite(suite_file).configs
+        # undo the suite's per-entry seed derivation (suite seed 0)
+        identity = f"{from_suite.dataset_label()}-{from_suite.n_clients}c-{from_suite.rounds}r"
+        seed = from_suite.master_seed ^ benchcli.stable_name_hash(identity)
+        assert dataclasses.replace(from_suite, master_seed=seed) == from_file
+        assert from_file != ExperimentConfig()
+
+        # configparser lowercases keys, so the message names the key as read
+        unknown = f"unknown key '{key}_typo'"
+        config_file.write_text(f"[{section}]\n{name}_typo = {raw}\n")
+        with pytest.raises(ParseError, match=unknown):
+            parse_config(config_file)
+        suite_file.write_text(f"[entry]\n{entry_key}_typo = {raw}\n")
+        with pytest.raises(ParseError, match=unknown):
+            parse_suite(suite_file)
 
 
 class TestSuite:

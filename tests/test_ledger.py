@@ -11,16 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqsbfl.errors import InfeasibleCalibration, UnregisteredClient
+from pqsbfl.errors import InfeasibleCalibration
 from pqsbfl.ledger import (
     CALIBRATION_SIG_SIZES,
     DEFAULT_GAS_TARGETS,
-    ConstantLatency,
     SimulatedLedger,
     Transaction,
     TxKind,
     TxStatus,
-    UniformLatency,
     calibrate_gas,
     chain_verify,
     export_chain,
@@ -32,15 +30,10 @@ def _address(tag: str) -> bytes:
     return hashlib.sha3_256(tag.encode()).digest()
 
 
-def _fresh_ledger(**kwargs) -> SimulatedLedger:
-    kwargs.setdefault("latency", ConstantLatency(0.0))
-    return SimulatedLedger(**kwargs)
-
-
 class TestRegistration:
     def test_pqc_registration_gas(self):
         # 21000 + 16*1952 + 20000*ceil(1952/32) = 1,272,232
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         key = keygen(SchemeId.PQC, 1)
         receipt = ledger.register_client(_address("a"), key.public_key, SchemeId.PQC)
         assert receipt.status is TxStatus.VERIFIED
@@ -48,13 +41,13 @@ class TestRegistration:
 
     def test_none_registration_gas(self):
         # 21000 + 16*26 + 20000*1 = 41,416
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         key = keygen(SchemeId.NONE, 1)
         receipt = ledger.register_client(_address("a"), key.public_key, SchemeId.NONE)
         assert receipt.gas_used == 41_416
 
     def test_duplicate_registration_rejected_but_charged(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         key1 = keygen(SchemeId.PQC, 1)
         key2 = keygen(SchemeId.PQC, 2)
         addr = _address("a")
@@ -66,7 +59,7 @@ class TestRegistration:
         assert ledger.state.registry[addr][0] == key1.public_key
 
     def test_registry_monotonic(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         sizes = []
         for i in range(4):
             key = keygen(SchemeId.NONE, i)
@@ -77,7 +70,7 @@ class TestRegistration:
 
 class TestSubmitUpdate:
     def _registered(self, scheme, seed=5):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         key = keygen(scheme, seed)
         addr = _address("client")
         ledger.register_client(addr, key.public_key, scheme)
@@ -129,12 +122,19 @@ class TestSubmitUpdate:
         assert replay.status is TxStatus.REJECTED
         assert ledger.state.verified_updates[(1, addr)] == d1
 
-    def test_unregistered_client_raises(self):
-        ledger = _fresh_ledger()
+    def test_unregistered_client_rejected_and_charged(self):
+        ledger = SimulatedLedger()
         key = keygen(SchemeId.PQC, 5)
         digest = hashlib.sha3_256(b"u").digest()
-        with pytest.raises(UnregisteredClient):
-            ledger.submit_update(_address("ghost"), 1, digest, sign(key, digest))
+        sig = sign(key, digest)
+        receipt = ledger.submit_update(_address("ghost"), 1, digest, sig)
+        assert receipt.status is TxStatus.REJECTED
+        assert receipt.gas_used == ledger.gas.submit_gas(
+            SchemeId.PQC, len(sig.bytes), stored=False
+        )
+        assert ledger.state.registry == {} and ledger.state.verified_updates == {}
+        ledger.mine_block()
+        assert chain_verify(ledger.chain).intact
 
     def test_scheme_mismatch_rejected_and_charged(self):
         ledger, key, addr = self._registered(SchemeId.PQC)
@@ -169,7 +169,7 @@ class TestVerifiedOnlyWrites:
     def test_state_entries_exactly_match_valid_submissions(self):
         # Exhaustive small trace: interleave valid and invalid submissions
         # and check verified_updates holds exactly the valid set.
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         keys = {i: keygen(SchemeId.PQC, 50 + i) for i in range(3)}
         addrs = {i: _address(f"c{i}") for i in range(3)}
         for i in range(3):
@@ -195,7 +195,7 @@ class TestVerifiedOnlyWrites:
 
 class TestSubmitAggregation:
     def test_valid_aggregator_signature_records(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         agg = keygen(SchemeId.PQC, 9)
         addr = _address("aggregator")
         ledger.register_client(addr, agg.public_key, SchemeId.PQC)
@@ -205,7 +205,7 @@ class TestSubmitAggregation:
         assert ledger.state.aggregation_records[3] == digest
 
     def test_non_aggregator_key_rejected(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         agg = keygen(SchemeId.PQC, 9)
         impostor = keygen(SchemeId.PQC, 10)
         addr = _address("aggregator")
@@ -216,7 +216,7 @@ class TestSubmitAggregation:
         assert 3 not in ledger.state.aggregation_records
 
     def test_duplicate_round_rejected(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         agg = keygen(SchemeId.PQC, 9)
         addr = _address("aggregator")
         ledger.register_client(addr, agg.public_key, SchemeId.PQC)
@@ -229,7 +229,7 @@ class TestSubmitAggregation:
 
 class TestCalibration:
     def test_calibrated_surcharges(self):
-        model = calibrate_gas(DEFAULT_GAS_TARGETS, CALIBRATION_SIG_SIZES)
+        model = calibrate_gas(DEFAULT_GAS_TARGETS)
         assert model.g_verify == {
             SchemeId.PQC: 1_629_644,
             SchemeId.ECDSA: 146_252,
@@ -238,12 +238,12 @@ class TestCalibration:
 
     def test_target_below_base_infeasible(self):
         with pytest.raises(InfeasibleCalibration):
-            calibrate_gas({SchemeId.NONE: 20_000}, CALIBRATION_SIG_SIZES)
+            calibrate_gas({SchemeId.NONE: 20_000})
         with pytest.raises(InfeasibleCalibration):
-            calibrate_gas({SchemeId.NONE: -5}, CALIBRATION_SIG_SIZES)
+            calibrate_gas({SchemeId.NONE: -5})
 
     def test_calibration_closure(self):
-        model = calibrate_gas(DEFAULT_GAS_TARGETS, CALIBRATION_SIG_SIZES)
+        model = calibrate_gas(DEFAULT_GAS_TARGETS)
         for scheme, target in DEFAULT_GAS_TARGETS.items():
             gas = model.submit_gas(scheme, CALIBRATION_SIG_SIZES[scheme], stored=True)
             assert gas == target
@@ -255,33 +255,41 @@ class TestCalibration:
         assert a == b
 
 
+def _confirm_times(ledger, n: int) -> list:
+    """Confirmation times of ``n`` receipts (repeated registrations; the
+    rejected repeats are charged and timed like any transaction)."""
+    key = keygen(SchemeId.NONE, 1)
+    return [
+        ledger.register_client(_address("a"), key.public_key, SchemeId.NONE).confirm_time_s
+        for _ in range(n)
+    ]
+
+
 class TestLatency:
     def test_constant_model_exact(self):
-        ledger = _fresh_ledger(latency=ConstantLatency(0.32))
-        assert all(ledger.latency_sample() == 0.32 for _ in range(10))
+        ledger = SimulatedLedger(latency=(0.32, 0.32))
+        assert _confirm_times(ledger, 10) == [0.32] * 10
 
     def test_constant_zero(self):
-        assert ConstantLatency(0.0).sample(np.random.default_rng(0)) == 0.0
+        assert _confirm_times(SimulatedLedger(), 3) == [0.0] * 3
 
     def test_uniform_mean_within_band(self):
         # law-of-large-numbers band for U[0.1, 0.5]: mean 0.3 +- 0.02 at n=10k
-        model = UniformLatency(0.1, 0.5)
-        rng = np.random.default_rng(42)
-        samples = [model.sample(rng) for _ in range(10_000)]
+        samples = _confirm_times(SimulatedLedger(latency=(0.1, 0.5), rng_seed=42), 10_000)
         assert 0.28 <= float(np.mean(samples)) <= 0.32
         assert min(samples) >= 0.1 and max(samples) <= 0.5
 
 
 class TestMining:
     def test_empty_pending_set(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         before = ledger.chain.height
         block = ledger.mine_block(timestamp=1.0)
         assert ledger.chain.height == before + 1
         assert block.tx_hashes == ()
 
     def test_fifo_ordering(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         ka = keygen(SchemeId.NONE, 1)
         ra = ledger.register_client(_address("a"), ka.public_key, SchemeId.NONE)
         rb = ledger.register_client(_address("b"), ka.public_key, SchemeId.NONE)
@@ -289,13 +297,13 @@ class TestMining:
         assert block.tx_hashes == (ra.tx_hash, rb.tx_hash)
 
     def test_default_timestamp_is_height(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         assert ledger.chain.blocks[0].timestamp == 0.0
         assert [ledger.mine_block().timestamp for _ in range(3)] == [1.0, 2.0, 3.0]
 
     def test_mining_identical_state_identical_digest(self):
         def build():
-            ledger = _fresh_ledger(rng_seed=4)
+            ledger = SimulatedLedger(rng_seed=4)
             key = keygen(SchemeId.NONE, 1)
             ledger.register_client(_address("a"), key.public_key, SchemeId.NONE)
             return ledger.mine_block(timestamp=123.0)
@@ -305,7 +313,7 @@ class TestMining:
 
 class TestChainIntegrity:
     def _populated_ledger(self) -> SimulatedLedger:
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         key = keygen(SchemeId.PQC, 3)
         addr = _address("client")
         ledger.register_client(addr, key.public_key, SchemeId.PQC)
@@ -353,13 +361,13 @@ class TestChainIntegrity:
         assert check.broken_height == len(chain.blocks) - 1
 
     def test_genesis_shape(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         genesis = ledger.chain.blocks[0]
         assert genesis.height == 0
         assert genesis.parent_hash == bytes(32)
 
     def test_empty_chain_rejected(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         chain = copy.deepcopy(ledger.chain)
         chain.blocks.clear()
         with pytest.raises(ValueError):
@@ -428,7 +436,7 @@ class TestReplay:
         keys = _client_keys(scheme)
         addrs = [_address(f"replay-{i}") for i in range(_CLIENTS)]
         other = SchemeId.ECDSA if scheme is SchemeId.NONE else SchemeId.NONE
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         # clients 0 and 1 start registered; client 2 only if an operation
         # registers it, so unregistered senders occur too
         for i in (0, 1):
@@ -459,14 +467,10 @@ class TestReplay:
             elif form == "short_payload":  # hash and signature under 32 bytes
                 digest, sig = digest[:16], Signature(scheme, b"")
             submit = ledger.submit_update if kind == "update" else ledger.submit_aggregation
-            if i not in registered:
-                with pytest.raises(UnregisteredClient):
-                    submit(addrs[i], rnd, digest, sig)
-                continue
-
             receipt = submit(addrs[i], rnd, digest, sig)
             slot = (rnd, addrs[i]) if kind == "update" else rnd
-            first = form == "valid" and slot not in expected[kind]
+            # an unregistered sender is rejected and charged like a bad signature
+            first = i in registered and form == "valid" and slot not in expected[kind]
             assert receipt.verified == first
             assert receipt.gas_used == ledger.gas.submit_gas(
                 sig.scheme, max(0, len(digest) + len(sig.bytes) - HASH_BYTES), first
@@ -496,7 +500,7 @@ class TestReplay:
 
 class TestExport:
     def test_one_json_record_per_block_hex_digests(self):
-        ledger = _fresh_ledger()
+        ledger = SimulatedLedger()
         key = keygen(SchemeId.NONE, 1)
         ledger.register_client(_address("a"), key.public_key, SchemeId.NONE)
         ledger.mine_block(timestamp=9.0)

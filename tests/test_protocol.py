@@ -63,9 +63,9 @@ def _fedavg_oracle(state, client_ids, round_seed_master):
     for cid in range(state.config.n_clients):
         if cid not in client_ids:
             continue
-        cfg = state.config.train.with_seed((round_seed_master ^ cid) & (2**64 - 1))
         local = fedcore.local_train(
-            state.global_params, state.train_set, state.partitions[cid], cfg
+            state.global_params, state.train_set, state.partitions[cid], state.config.train,
+            (round_seed_master ^ cid) & (2**64 - 1),
         )
         n = len(state.partitions[cid])
         total += n
@@ -251,7 +251,23 @@ class TestRunRound:
         assert (metrics.verified_count, metrics.rejected_count) == (1, 3)
         max_ulps = np.spacing(np.abs(oracle))
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
-        assert list(state.ledger.state.verified_updates) == [(1, state.client_addresses[3])]
+        assert list(state.ledger.state.verified_updates) == [(1, protocol._client_address(3))]
+        assert chain_verify(state.ledger.chain).intact
+
+    @pytest.mark.parametrize("client_id", [3, -1], ids=["n_clients", "minus_one"])
+    def test_unknown_client_id_rejected_round_completes(self, client_id):
+        cfg = _small_config(scheme=SchemeId.NONE)
+        state = init_phase(cfg)
+
+        def rename(sub):
+            return dataclasses.replace(sub, client_id=client_id) if sub.client_id == 0 else sub
+
+        oracle = _fedavg_oracle(init_phase(cfg), {1, 2}, cfg.master_seed)
+        metrics = run_round(state, 1, tamper_hook=rename)
+        # sent from an address nobody registered: rejected, charged, no write
+        assert (metrics.verified_count, metrics.rejected_count) == (2, 1)
+        max_ulps = np.spacing(np.abs(oracle))
+        assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
         assert chain_verify(state.ledger.chain).intact
 
     @pytest.mark.parametrize("scheme", [SchemeId.NONE, SchemeId.ECDSA], ids=["none", "ecdsa"])
