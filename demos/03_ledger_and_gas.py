@@ -45,7 +45,7 @@ broken = bytearray(signature.bytes)
 broken[42] ^= 0x10
 receipt = ledger.submit_update(address, 2, digest, Signature(SchemeId.PQC, bytes(broken)))
 print(f"tampered: status={receipt.status.value} gas={receipt.gas_used:,} "
-      f"records={len(ledger.state.verified_updates)}")
+      f"records={sum(map(len, ledger.state.verified_updates.values()))}")
 
 ledger.mine_block(timestamp=1.0)
 print(f"\nchain after mining: {len(ledger.chain.blocks)} blocks, "

@@ -58,4 +58,4 @@ metrics = run_round(state, 1, tamper_hook=corrupt_client_two)
 print(f"verified={metrics.verified_count} rejected={metrics.rejected_count} "
       f"accuracy={metrics.accuracy:.4f}")
 print("on-chain verified updates this round:",
-      sorted(r for (r, _a) in state.ledger.state.verified_updates))
+      len(state.ledger.state.verified_updates[1]))

@@ -21,6 +21,11 @@ roots commits to the whole state without storing it per block.
 :func:`chain_verify` replays every stored transaction from an empty state
 and compares each recomputed root with the block's.
 
+Verified update hashes are stored the way contract storage lays out a
+nested mapping: ``verified_updates[round][address] -> hash``. A round's
+inner table is created by its first verified update, so a rejected
+transaction writes nothing, not even an empty round entry.
+
 Gas for a transaction follows an affine cost model::
 
     gas = g_base + g_byte * len(payload) + g_store * records_written
@@ -104,7 +109,7 @@ _KIND_CODE = {kind: i for i, kind in enumerate(TxKind)}
 _SCHEME_CODE = {scheme: i for i, scheme in enumerate(SchemeId)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One ledger transaction; payload is pk bytes (REGISTER) or
     hash || signature (SUBMIT_*), as :meth:`registration` and
@@ -150,7 +155,7 @@ class Transaction:
         return hashlib.sha3_256(self.encode()).digest()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Receipt:
     tx_hash: bytes
     status: TxStatus
@@ -214,7 +219,7 @@ def calibrate_gas(targets: dict = None) -> GasModel:
     return GasModel(base.g_base, base.g_byte, base.g_store, g_verify)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     height: int
     parent_hash: bytes
@@ -246,12 +251,14 @@ def _next_root(root: bytes, records) -> bytes:
 class ContractState:
     """Registry, verified update hashes, and aggregation records.
 
-    Changed only through :meth:`apply`; keys are write-once.
+    Changed only through :meth:`apply`; keys are write-once. Verified
+    updates are kept per round, ``round -> {address -> hash}``; a round
+    appears only once one of its updates has been verified.
     """
 
     def __init__(self):
         self.registry: dict = {}            # address -> (pk bytes, SchemeId)
-        self.verified_updates: dict = {}    # (round, address) -> 32-byte hash
+        self.verified_updates: dict = {}    # round -> {address -> 32-byte hash}
         self.aggregation_records: dict = {} # round -> 32-byte hash
 
     def apply(self, tx: Transaction) -> tuple:
@@ -267,7 +274,9 @@ class ContractState:
         the payload is too short to hold the hash, when the signature does
         not verify under the registered key, when its sender has no
         registered key, or when its slot (round and sender for updates, round
-        for aggregations) is taken.
+        for aggregations) is taken. A verified update lands in
+        ``verified_updates[round][sender]``; the round's inner table is
+        created then, so a rejected transaction leaves no round entry.
         """
         if tx.kind is TxKind.REGISTER:
             if tx.sender in self.registry:
@@ -288,7 +297,7 @@ class ContractState:
         valid = verify(public_key, scheme, update_hash, sig)
 
         if tx.kind is TxKind.SUBMIT_UPDATE:
-            table, slot = self.verified_updates, (tx.round, tx.sender)
+            table, slot = self.verified_updates.get(tx.round, {}), tx.sender
             record = struct.pack(
                 "<Bq32s32s", _KIND_CODE[tx.kind], tx.round, tx.sender, update_hash
             )
@@ -297,6 +306,8 @@ class ContractState:
             record = struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
         if not valid or slot in table:
             return TxStatus.REJECTED, b""
+        if tx.kind is TxKind.SUBMIT_UPDATE:  # a round's first verified update stores its table
+            self.verified_updates[tx.round] = table
         table[slot] = update_hash
         return TxStatus.VERIFIED, record
 

@@ -74,7 +74,14 @@ def derive_seed(master_seed: int, *tags) -> int:
 
 @functools.cache  # one bytes object per client, shared by its transactions
 def _client_address(client_id: int) -> bytes:
-    return hashlib.sha3_256(b"client-address:" + struct.pack("<q", client_id)).digest()
+    """An id in the signed 64-bit range is packed in 8 bytes. Any other id,
+    which only a tampered submission carries, takes a longer two's-complement
+    encoding, so it maps to an address no client registered."""
+    try:
+        encoded = struct.pack("<q", client_id)
+    except struct.error:
+        encoded = client_id.to_bytes(client_id.bit_length() // 8 + 1, "little", signed=True)
+    return hashlib.sha3_256(b"client-address:" + encoded).digest()
 
 
 _AGGREGATOR_ADDRESS = hashlib.sha3_256(b"aggregator-address").digest()
@@ -359,7 +366,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         if (
             receipt.verified
             and sigsuite.digest_model(sub.params)
-            == state.ledger.state.verified_updates[(t, address)]
+            == state.ledger.state.verified_updates[t][address]
         ):
             n_samples = len(state.partitions[sub.client_id])
             updates.append(ClientUpdate(sub.client_id, sub.params, n_samples, t))

@@ -8,7 +8,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqsbfl.errors import InfeasibleCalibration
@@ -120,7 +120,7 @@ class TestSubmitUpdate:
         assert ledger.submit_update(addr, 1, d1, sign(key, d1)).verified
         replay = ledger.submit_update(addr, 1, d2, sign(key, d2))
         assert replay.status is TxStatus.REJECTED
-        assert ledger.state.verified_updates[(1, addr)] == d1
+        assert ledger.state.verified_updates == {1: {addr: d1}}
 
     def test_unregistered_client_rejected_and_charged(self):
         ledger = SimulatedLedger()
@@ -166,31 +166,37 @@ class TestSubmitUpdate:
 
 
 class TestVerifiedOnlyWrites:
-    def test_state_entries_exactly_match_valid_submissions(self):
-        # Exhaustive small trace: interleave valid and invalid submissions
-        # and check verified_updates holds exactly the valid set.
+    @settings(max_examples=20, deadline=None)
+    @given(corrupt=st.lists(st.booleans(), min_size=9, max_size=9), bit=st.integers(0, 2**16))
+    @example(corrupt=[True, True, True, True, False, False, False, True, False], bit=8 * 2068)
+    @example(corrupt=[False, True, False, True, True, True, True, False, True], bit=0)
+    def test_state_entries_exactly_match_valid_submissions(self, corrupt, bit):
+        # Interleave valid and tampered submissions over three rounds and
+        # check, after every one, that the per-round tables hold exactly the
+        # valid set and that no round has an empty table: a rejected
+        # submission must not create its round's entry.
         ledger = SimulatedLedger()
-        keys = {i: keygen(SchemeId.PQC, 50 + i) for i in range(3)}
+        keys = _client_keys(SchemeId.PQC)
         addrs = {i: _address(f"c{i}") for i in range(3)}
         for i in range(3):
             ledger.register_client(addrs[i], keys[i].public_key, SchemeId.PQC)
 
         expected = {}
-        rng = np.random.default_rng(7)
-        for rnd in (1, 2):
+        flags = iter(corrupt)
+        for rnd in (1, 2, 3):
             for i in range(3):
                 digest = hashlib.sha3_256(f"{rnd}-{i}".encode()).digest()
                 sig = sign(keys[i], digest)
-                corrupt = bool(rng.integers(0, 2))
-                if corrupt:
-                    bad = bytearray(sig.bytes)
-                    bad[int(rng.integers(0, len(bad)))] ^= 0x01
-                    sig = Signature(SchemeId.PQC, bytes(bad))
+                tampered = next(flags)
+                if tampered:
+                    sig = Signature(SchemeId.PQC, _flip_bit(sig.bytes, bit % (8 * len(sig.bytes))))
                 receipt = ledger.submit_update(addrs[i], rnd, digest, sig)
-                assert receipt.verified == (not corrupt)
-                if not corrupt:
+                assert receipt.verified == (not tampered)
+                if not tampered:
                     expected[(rnd, addrs[i])] = digest
-        assert ledger.state.verified_updates == expected
+                tables = ledger.state.verified_updates
+                assert all(tables.values())
+                assert {(r, a): h for r, t in tables.items() for a, h in t.items()} == expected
 
 
 class TestSubmitAggregation:
@@ -468,15 +474,20 @@ class TestReplay:
                 digest, sig = digest[:16], Signature(scheme, b"")
             submit = ledger.submit_update if kind == "update" else ledger.submit_aggregation
             receipt = submit(addrs[i], rnd, digest, sig)
-            slot = (rnd, addrs[i]) if kind == "update" else rnd
+            if kind == "update":
+                table, slot = expected["update"].get(rnd, {}), addrs[i]
+            else:
+                table, slot = expected["aggregation"], rnd
             # an unregistered sender is rejected and charged like a bad signature
-            first = i in registered and form == "valid" and slot not in expected[kind]
+            first = i in registered and form == "valid" and slot not in table
             assert receipt.verified == first
             assert receipt.gas_used == ledger.gas.submit_gas(
                 sig.scheme, max(0, len(digest) + len(sig.bytes) - HASH_BYTES), first
             )
             if first:
-                expected[kind][slot] = digest
+                if kind == "update":
+                    expected["update"][rnd] = table
+                table[slot] = digest
                 stored.append(receipt.tx_hash)
 
         ledger.mine_block()

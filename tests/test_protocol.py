@@ -251,10 +251,15 @@ class TestRunRound:
         assert (metrics.verified_count, metrics.rejected_count) == (1, 3)
         max_ulps = np.spacing(np.abs(oracle))
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
-        assert list(state.ledger.state.verified_updates) == [(1, protocol._client_address(3))]
+        assert {r: list(t) for r, t in state.ledger.state.verified_updates.items()} == {
+            1: [protocol._client_address(3)]
+        }
         assert chain_verify(state.ledger.chain).intact
 
-    @pytest.mark.parametrize("client_id", [3, -1], ids=["n_clients", "minus_one"])
+    @pytest.mark.parametrize(
+        "client_id", [3, -1, 2**63, -(2**63) - 1],
+        ids=["n_clients", "minus_one", "two_pow_63", "below_int64"],
+    )
     def test_unknown_client_id_rejected_round_completes(self, client_id):
         cfg = _small_config(scheme=SchemeId.NONE)
         state = init_phase(cfg)
