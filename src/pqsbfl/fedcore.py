@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 HIDDEN_WIDTH = 32
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -175,7 +176,8 @@ def generate_synthetic(
 
 def load_csv(path) -> Dataset:
     """Load a feature dataset: header row, one sample per row, last column
-    an integer class label. Ragged rows are rejected."""
+    an integer class label. Ragged rows, and features that are NaN, infinite
+    or outside the float32 range, are rejected."""
     rows = []
     try:
         fh = open(path, newline="")
@@ -198,6 +200,8 @@ def load_csv(path) -> Dataset:
                 label = int(row[-1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
+            if not all(abs(v) <= _FLOAT32_MAX for v in feats):  # false for NaN too
+                raise ParseError(f"{path}:{lineno}: feature is not a finite float32 value")
             if label < 0:
                 raise ParseError(f"{path}:{lineno}: negative class label {label}")
             rows.append((feats, label))
@@ -210,6 +214,10 @@ def load_csv(path) -> Dataset:
 
 def split_train_test(dataset: Dataset, seed: int, test_fraction: float = 0.2):
     """Deterministic shuffled split into disjoint train/test datasets."""
+    if dataset.n_samples < 2:
+        raise InvalidDimensions(
+            f"need at least 2 samples to split into train and test, got {dataset.n_samples}"
+        )
     rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.n_samples)
     n_test = max(1, int(round(test_fraction * dataset.n_samples)))
@@ -225,42 +233,49 @@ def partition_dirichlet(
 ) -> list[Partition]:
     """Split sample indices across clients with Dirichlet(alpha) class skew.
 
-    Per class, client proportions are drawn from a symmetric Dirichlet; small
-    alpha concentrates each class on few clients. The result is always a true
-    partition: disjoint, covering, and every client non-empty (if a client
-    would come up empty it receives one sample from the largest partition).
+    For each class in class order, the class's indices are permuted and
+    client proportions are drawn from a symmetric Dirichlet; small alpha
+    concentrates each class on few clients. The proportions' rounded running
+    sums cut the permutation into contiguous pieces, one per client in client
+    order: position p goes to the client numbered by how many cuts are <= p.
+
+    The result is always a true partition: disjoint, covering, and every
+    client non-empty. Empty clients are repaired in ascending id; each takes
+    the last-received sample (in class-then-cut order) of the currently
+    largest partition, the lowest id winning ties. Each client's indices are
+    ascending int64.
     """
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     if not (alpha > 0 and math.isfinite(alpha)):  # also rejects NaN
         raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if n_clients > dataset.n_samples:
-        raise TooManyClients(
-            f"{n_clients} clients but only {dataset.n_samples} samples"
-        )
+        raise TooManyClients(f"{n_clients} clients but only {dataset.n_samples} samples")
 
     rng = np.random.default_rng(seed)
-    buckets = [[] for _ in range(n_clients)]
+    received, owners = [], []  # samples in class-then-cut order, and their clients
     for c in range(dataset.n_classes):
         idx = np.flatnonzero(dataset.labels == c)
         if len(idx) == 0:
             continue
-        idx = rng.permutation(idx)
+        received.append(rng.permutation(idx))
         proportions = rng.dirichlet(np.full(n_clients, alpha))
         cuts = (np.cumsum(proportions)[:-1] * len(idx)).round().astype(int)
-        for client, chunk in enumerate(np.split(idx, cuts)):
-            buckets[client].extend(chunk.tolist())
+        owners.append(np.searchsorted(cuts, np.arange(len(idx)), side="right"))
 
-    # Repair empties by pulling single samples off the largest bucket.
-    for client in range(n_clients):
-        while not buckets[client]:
-            donor = max(range(n_clients), key=lambda i: len(buckets[i]))
-            buckets[client].append(buckets[donor].pop())
+    # n_samples >= n_clients, so a donor (the largest) holds >= 2 and never empties.
+    owner = np.concatenate(owners)
+    counts = np.bincount(owner, minlength=n_clients)
+    for client in np.flatnonzero(counts == 0):
+        donor = counts.argmax()
+        owner[np.flatnonzero(owner == donor)[-1]] = client
+        counts[[donor, client]] += (-1, 1)
 
-    return [
-        Partition(client, np.sort(np.asarray(bucket, dtype=np.int64)))
-        for client, bucket in enumerate(buckets)
-    ]
+    owner_of = np.empty_like(owner)
+    owner_of[np.concatenate(received)] = owner
+    by_client = np.argsort(owner_of, kind="stable").astype(np.int64, copy=False)
+    ends, sizes = np.cumsum(counts).tolist(), counts.tolist()
+    return [Partition(c, by_client[e - k:e]) for c, (e, k) in enumerate(zip(ends, sizes))]
 
 
 def _model_layout(n_features: int, n_classes: int, hidden: int = HIDDEN_WIDTH):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqsbfl.errors import (
@@ -27,11 +27,46 @@ from pqsbfl.fedcore import (
     load_csv,
     local_train,
     partition_dirichlet,
+    split_train_test,
 )
 
 
 def _full_partition(dataset: Dataset) -> Partition:
     return Partition(0, np.arange(dataset.n_samples))
+
+
+def _reference_partition(dataset, n_clients, alpha, seed):
+    """Frozen loop-based partition_dirichlet (per-client buckets), the oracle
+    the one-pass version must match byte for byte."""
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in range(n_clients)]
+    for c in range(dataset.n_classes):
+        idx = np.flatnonzero(dataset.labels == c)
+        if len(idx) == 0:
+            continue
+        idx = rng.permutation(idx)
+        proportions = rng.dirichlet(np.full(n_clients, alpha))
+        cuts = (np.cumsum(proportions)[:-1] * len(idx)).round().astype(int)
+        for client, chunk in enumerate(np.split(idx, cuts)):
+            buckets[client].extend(chunk.tolist())
+
+    for client in range(n_clients):
+        while not buckets[client]:
+            donor = max(range(n_clients), key=lambda i: len(buckets[i]))
+            buckets[client].append(buckets[donor].pop())
+
+    return [
+        Partition(client, np.sort(np.asarray(bucket, dtype=np.int64)))
+        for client, bucket in enumerate(buckets)
+    ]
+
+
+# Both oracle datasets hold 48 training samples; the second has no class 1.
+_ORACLE_TRAIN = 48
+_ORACLE_DATASETS = {
+    "synthetic": generate_synthetic(4, 60, 6, 4)[0],
+    "absent-class": Dataset(np.zeros((_ORACLE_TRAIN, 2)), np.tile([0, 2, 2], 16), 3),
+}
 
 
 class TestGenerateSynthetic:
@@ -100,6 +135,27 @@ class TestPartitionDirichlet:
                 counts = np.bincount(train.labels[p.sample_indices], minlength=5)
                 skew.append(counts.max() / counts.sum())
             assert max(skew) > 0.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(_ORACLE_DATASETS)),
+        seed=st.integers(0, 2**64 - 1),
+        n_clients=st.integers(1, _ORACLE_TRAIN),
+        alpha=st.floats(0.01, 20.0),
+    )
+    @example(name="synthetic", seed=0, n_clients=_ORACLE_TRAIN - 1, alpha=0.01)
+    @example(name="synthetic", seed=1, n_clients=_ORACLE_TRAIN, alpha=0.5)
+    @example(name="absent-class", seed=2, n_clients=_ORACLE_TRAIN - 1, alpha=20.0)
+    @example(name="absent-class", seed=3, n_clients=_ORACLE_TRAIN, alpha=0.01)
+    def test_matches_loop_reference(self, name, seed, n_clients, alpha):
+        train = _ORACLE_DATASETS[name]
+        assert train.n_samples == _ORACLE_TRAIN
+        got = partition_dirichlet(train, n_clients, alpha, seed)
+        want = _reference_partition(train, n_clients, alpha, seed)
+        assert [p.client_id for p in got] == [p.client_id for p in want]
+        for g, w in zip(got, want):
+            assert g.sample_indices.dtype == np.int64
+            assert np.array_equal(g.sample_indices, w.sample_indices)
 
     def test_too_many_clients(self):
         train, _ = generate_synthetic(4, 40, 6, 4)
@@ -304,8 +360,25 @@ class TestCsvIngestion:
         with pytest.raises(ParseError):
             load_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e39"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,0\n0.5,{value},1\n")
+        with pytest.raises(ParseError, match="finite") as exc:
+            load_csv(path)
+        assert f"{path}:3:" in str(exc.value)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ParseError):
             load_csv(path)
+
+    def test_split_needs_two_samples(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text("f0,label\n1.0,0\n")
+        with pytest.raises(InvalidDimensions, match="at least 2 samples to split"):
+            split_train_test(load_csv(path), seed=0)
+        path.write_text("f0,label\n1.0,0\n2.0,1\n")
+        train, test = split_train_test(load_csv(path), seed=0)
+        assert (train.n_samples, test.n_samples) == (1, 1)
