@@ -176,8 +176,9 @@ def generate_synthetic(
 
 def load_csv(path) -> Dataset:
     """Load a feature dataset: header row, one sample per row, last column
-    an integer class label. Ragged rows, and features that are NaN, infinite
-    or outside the float32 range, are rejected."""
+    an integer class label. A header without a feature column, ragged rows,
+    and features that are NaN, infinite or outside the float32 range, are
+    rejected."""
     rows = []
     try:
         fh = open(path, newline="")
@@ -190,6 +191,8 @@ def load_csv(path) -> Dataset:
         except StopIteration:
             raise ParseError(f"{path}: empty file") from None
         width = len(header)
+        if width < 2:
+            raise ParseError(f"{path}:1: need at least one feature column before the label")
         for lineno, row in enumerate(reader, start=2):
             if len(row) != width:
                 raise ParseError(

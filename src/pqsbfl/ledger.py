@@ -18,13 +18,20 @@ starting from 32 zero bytes before genesis. A record is an injective
 encoding of one write (a registration with its scheme, a verified update
 hash, or an aggregation record); records are write-once, so the sequence of
 roots commits to the whole state without storing it per block.
-:func:`chain_verify` replays every stored transaction from an empty state
-and compares each recomputed root with the block's.
+
+A block is a header plus a body, as in Bitcoin and Ethereum: the header
+(height, parent digest, transaction hashes, state root, timestamp) is what
+:meth:`Block.encode` and the block hash cover, and the body is the block's
+transactions in order. :func:`chain_verify` checks each body against its
+header's transaction hashes, replays the bodies from an empty state and
+compares each recomputed root with the block's.
 
 Verified update hashes are stored the way contract storage lays out a
 nested mapping: ``verified_updates[round][address] -> hash``. A round's
 inner table is created by its first verified update, so a rejected
-transaction writes nothing, not even an empty round entry.
+transaction writes nothing, not even an empty round entry. The stored hash
+is the submitting transaction's own :attr:`Transaction.update_hash`, so
+the live contract and a replay hold one hash object per verified update.
 
 Gas for a transaction follows an affine cost model::
 
@@ -118,6 +125,9 @@ class Transaction:
     A registration needs a non-empty key. A submit payload may have any
     length, empty included: the contract rejects one too short to hold a
     32-byte hash, so a client cannot make a transaction fail to form.
+
+    ``update_hash`` is derived, not passed: a submit's payload prefix that
+    holds the hash (sliced once, here), None for a registration.
     """
 
     kind: TxKind
@@ -125,12 +135,17 @@ class Transaction:
     round: int
     payload: bytes
     scheme: SchemeId
+    update_hash: bytes | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sender) != ADDRESS_BYTES:
             raise ValueError(f"sender must be {ADDRESS_BYTES} bytes")
-        if self.kind is TxKind.REGISTER and not self.payload:
-            raise ValueError("registration payload must be non-empty")
+        if self.kind is TxKind.REGISTER:
+            if not self.payload:
+                raise ValueError("registration payload must be non-empty")
+            object.__setattr__(self, "update_hash", None)
+        else:
+            object.__setattr__(self, "update_hash", self.payload[:HASH_BYTES])
 
     @classmethod
     def registration(cls, address: bytes, public_key: bytes, scheme: SchemeId) -> "Transaction":
@@ -221,11 +236,16 @@ def calibrate_gas(targets: dict = None) -> GasModel:
 
 @dataclass(frozen=True, slots=True)
 class Block:
+    """A block header and its body. The header fields are what
+    :meth:`encode` and :meth:`block_hash` cover; ``transactions``, the body,
+    holds the transactions ``tx_hashes`` commits to, in the same order."""
+
     height: int
     parent_hash: bytes
     tx_hashes: tuple
     state_root: bytes
     timestamp: float
+    transactions: tuple = field(repr=False, compare=False)
 
     def encode(self) -> bytes:
         out = bytearray(struct.pack("<q", self.height))
@@ -292,7 +312,7 @@ class ContractState:
         public_key, scheme = self.registry.get(tx.sender, (None, None))
         if tx.scheme is not scheme or len(tx.payload) < HASH_BYTES:
             return TxStatus.REJECTED, b""
-        update_hash = tx.payload[:HASH_BYTES]
+        update_hash = tx.update_hash
         sig = Signature(scheme, tx.payload[HASH_BYTES:])
         valid = verify(public_key, scheme, update_hash, sig)
 
@@ -314,16 +334,15 @@ class ContractState:
 
 @dataclass
 class Chain:
-    """Append-only block chain plus every transaction its blocks list.
+    """Append-only block chain; each block carries its transactions.
 
     Each block's ``state_root`` folds the records its transactions wrote
     into the previous block's root, so the chain stores no state: replaying
-    ``tx_store`` in block order rebuilds it (see :func:`chain_verify`).
+    the block bodies in order rebuilds it (see :func:`chain_verify`).
     """
 
     blocks: list = field(default_factory=list)
     head_hash: bytes = _ZERO32
-    tx_store: dict = field(default_factory=dict)       # tx_hash -> Transaction
 
     @property
     def height(self) -> int:
@@ -341,10 +360,11 @@ class SimulatedLedger:
 
     Every contract call returns a :class:`Receipt`; gas is charged whether or
     not the call succeeds. Processed transactions wait in a pending list,
-    with the records they wrote, and are packaged FIFO into the next mined
-    block. ``latency`` is the ``(low, high)`` bounds of each receipt's
-    confirmation time in seconds: exactly ``low`` when the bounds are equal,
-    otherwise one uniform draw from the ledger's ``rng_seed`` stream.
+    with their hashes and the records they wrote, and are packaged FIFO into
+    the next mined block, which keeps them as its body. ``latency`` is the
+    ``(low, high)`` bounds of each receipt's confirmation time in seconds:
+    exactly ``low`` when the bounds are equal, otherwise one uniform draw
+    from the ledger's ``rng_seed`` stream.
     """
 
     def __init__(
@@ -358,13 +378,14 @@ class SimulatedLedger:
         self.state = ContractState()
         self.chain = Chain()
         self._rng = np.random.default_rng(rng_seed)
-        self._pending: list = []  # (tx_hash, record written) per transaction
+        self._pending: list = []  # (tx, tx_hash, record written) per transaction
         genesis = Block(
             height=0,
             parent_hash=_ZERO32,
             tx_hashes=(),
             state_root=_next_root(_ZERO32, ()),
             timestamp=0.0,
+            transactions=(),
         )
         self.chain.blocks.append(genesis)
         self.chain.head_hash = genesis.block_hash()
@@ -375,8 +396,7 @@ class SimulatedLedger:
         status, record = self.state.apply(tx)
         verify_ms = (time.perf_counter() - t0) * 1e3
         tx_hash = tx.tx_hash()
-        self._pending.append((tx_hash, record))
-        self.chain.tx_store[tx_hash] = tx
+        self._pending.append((tx, tx_hash, record))
         if tx.kind is TxKind.REGISTER:
             gas = self.gas.register_gas(len(tx.payload))
         else:
@@ -424,7 +444,8 @@ class SimulatedLedger:
         )
 
     def mine_block(self, timestamp: float = None) -> Block:
-        """Package all pending transactions FIFO into a new block.
+        """Package all pending transactions FIFO into a new block, which
+        keeps them as its body.
 
         Its state root folds the records they wrote into the previous
         block's root, so mining costs time in the block's size, not the
@@ -432,17 +453,18 @@ class SimulatedLedger:
         which keeps the head hash reproducible for a fixed transaction
         sequence.
         """
+        pending, self._pending = self._pending, []
         height = len(self.chain.blocks)
         block = Block(
             height=height,
             parent_hash=self.chain.head_hash,
-            tx_hashes=tuple(tx_hash for tx_hash, _ in self._pending),
+            tx_hashes=tuple(tx_hash for _, tx_hash, _ in pending),
             state_root=_next_root(
-                self.chain.blocks[-1].state_root, (r for _, r in self._pending)
+                self.chain.blocks[-1].state_root, (r for _, _, r in pending)
             ),
             timestamp=float(height) if timestamp is None else timestamp,
+            transactions=tuple(tx for tx, _, _ in pending),
         )
-        self._pending = []
         self.chain.blocks.append(block)
         self.chain.head_hash = block.block_hash()
         return block
@@ -452,15 +474,15 @@ def chain_verify(chain: Chain) -> ChainCheck:
     """Replay the chain from genesis and recheck every hash link and root.
 
     Starting from an empty :class:`ContractState`, re-executes each block's
-    stored transactions in order through :meth:`ContractState.apply`, which
-    re-verifies every submit signature against the registry the replay has
-    built, and folds the records they write into the running root.
+    body in order through :meth:`ContractState.apply`, which re-verifies
+    every submit signature against the registry the replay has built, and
+    folds the records they write into the running root.
 
     Returns intact only if every block has its index as height, links to
-    the previous block's digest, lists only stored transactions that
-    re-hash to their ids, and carries the replayed state root, and the last
-    block hashes to the chain's recorded head hash. Otherwise
-    ``broken_height`` is the first height that fails. A submit from an
+    the previous block's digest, carries a body whose transactions re-hash,
+    one for one and in order, to its ``tx_hashes``, and carries the replayed
+    state root, and the last block hashes to the chain's recorded head hash.
+    Otherwise ``broken_height`` is the first height that fails. A submit from an
     address the replay has not registered replays as rejected, so a chain
     whose block claims it wrote a record fails at that block's root.
     """
@@ -472,13 +494,12 @@ def chain_verify(chain: Chain) -> ChainCheck:
         expected_parent = _ZERO32 if i == 0 else chain.blocks[i - 1].block_hash()
         if block.height != i or block.parent_hash != expected_parent:
             return ChainCheck(False, i)
-        records = []
-        for txh in block.tx_hashes:
-            tx = chain.tx_store.get(txh)
-            if tx is None or tx.tx_hash() != txh:
-                return ChainCheck(False, i)
-            records.append(state.apply(tx)[1])
-        root = _next_root(root, records)
+        body = block.transactions
+        if len(body) != len(block.tx_hashes) or any(
+            tx.tx_hash() != txh for tx, txh in zip(body, block.tx_hashes)
+        ):
+            return ChainCheck(False, i)
+        root = _next_root(root, (state.apply(tx)[1] for tx in body))
         if block.state_root != root:
             return ChainCheck(False, i)
     if chain.blocks[-1].block_hash() != chain.head_hash:

@@ -231,7 +231,8 @@ class SystemState:
     aggregator_address: bytes
     ledger: SimulatedLedger  # charges zero gas without a blockchain
     initial_accuracy: float
-    sig_sizes_seen: list = field(default_factory=list)
+    sig_bytes_total: int = 0  # over every submission sent, for the mean size
+    sig_count: int = 0
 
 
 def init_phase(config: ExperimentConfig) -> SystemState:
@@ -357,7 +358,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     receipts = []
     updates = []
     for sub in submissions:
-        state.sig_sizes_seen.append(len(sub.sig.bytes))
+        state.sig_bytes_total += len(sub.sig.bytes)
+        state.sig_count += 1
         address = _client_address(sub.client_id)
         receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
         receipts.append(receipt)
@@ -478,11 +480,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     metrics = [run_round(state, t) for t in range(1, config.rounds + 1)]
 
     key = state.client_keys[0]
-    sizes = state.sig_sizes_seen
     crypto_sizes = {
         "public_key_b": len(key.public_key),
         "private_key_b": len(key.private_key),
-        "sig_size_mean_b": (sum(sizes) / len(sizes)) if sizes else 0.0,
+        "sig_size_mean_b": (
+            state.sig_bytes_total / state.sig_count if state.sig_count else 0.0
+        ),
     }
 
     final_accuracy = metrics[-1].accuracy if metrics else state.initial_accuracy

@@ -283,12 +283,16 @@ def test_c10_ledger_integrity():
         kind = rng.choice(["tx", "state_root", "parent", "timestamp", "rewrite", "height"])
         height = int(rng.integers(1, len(mutated.blocks)))
         block = mutated.blocks[height]
-        submits = [h for h in block.tx_hashes if mutated.tx_store[h].kind is not TxKind.REGISTER]
+        body = block.transactions
+        submits = [i for i, tx in enumerate(body) if tx.kind is not TxKind.REGISTER]
         if kind == "tx" and block.tx_hashes:
-            txh = block.tx_hashes[int(rng.integers(0, len(block.tx_hashes)))]
-            tx = mutated.tx_store[txh]
+            i = int(rng.integers(0, len(block.tx_hashes)))
+            tx = body[i]
             payload = _flip_bit(tx.payload, int(rng.integers(0, len(tx.payload) * 8)))
-            mutated.tx_store[txh] = Transaction(tx.kind, tx.sender, tx.round, payload, tx.scheme)
+            forged = Transaction(tx.kind, tx.sender, tx.round, payload, tx.scheme)
+            mutated.blocks[height] = dataclasses.replace(
+                block, transactions=body[:i] + (forged,) + body[i + 1:]
+            )
         elif kind == "state_root":
             root = _flip_bit(block.state_root, int(rng.integers(0, 256)))
             mutated.blocks[height] = dataclasses.replace(block, state_root=root)
@@ -301,13 +305,15 @@ def test_c10_ledger_integrity():
             # A consistent forgery: the rewritten submission is re-keyed and
             # every later link and the head re-hashed, so only the replayed
             # state root can tell.
-            txh = submits[int(rng.integers(0, len(submits)))]
-            tx = mutated.tx_store.pop(txh)
+            i = submits[int(rng.integers(0, len(submits)))]
+            tx = body[i]
             payload = _flip_bit(tx.payload, int(rng.integers(0, len(tx.payload) * 8)))
             forged = Transaction(tx.kind, tx.sender, tx.round, payload, tx.scheme)
-            mutated.tx_store[forged.tx_hash()] = forged
-            hashes = tuple(forged.tx_hash() if h == txh else h for h in block.tx_hashes)
-            mutated.blocks[height] = dataclasses.replace(block, tx_hashes=hashes)
+            mutated.blocks[height] = dataclasses.replace(
+                block,
+                tx_hashes=block.tx_hashes[:i] + (forged.tx_hash(),) + block.tx_hashes[i + 1:],
+                transactions=body[:i] + (forged,) + body[i + 1:],
+            )
             for h in range(height + 1, len(mutated.blocks)):
                 mutated.blocks[h] = dataclasses.replace(
                     mutated.blocks[h], parent_hash=mutated.blocks[h - 1].block_hash()

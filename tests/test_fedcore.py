@@ -368,6 +368,13 @@ class TestCsvIngestion:
             load_csv(path)
         assert f"{path}:3:" in str(exc.value)
 
+    def test_label_only_header_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("label\n" + "0\n1\n" * 4)
+        with pytest.raises(ParseError, match="feature column") as exc:
+            load_csv(path)
+        assert f"{path}:1:" in str(exc.value)
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

@@ -23,6 +23,7 @@ from pqsbfl.ledger import (
     chain_verify,
     export_chain,
 )
+from pqsbfl.protocol import ExperimentConfig, init_phase, run_round
 from pqsbfl.sigsuite import HASH_BYTES, SchemeId, Signature, keygen, sign
 
 
@@ -338,14 +339,46 @@ class TestChainIntegrity:
         ledger = self._populated_ledger()
         chain = copy.deepcopy(ledger.chain)
         target = chain.blocks[3]
-        txh = target.tx_hashes[0]
-        tx = chain.tx_store[txh]
+        tx = target.transactions[0]
         mutated = bytearray(tx.payload)
         mutated[5] ^= 0x01
-        chain.tx_store[txh] = Transaction(tx.kind, tx.sender, tx.round, bytes(mutated), tx.scheme)
+        forged = Transaction(tx.kind, tx.sender, tx.round, bytes(mutated), tx.scheme)
+        chain.blocks[3] = dataclasses.replace(
+            target, transactions=(forged,) + target.transactions[1:]
+        )
         check = chain_verify(chain)
         assert not check.intact
         assert check.broken_height == 3
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: body[:-1],              # drop one
+            lambda body: body + body[-1:],       # duplicate one
+            lambda body: body[::-1],             # swap two
+        ],
+        ids=["drop", "duplicate", "swap"],
+    )
+    def test_edited_body_detected_at_height(self, edit):
+        ledger = SimulatedLedger()
+        keys = [keygen(SchemeId.NONE, 10 + i) for i in range(2)]
+        addrs = [_address(f"body-{i}") for i in range(2)]
+        for addr, key in zip(addrs, keys):
+            ledger.register_client(addr, key.public_key, SchemeId.NONE)
+        ledger.mine_block()
+        for addr, key in zip(addrs, keys):
+            digest = hashlib.sha3_256(addr).digest()
+            ledger.submit_update(addr, 1, digest, sign(key, digest))
+        ledger.mine_block()
+        ledger.mine_block()
+        chain = copy.deepcopy(ledger.chain)
+        assert chain_verify(chain).intact
+        target = chain.blocks[2]
+        assert len(target.transactions) == 2
+        chain.blocks[2] = dataclasses.replace(target, transactions=edit(target.transactions))
+        check = chain_verify(chain)
+        assert not check.intact
+        assert check.broken_height == 2
 
     def test_mutated_state_root_detected(self):
         ledger = self._populated_ledger()
@@ -380,6 +413,25 @@ class TestChainIntegrity:
             chain_verify(chain)
 
 
+class TestBlockBody:
+    def test_verified_update_is_the_transactions_hash_slot(self):
+        cfg = ExperimentConfig(
+            scheme=SchemeId.NONE, n_clients=3, rounds=1, master_seed=5,
+            synth_samples=300, synth_features=8, synth_classes=3,
+        )
+        state = init_phase(cfg)
+        run_round(state, 1)
+        ledger = state.ledger
+        submits = [
+            tx for tx in ledger.chain.blocks[-1].transactions if tx.kind is TxKind.SUBMIT_UPDATE
+        ]
+        assert len(submits) == cfg.n_clients
+        for tx in submits:
+            assert ledger.state.verified_updates[1][tx.sender] is tx.update_hash
+        registrations = ledger.chain.blocks[1].transactions
+        assert registrations and all(tx.update_hash is None for tx in registrations)
+
+
 def _flip_bit(data: bytes, bit: int) -> bytes:
     out = bytearray(data)
     out[bit // 8] ^= 1 << (bit % 8)
@@ -387,15 +439,18 @@ def _flip_bit(data: bytes, bit: int) -> bytes:
 
 
 def _rewrite_payload(chain, height: int, txh: bytes, bit: int):
-    """Flip one payload bit of stored transaction ``txh`` in block
-    ``height``, re-key it, and re-link every block above it and the head,
-    so that only the state roots can disagree with the history."""
-    tx = chain.tx_store.pop(txh)
-    forged = dataclasses.replace(tx, payload=_flip_bit(tx.payload, bit % (8 * len(tx.payload))))
-    chain.tx_store[forged.tx_hash()] = forged
+    """Flip one payload bit of transaction ``txh`` in block ``height``'s
+    body, re-key it, and re-link every block above it and the head, so that
+    only the state roots can disagree with the history."""
     block = chain.blocks[height]
-    hashes = tuple(forged.tx_hash() if h == txh else h for h in block.tx_hashes)
-    chain.blocks[height] = dataclasses.replace(block, tx_hashes=hashes)
+    i = block.tx_hashes.index(txh)
+    tx = block.transactions[i]
+    forged = dataclasses.replace(tx, payload=_flip_bit(tx.payload, bit % (8 * len(tx.payload))))
+    chain.blocks[height] = dataclasses.replace(
+        block,
+        tx_hashes=block.tx_hashes[:i] + (forged.tx_hash(),) + block.tx_hashes[i + 1:],
+        transactions=block.transactions[:i] + (forged,) + block.transactions[i + 1:],
+    )
     for h in range(height + 1, len(chain.blocks)):
         chain.blocks[h] = dataclasses.replace(
             chain.blocks[h], parent_hash=chain.blocks[h - 1].block_hash()

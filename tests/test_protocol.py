@@ -344,6 +344,28 @@ class TestRunExperiment:
         for m in report.rounds:
             assert m.verified_count + m.rejected_count == report.config.n_clients
 
+    @pytest.mark.parametrize("scheme,expected", [(SchemeId.PQC, 3309.0), (SchemeId.NONE, 32.0)])
+    def test_sig_size_mean_pinned(self, scheme, expected):
+        report = run_experiment(_small_config(scheme=scheme))
+        assert report.crypto_sizes["sig_size_mean_b"] == expected
+
+    def test_ecdsa_sig_size_mean_is_mean_of_sent_signatures(self):
+        # RFC 6979 signing is deterministic, so a second run of the same
+        # config sends the same DER signatures.
+        cfg = _small_config(scheme=SchemeId.ECDSA, rounds=3)
+        sizes = []
+
+        def record(sub):
+            sizes.append(len(sub.sig.bytes))
+            return sub
+
+        state = init_phase(cfg)
+        for t in range(1, cfg.rounds + 1):
+            run_round(state, t, tamper_hook=record)
+        report = run_experiment(cfg)
+        assert len(sizes) == cfg.n_clients * cfg.rounds
+        assert report.crypto_sizes["sig_size_mean_b"] == sum(sizes) / len(sizes)
+
     def test_report_json_serializable(self):
         import json
 
