@@ -50,7 +50,7 @@ print()
 print("primitive timings (means over 50 trials, one warm-up excluded)")
 print("-" * 60)
 for scheme in (SchemeId.PQC, SchemeId.ECDSA, SchemeId.NONE):
-    t = measure_primitives(scheme, trials=50, message_len=32)
+    t = measure_primitives(scheme, trials=50)
     print(
         f"{scheme.value:>5}: keygen {t.keygen_ms:8.3f} ms  "
         f"sign {t.sign_ms:7.3f} ms  verify {t.verify_ms:7.3f} ms"

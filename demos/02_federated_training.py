@@ -30,10 +30,10 @@ print(f"train {train_set.n_samples} samples, test {test_set.n_samples}, "
 # one or two classes, which is what makes federated averaging interesting.
 partitions = partition_dirichlet(train_set, N_CLIENTS, alpha=0.5, seed=SEED)
 print("\nper-client class histograms (alpha=0.5)")
-for part in partitions:
-    counts = np.bincount(train_set.labels[part.sample_indices],
+for client_id, part in enumerate(partitions):
+    counts = np.bincount(train_set.labels[part],
                          minlength=train_set.n_classes)
-    print(f"  client {part.client_id}: n={len(part):4d}  {counts.tolist()}")
+    print(f"  client {client_id}: n={len(part):4d}  {counts.tolist()}")
 
 global_params = init_params(train_set.n_features, train_set.n_classes, seed=SEED)
 print(f"\ninitial accuracy: {evaluate(global_params, test_set):.4f}")
@@ -41,9 +41,9 @@ print(f"\ninitial accuracy: {evaluate(global_params, test_set):.4f}")
 cfg = TrainConfig()  # 5 local epochs, batch 64, Adam at 0.001
 for round_number in range(1, 11):
     updates = []
-    for part in partitions:
-        local = local_train(global_params, train_set, part, cfg, SEED ^ part.client_id)
-        updates.append(ClientUpdate(part.client_id, local, len(part), round_number))
+    for client_id, part in enumerate(partitions):
+        local = local_train(global_params, train_set, part, cfg, SEED ^ client_id)
+        updates.append(ClientUpdate(client_id, local, len(part)))
     global_params = aggregate(updates)  # weighted by each client's sample count
     acc = evaluate(global_params, test_set)
     print(f"round {round_number:2d}: accuracy {acc:.4f}")

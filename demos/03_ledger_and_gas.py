@@ -47,7 +47,7 @@ receipt = ledger.submit_update(address, 2, digest, Signature(SchemeId.PQC, bytes
 print(f"tampered: status={receipt.status.value} gas={receipt.gas_used:,} "
       f"records={sum(map(len, ledger.state.verified_updates.values()))}")
 
-ledger.mine_block(timestamp=1.0)
+ledger.mine_block()
 print(f"\nchain after mining: {len(ledger.chain.blocks)} blocks, "
       f"intact={chain_verify(ledger.chain).intact}")
 

@@ -14,7 +14,6 @@ from .fedcore import (
     ClientUpdate,
     Dataset,
     ModelParams,
-    Partition,
     TrainConfig,
     aggregate,
     canonical_bytes,

@@ -31,7 +31,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import InsufficientPoints, ParseError, PqsBflError, ValidationError
-from .ledger import CALIBRATION_SIG_SIZES
 from .protocol import (
     SUMMARY_FIELDS,
     ExperimentConfig,
@@ -390,7 +389,7 @@ def emit_crypto_table(schemes, trials: int = 100) -> list:
                 "keygen_ms": timing.keygen_ms,
                 "sign_ms": timing.sign_ms,
                 "verify_ms": timing.verify_ms,
-                "sig_size_b": CALIBRATION_SIG_SIZES[scheme],
+                "sig_size_b": timing.sig_size_b,
                 "public_key_b": len(key.public_key),
                 "private_key_b": len(key.private_key),
             }
@@ -437,7 +436,7 @@ def main(argv=None) -> int:
                 print(
                     f"{row['scheme']:>5}: keygen {row['keygen_ms']:.3f} ms  "
                     f"sign {row['sign_ms']:.3f} ms  verify {row['verify_ms']:.3f} ms  "
-                    f"sig {row['sig_size_b']} B"
+                    f"sig {row['sig_size_b']:.1f} B"
                 )
             return 0
 

@@ -33,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "Dataset",
-    "Partition",
     "ModelParams",
     "TrainConfig",
     "ClientUpdate",
@@ -80,17 +79,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class Partition:
-    """One client's slice of a dataset, as unique sample indices."""
-
-    client_id: int
-    sample_indices: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.sample_indices)
-
-
 @dataclass
 class ModelParams:
     """Flat float32 parameter vector plus its canonical layout."""
@@ -132,12 +120,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ClientUpdate:
-    """One client's post-training model plus its aggregation weight."""
+    """One client's post-training model plus its FedAvg weight, the number
+    of samples it trained on."""
 
     client_id: int
     params: ModelParams
     n_samples: int
-    round: int = 0
 
 
 def generate_synthetic(
@@ -215,15 +203,16 @@ def load_csv(path) -> Dataset:
     return Dataset(features, labels, int(labels.max()) + 1)
 
 
-def split_train_test(dataset: Dataset, seed: int, test_fraction: float = 0.2):
-    """Deterministic shuffled split into disjoint train/test datasets."""
+def split_train_test(dataset: Dataset, seed: int):
+    """Deterministic shuffled split into disjoint train/test datasets; the
+    test set takes 20 % of the samples (at least one, never all)."""
     if dataset.n_samples < 2:
         raise InvalidDimensions(
             f"need at least 2 samples to split into train and test, got {dataset.n_samples}"
         )
     rng = np.random.default_rng(seed)
     order = rng.permutation(dataset.n_samples)
-    n_test = max(1, int(round(test_fraction * dataset.n_samples)))
+    n_test = max(1, int(round(0.2 * dataset.n_samples)))
     n_test = min(n_test, dataset.n_samples - 1)
     test_idx, train_idx = order[:n_test], order[n_test:]
     train = Dataset(dataset.features[train_idx], dataset.labels[train_idx], dataset.n_classes)
@@ -233,8 +222,12 @@ def split_train_test(dataset: Dataset, seed: int, test_fraction: float = 0.2):
 
 def partition_dirichlet(
     dataset: Dataset, n_clients: int, alpha: float, seed: int
-) -> list[Partition]:
+) -> list[np.ndarray]:
     """Split sample indices across clients with Dirichlet(alpha) class skew.
+
+    Returns one ascending int64 index array per client, client ``c``'s at
+    list index ``c``; the arrays are views into one stable argsort of every
+    sample's owner.
 
     For each class in class order, the class's indices are permuted and
     client proportions are drawn from a symmetric Dirichlet; small alpha
@@ -245,8 +238,7 @@ def partition_dirichlet(
     The result is always a true partition: disjoint, covering, and every
     client non-empty. Empty clients are repaired in ascending id; each takes
     the last-received sample (in class-then-cut order) of the currently
-    largest partition, the lowest id winning ties. Each client's indices are
-    ascending int64.
+    largest partition, the lowest id winning ties.
     """
     if n_clients < 1:
         raise ValueError(f"n_clients must be >= 1, got {n_clients}")
@@ -278,34 +270,33 @@ def partition_dirichlet(
     owner_of[np.concatenate(received)] = owner
     by_client = np.argsort(owner_of, kind="stable").astype(np.int64, copy=False)
     ends, sizes = np.cumsum(counts).tolist(), counts.tolist()
-    return [Partition(c, by_client[e - k:e]) for c, (e, k) in enumerate(zip(ends, sizes))]
+    return [by_client[e - k:e] for e, k in zip(ends, sizes)]
 
 
-def _model_layout(n_features: int, n_classes: int, hidden: int = HIDDEN_WIDTH):
+def _model_layout(n_features: int, n_classes: int):
     return (
-        ("hidden.weight", (n_features, hidden)),
-        ("hidden.bias", (hidden,)),
-        ("output.weight", (hidden, n_classes)),
+        ("hidden.weight", (n_features, HIDDEN_WIDTH)),
+        ("hidden.bias", (HIDDEN_WIDTH,)),
+        ("output.weight", (HIDDEN_WIDTH, n_classes)),
         ("output.bias", (n_classes,)),
     )
 
 
-def init_params(
-    n_features: int, n_classes: int, seed: int, hidden: int = HIDDEN_WIDTH
-) -> ModelParams:
-    """He-initialized single-hidden-layer MLP parameters (deterministic)."""
+def init_params(n_features: int, n_classes: int, seed: int) -> ModelParams:
+    """He-initialized MLP parameters with ``HIDDEN_WIDTH`` hidden units
+    (deterministic)."""
     rng = np.random.default_rng(seed)
-    w1 = rng.standard_normal((n_features, hidden)) * np.sqrt(2.0 / n_features)
-    w2 = rng.standard_normal((hidden, n_classes)) * np.sqrt(1.0 / hidden)
+    w1 = rng.standard_normal((n_features, HIDDEN_WIDTH)) * np.sqrt(2.0 / n_features)
+    w2 = rng.standard_normal((HIDDEN_WIDTH, n_classes)) * np.sqrt(1.0 / HIDDEN_WIDTH)
     values = np.concatenate(
         [
             w1.ravel(),
-            np.zeros(hidden),
+            np.zeros(HIDDEN_WIDTH),
             w2.ravel(),
             np.zeros(n_classes),
         ]
     ).astype(np.float32)
-    return ModelParams(values, _model_layout(n_features, n_classes, hidden))
+    return ModelParams(values, _model_layout(n_features, n_classes))
 
 
 def _check_model_fits(params: ModelParams, dataset: Dataset):
@@ -349,13 +340,14 @@ def cross_entropy(params: ModelParams, dataset: Dataset, indices=None) -> float:
 def local_train(
     global_params: ModelParams,
     dataset: Dataset,
-    partition: Partition,
+    indices: np.ndarray,
     cfg: TrainConfig,
     rng_seed: int,
 ) -> ModelParams:
-    """Run the client's local epochs of mini-batch Adam from the global model.
+    """Run the client's local epochs of mini-batch Adam from the global model
+    over the samples of ``dataset`` at ``indices`` (the client's partition).
 
-    Deterministic given (global_params, partition, cfg, rng_seed): shuffling
+    Deterministic given (global_params, indices, cfg, rng_seed): shuffling
     comes from a generator seeded with ``rng_seed`` and every tensor op is
     float32. With ``local_epochs=0`` the global model is returned unchanged.
     """
@@ -368,8 +360,8 @@ def local_train(
         return params
 
     layers = params.unpack()  # views; updates write through to params.values
-    x_all = dataset.features[partition.sample_indices]
-    y_all = dataset.labels[partition.sample_indices]
+    x_all = dataset.features[indices]
+    y_all = dataset.labels[indices]
     n = len(y_all)
 
     rng = np.random.default_rng(rng_seed)

@@ -22,9 +22,11 @@ roots commits to the whole state without storing it per block.
 A block is a header plus a body, as in Bitcoin and Ethereum: the header
 (height, parent digest, transaction hashes, state root, timestamp) is what
 :meth:`Block.encode` and the block hash cover, and the body is the block's
-transactions in order. :func:`chain_verify` checks each body against its
-header's transaction hashes, replays the bodies from an empty state and
-compares each recomputed root with the block's.
+transactions in order. Time is logical: a block's timestamp is its height,
+so the chain head is a function of the transaction sequence alone, and of
+the master seed alone for a protocol run. :func:`chain_verify` checks each
+body against its header's transaction hashes, replays the bodies from an
+empty state and compares each recomputed root with the block's.
 
 Verified update hashes are stored the way contract storage lays out a
 nested mapping: ``verified_updates[round][address] -> hash``. A round's
@@ -318,17 +320,18 @@ class ContractState:
 
         if tx.kind is TxKind.SUBMIT_UPDATE:
             table, slot = self.verified_updates.get(tx.round, {}), tx.sender
+        else:
+            table, slot = self.aggregation_records, tx.round
+        if not valid or slot in table:
+            return TxStatus.REJECTED, b""
+        table[slot] = update_hash
+        if tx.kind is TxKind.SUBMIT_UPDATE:  # a round's first verified update stores its table
+            self.verified_updates[tx.round] = table
             record = struct.pack(
                 "<Bq32s32s", _KIND_CODE[tx.kind], tx.round, tx.sender, update_hash
             )
         else:
-            table, slot = self.aggregation_records, tx.round
             record = struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
-        if not valid or slot in table:
-            return TxStatus.REJECTED, b""
-        if tx.kind is TxKind.SUBMIT_UPDATE:  # a round's first verified update stores its table
-            self.verified_updates[tx.round] = table
-        table[slot] = update_hash
         return TxStatus.VERIFIED, record
 
 
@@ -443,15 +446,14 @@ class SimulatedLedger:
             Transaction.submission(TxKind.SUBMIT_AGGREGATION, address, round_, update_hash, sig)
         )
 
-    def mine_block(self, timestamp: float = None) -> Block:
+    def mine_block(self) -> Block:
         """Package all pending transactions FIFO into a new block, which
         keeps them as its body.
 
         Its state root folds the records they wrote into the previous
         block's root, so mining costs time in the block's size, not the
-        chain's. The timestamp defaults to the block height (logical time),
-        which keeps the head hash reproducible for a fixed transaction
-        sequence.
+        chain's. Its timestamp is its height (logical time), so the head
+        hash depends on nothing but the transaction sequence.
         """
         pending, self._pending = self._pending, []
         height = len(self.chain.blocks)
@@ -462,7 +464,7 @@ class SimulatedLedger:
             state_root=_next_root(
                 self.chain.blocks[-1].state_root, (r for _, _, r in pending)
             ),
-            timestamp=float(height) if timestamp is None else timestamp,
+            timestamp=float(height),
             transactions=tuple(tx for tx, _, _ in pending),
         )
         self.chain.blocks.append(block)

@@ -24,7 +24,6 @@ blockchain modes. That invariant is the cheapest strong regression oracle
 this system has, and the test suite leans on it.
 """
 
-import functools
 import hashlib
 import math
 import statistics
@@ -72,11 +71,11 @@ def derive_seed(master_seed: int, *tags) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-@functools.cache  # one bytes object per client, shared by its transactions
 def _client_address(client_id: int) -> bytes:
     """An id in the signed 64-bit range is packed in 8 bytes. Any other id,
     which only a tampered submission carries, takes a longer two's-complement
-    encoding, so it maps to an address no client registered."""
+    encoding, so it maps to an address no client registered. Uncached: the
+    registered clients' addresses are kept on :class:`SystemState`."""
     try:
         encoded = struct.pack("<q", client_id)
     except struct.error:
@@ -227,8 +226,8 @@ class SystemState:
     partitions: list
     global_params: ModelParams
     client_keys: list        # indexed by client id
+    addresses: list          # likewise, as registered; one object per client
     aggregator_key: KeyPair
-    aggregator_address: bytes
     ledger: SimulatedLedger  # charges zero gas without a blockchain
     initial_accuracy: float
     sig_bytes_total: int = 0  # over every submission sent, for the mean size
@@ -293,8 +292,8 @@ def init_phase(config: ExperimentConfig) -> SystemState:
         partitions=partitions,
         global_params=global_params,
         client_keys=client_keys,
+        addresses=addresses,
         aggregator_key=aggregator_key,
-        aggregator_address=_AGGREGATOR_ADDRESS,
         ledger=ledger,
         initial_accuracy=fedcore.evaluate(global_params, test_set),
     )
@@ -360,7 +359,12 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     for sub in submissions:
         state.sig_bytes_total += len(sub.sig.bytes)
         state.sig_count += 1
-        address = _client_address(sub.client_id)
+        # Ids outside [0, n) come only from tampering; they get an address
+        # nobody registered, derived afresh so none of them is kept.
+        address = (
+            state.addresses[sub.client_id] if 0 <= sub.client_id < config.n_clients
+            else _client_address(sub.client_id)
+        )
         receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
         receipts.append(receipt)
         # Hash binding: aggregate a verified submission only if its own
@@ -371,7 +375,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
             == state.ledger.state.verified_updates[t][address]
         ):
             n_samples = len(state.partitions[sub.client_id])
-            updates.append(ClientUpdate(sub.client_id, sub.params, n_samples, t))
+            updates.append(ClientUpdate(sub.client_id, sub.params, n_samples))
 
     if not updates:
         # Close the round's block over its rejected transactions so they
@@ -390,9 +394,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     agg_latency = 0.0
     if config.blockchain:
         agg_sig = sigsuite.sign(state.aggregator_key, global_digest)
-        receipt = state.ledger.submit_aggregation(
-            state.aggregator_address, t, global_digest, agg_sig
-        )
+        receipt = state.ledger.submit_aggregation(_AGGREGATOR_ADDRESS, t, global_digest, agg_sig)
         total_gas += receipt.gas_used
         agg_latency = receipt.confirm_time_s
     state.ledger.mine_block()

@@ -38,6 +38,7 @@ from cryptography.hazmat.primitives.asymmetric import ec, mldsa
 
 from . import _mldsa_keyexpand as _expand
 from .errors import MalformedKey, SchemeMismatch, UnsupportedScheme
+from .fedcore import canonical_parts
 
 __all__ = [
     "SchemeId",
@@ -113,13 +114,15 @@ class Signature:
 
 @dataclass(frozen=True)
 class CryptoTimings:
-    """Mean primitive timings in milliseconds over ``trials`` runs."""
+    """Mean primitive timings in milliseconds over ``trials`` runs, and the
+    mean length in bytes of the ``trials`` signatures made."""
 
     scheme: SchemeId
     keygen_ms: float
     sign_ms: float
     verify_ms: float
     trials: int
+    sig_size_b: float
 
 
 def _pqc_seed(rng_seed: int) -> bytes:
@@ -253,27 +256,25 @@ def digest_model(params) -> bytes:
     Equal parameters (values and layout) always digest equally; the
     canonical encoding is defined by :func:`pqsbfl.fedcore.canonical_bytes`.
     """
-    from .fedcore import canonical_parts
-
     header, body = canonical_parts(params)
     h = hashlib.sha3_256(header)
     h.update(body)
     return h.digest()
 
 
-def measure_primitives(
-    scheme: SchemeId, trials: int = 100, message_len: int = 32
-) -> CryptoTimings:
-    """Mean wall-clock timings of keygen/sign/verify over fresh operations.
+def measure_primitives(scheme: SchemeId, trials: int = 100) -> CryptoTimings:
+    """Mean wall-clock timings of keygen/sign/verify over fresh operations,
+    and the mean size of the signatures made.
 
     One untimed warm-up iteration per primitive is excluded from the means.
     Signing and verification run over ``trials`` distinct random messages
-    of ``message_len`` bytes under a single fresh key pair.
+    of ``HASH_BYTES`` bytes, the length of the update hashes the protocol
+    signs, under a single fresh key pair.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
-    messages = [os.urandom(message_len) for _ in range(trials)]
+    messages = [os.urandom(HASH_BYTES) for _ in range(trials)]
     seed0 = int.from_bytes(os.urandom(8), "little")
 
     keygen(scheme, seed0)  # warm-up
@@ -293,4 +294,5 @@ def measure_primitives(
         verify(key.public_key, scheme, m, s)
     verify_ms = (time.perf_counter() - t0) / trials * 1e3
 
-    return CryptoTimings(scheme, keygen_ms, sign_ms, verify_ms, trials)
+    sig_size_b = sum(len(s) for s in sigs) / trials
+    return CryptoTimings(scheme, keygen_ms, sign_ms, verify_ms, trials, sig_size_b)

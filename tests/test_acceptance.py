@@ -99,8 +99,8 @@ def test_c03_overhead_ratio_reproduction():
 
 def test_c04_crypto_timing_bands():
     """Loose hardware bands over 100 trials; PQC/ECDSA sign ratio in [1.5, 20]."""
-    pqc = measure_primitives(SchemeId.PQC, trials=100, message_len=32)
-    ecdsa = measure_primitives(SchemeId.ECDSA, trials=100, message_len=32)
+    pqc = measure_primitives(SchemeId.PQC, trials=100)
+    ecdsa = measure_primitives(SchemeId.ECDSA, trials=100)
     assert pqc.sign_ms < 10.0 and pqc.verify_ms < 10.0
     assert ecdsa.sign_ms < 5.0 and ecdsa.verify_ms < 5.0
     ratio = pqc.sign_ms / ecdsa.sign_ms

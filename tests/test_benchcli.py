@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from pqsbfl import benchcli
+from pqsbfl import benchcli, sigsuite
 from pqsbfl.benchcli import (
     COMPARISON_CSV_COLUMNS,
     CRYPTO_CSV_COLUMNS,
@@ -371,6 +371,12 @@ class TestCryptoTable:
         assert row["trials"] == 3
         assert (row["sig_size_b"], row["public_key_b"], row["private_key_b"]) == (32, 26, 27)
         assert row["keygen_ms"] >= 0 and row["sign_ms"] >= 0 and row["verify_ms"] >= 0
+
+    def test_sig_size_is_the_measured_mean(self, monkeypatch):
+        measured = sigsuite.CryptoTimings(SchemeId.ECDSA, 1.0, 1.0, 1.0, 4, 70.25)
+        monkeypatch.setattr(benchcli, "measure_primitives", lambda scheme, trials: measured)
+        (row,) = emit_crypto_table([SchemeId.ECDSA], trials=4)
+        assert row["sig_size_b"] == 70.25
 
     def test_stable_name_hash_is_stable(self):
         assert benchcli.stable_name_hash("synth-3c") == benchcli.stable_name_hash("synth-3c")

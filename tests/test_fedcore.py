@@ -16,7 +16,6 @@ from pqsbfl.fedcore import (
     ClientUpdate,
     Dataset,
     ModelParams,
-    Partition,
     TrainConfig,
     aggregate,
     canonical_bytes,
@@ -31,8 +30,8 @@ from pqsbfl.fedcore import (
 )
 
 
-def _full_partition(dataset: Dataset) -> Partition:
-    return Partition(0, np.arange(dataset.n_samples))
+def _full_partition(dataset: Dataset) -> np.ndarray:
+    return np.arange(dataset.n_samples)
 
 
 def _reference_partition(dataset, n_clients, alpha, seed):
@@ -55,10 +54,7 @@ def _reference_partition(dataset, n_clients, alpha, seed):
             donor = max(range(n_clients), key=lambda i: len(buckets[i]))
             buckets[client].append(buckets[donor].pop())
 
-    return [
-        Partition(client, np.sort(np.asarray(bucket, dtype=np.int64)))
-        for client, bucket in enumerate(buckets)
-    ]
+    return [np.sort(np.asarray(bucket, dtype=np.int64)) for bucket in buckets]
 
 
 # Both oracle datasets hold 48 training samples; the second has no class 1.
@@ -109,20 +105,20 @@ class TestPartitionDirichlet:
         train, _ = generate_synthetic(4, 300, 6, 4)
         parts = partition_dirichlet(train, n_clients, alpha, seed)
         assert len(parts) == n_clients
-        seen = np.concatenate([p.sample_indices for p in parts])
+        seen = np.concatenate(parts)
         assert len(seen) == len(set(seen.tolist())) == train.n_samples
         assert all(len(p) >= 1 for p in parts)
 
     def test_single_client_gets_everything(self):
         train, _ = generate_synthetic(4, 120, 6, 3)
         (part,) = partition_dirichlet(train, 1, 0.5, seed=0)
-        assert np.array_equal(part.sample_indices, np.arange(train.n_samples))
+        assert np.array_equal(part, np.arange(train.n_samples))
 
     def test_deterministic_in_seed(self):
         train, _ = generate_synthetic(4, 300, 6, 4)
         a = partition_dirichlet(train, 5, 0.5, seed=77)
         b = partition_dirichlet(train, 5, 0.5, seed=77)
-        assert all(np.array_equal(x.sample_indices, y.sample_indices) for x, y in zip(a, b))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_low_alpha_produces_visible_skew(self):
         # Observed: all 20 seeds yield at least one client with >50% of its
@@ -132,7 +128,7 @@ class TestPartitionDirichlet:
             parts = partition_dirichlet(train, 10, 0.5, seed=seed)
             skew = []
             for p in parts:
-                counts = np.bincount(train.labels[p.sample_indices], minlength=5)
+                counts = np.bincount(train.labels[p], minlength=5)
                 skew.append(counts.max() / counts.sum())
             assert max(skew) > 0.5
 
@@ -152,10 +148,10 @@ class TestPartitionDirichlet:
         assert train.n_samples == _ORACLE_TRAIN
         got = partition_dirichlet(train, n_clients, alpha, seed)
         want = _reference_partition(train, n_clients, alpha, seed)
-        assert [p.client_id for p in got] == [p.client_id for p in want]
+        assert len(got) == len(want)
         for g, w in zip(got, want):
-            assert g.sample_indices.dtype == np.int64
-            assert np.array_equal(g.sample_indices, w.sample_indices)
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
 
     def test_too_many_clients(self):
         train, _ = generate_synthetic(4, 40, 6, 4)
@@ -183,15 +179,15 @@ class TestLocalTrain:
         train, _ = generate_synthetic(2, 400, 8, 4)
         params = init_params(8, 4, seed=1)
         part = _full_partition(train)
-        before = cross_entropy(params, train, part.sample_indices)
+        before = cross_entropy(params, train, part)
         trained = local_train(params, train, part, TrainConfig(), 9)
-        after = cross_entropy(trained, train, part.sample_indices)
+        after = cross_entropy(trained, train, part)
         assert after < before
 
     def test_bitwise_deterministic(self):
         train, _ = generate_synthetic(2, 300, 8, 4)
         params = init_params(8, 4, seed=1)
-        part = Partition(0, np.arange(0, train.n_samples, 2))
+        part = np.arange(0, train.n_samples, 2)
         a = local_train(params, train, part, TrainConfig(), 123)
         b = local_train(params, train, part, TrainConfig(), 123)
         assert a.values.tobytes() == b.values.tobytes()

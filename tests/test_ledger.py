@@ -291,7 +291,7 @@ class TestMining:
     def test_empty_pending_set(self):
         ledger = SimulatedLedger()
         before = ledger.chain.height
-        block = ledger.mine_block(timestamp=1.0)
+        block = ledger.mine_block()
         assert ledger.chain.height == before + 1
         assert block.tx_hashes == ()
 
@@ -300,7 +300,7 @@ class TestMining:
         ka = keygen(SchemeId.NONE, 1)
         ra = ledger.register_client(_address("a"), ka.public_key, SchemeId.NONE)
         rb = ledger.register_client(_address("b"), ka.public_key, SchemeId.NONE)
-        block = ledger.mine_block(timestamp=1.0)
+        block = ledger.mine_block()
         assert block.tx_hashes == (ra.tx_hash, rb.tx_hash)
 
     def test_default_timestamp_is_height(self):
@@ -313,7 +313,7 @@ class TestMining:
             ledger = SimulatedLedger(rng_seed=4)
             key = keygen(SchemeId.NONE, 1)
             ledger.register_client(_address("a"), key.public_key, SchemeId.NONE)
-            return ledger.mine_block(timestamp=123.0)
+            return ledger.mine_block()
 
         assert build().block_hash() == build().block_hash()
 
@@ -324,11 +324,11 @@ class TestChainIntegrity:
         key = keygen(SchemeId.PQC, 3)
         addr = _address("client")
         ledger.register_client(addr, key.public_key, SchemeId.PQC)
-        ledger.mine_block(timestamp=1.0)
+        ledger.mine_block()
         for rnd in range(1, 4):
             digest = hashlib.sha3_256(f"update-{rnd}".encode()).digest()
             ledger.submit_update(addr, rnd, digest, sign(key, digest))
-            ledger.mine_block(timestamp=1.0 + rnd)
+            ledger.mine_block()
         return ledger
 
     def test_unmodified_chain_intact(self):
@@ -569,7 +569,7 @@ class TestExport:
         ledger = SimulatedLedger()
         key = keygen(SchemeId.NONE, 1)
         ledger.register_client(_address("a"), key.public_key, SchemeId.NONE)
-        ledger.mine_block(timestamp=9.0)
+        ledger.mine_block()
         lines = export_chain(ledger.chain).strip().split("\n")
         assert len(lines) == len(ledger.chain.blocks)
         for line, block in zip(lines, ledger.chain.blocks):

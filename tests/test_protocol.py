@@ -78,7 +78,7 @@ class TestInitPhase:
     def test_bc_registry_counts_clients_plus_aggregator(self):
         state = init_phase(_small_config())
         assert len(state.ledger.state.registry) == 4  # 3 clients + aggregator
-        assert state.aggregator_address in state.ledger.state.registry
+        assert protocol._AGGREGATOR_ADDRESS in state.ledger.state.registry
 
     def test_nobc_ledger_charges_zero_gas(self):
         state = init_phase(_small_config(blockchain=False))
@@ -135,6 +135,11 @@ class TestInitPhase:
             init_phase(cfg)
         assert len(excinfo.value.violations) >= 3
         assert any("latency" in v for v in excinfo.value.violations)
+
+    def test_addresses_are_the_registered_senders(self):
+        state = init_phase(_small_config(scheme=SchemeId.NONE))
+        senders = [tx.sender for tx in state.ledger.chain.blocks[1].transactions]
+        assert state.addresses + [protocol._AGGREGATOR_ADDRESS] == senders
 
     def test_initial_accuracy_recorded(self):
         state = init_phase(_small_config())
@@ -274,6 +279,29 @@ class TestRunRound:
         max_ulps = np.spacing(np.abs(oracle))
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
         assert chain_verify(state.ledger.chain).intact
+
+    def test_fresh_unknown_id_each_round_rejected_and_charged(self):
+        cfg = _small_config(scheme=SchemeId.NONE, rounds=3)
+        state = init_phase(cfg)
+        receipts = {}
+        submit = state.ledger.submit_update
+
+        def recording_submit(address, round_, update_hash, sig):
+            receipts[address] = submit(address, round_, update_hash, sig)
+            return receipts[address]
+
+        state.ledger.submit_update = recording_submit
+        for t in range(1, cfg.rounds + 1):
+            fresh = cfg.n_clients + t  # never sent before
+            run_round(state, t, tamper_hook=lambda sub: (
+                dataclasses.replace(sub, client_id=fresh) if sub.client_id == 0 else sub
+            ))
+            receipt = receipts[protocol._client_address(fresh)]
+            assert not receipt.verified
+            assert receipt.gas_used == state.ledger.gas.submit_gas(
+                SchemeId.NONE, sigsuite.HASH_BYTES, stored=False
+            ) > 0
+        assert not hasattr(protocol._client_address, "cache_info")  # nothing kept per id
 
     @pytest.mark.parametrize("scheme", [SchemeId.NONE, SchemeId.ECDSA], ids=["none", "ecdsa"])
     def test_chain_head_reproducible_for_fixed_seed(self, scheme):

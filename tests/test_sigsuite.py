@@ -269,3 +269,12 @@ class TestMeasurePrimitives:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             measure_primitives(SchemeId.NONE, trials=0)
+
+    @pytest.mark.parametrize("scheme,low,high", [
+        (SchemeId.PQC, 3309.0, 3309.0),
+        (SchemeId.NONE, 32.0, 32.0),
+        (SchemeId.ECDSA, 68.0, 72.0),  # DER: two 32-byte integers, sign and length bytes
+    ], ids=["pqc", "none", "ecdsa"])
+    def test_sig_size_is_mean_of_signatures_made(self, scheme, low, high):
+        t = measure_primitives(scheme, trials=8)
+        assert low <= t.sig_size_b <= high
