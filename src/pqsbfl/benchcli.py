@@ -27,7 +27,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .errors import InsufficientPoints, ParseError, PqsBflError, ValidationError
@@ -38,7 +38,7 @@ from .protocol import (
     RoundMetrics,
     run_experiment,
 )
-from .sigsuite import SchemeId, keygen, measure_primitives
+from .sigsuite import CryptoTimings, SchemeId, measure_primitives
 
 __all__ = [
     "SuiteSpec",
@@ -62,24 +62,17 @@ COMPARISON_CSV_COLUMNS = (
     _IDENTITY_COLUMNS + _REPORT_COLUMNS + tuple(_SUMMARY_COLUMNS) + _CRYPTO_SIZE_COLUMNS
 )
 
-SCALING_CSV_COLUMNS = (
-    "n_clients",
-    "mean_round_time_s",
-    "mean_compute_time_s",
-    "mean_tx_time_s",
-    "mean_gas_per_round",
-)
+# scaling column -> the summary field it averages over one client count's reports
+_SCALING_COLUMNS = {
+    "mean_round_time_s": "round_time_s",
+    "mean_compute_time_s": "compute_time_s",
+    "mean_tx_time_s": "mean_tx_time_s",
+    "mean_gas_per_round": "total_gas",
+}
+SCALING_CSV_COLUMNS = ("n_clients", *_SCALING_COLUMNS)
 
-CRYPTO_CSV_COLUMNS = (
-    "scheme",
-    "trials",
-    "keygen_ms",
-    "sign_ms",
-    "verify_ms",
-    "sig_size_b",
-    "public_key_b",
-    "private_key_b",
-)
+CRYPTO_CSV_COLUMNS = tuple(f.name for f in fields(CryptoTimings))
+
 
 @dataclass
 class SuiteSpec:
@@ -364,37 +357,17 @@ def emit_scaling_data(reports) -> list:
     rows = []
     for count in sorted(by_count):
         group = by_count[count]
-        rows.append(
-            {
-                "n_clients": count,
-                "mean_round_time_s": sum(r.summary["round_time_s"] for r in group) / len(group),
-                "mean_compute_time_s": sum(r.summary["compute_time_s"] for r in group) / len(group),
-                "mean_tx_time_s": sum(r.summary["mean_tx_time_s"] for r in group) / len(group),
-                "mean_gas_per_round": sum(r.summary["total_gas"] for r in group) / len(group),
-            }
-        )
+        means = {c: sum(r.summary[f] for r in group) / len(group)
+                 for c, f in _SCALING_COLUMNS.items()}
+        rows.append({"n_clients": count, **means})
     return rows
 
 
 def emit_crypto_table(schemes, trials: int = 100) -> list:
-    """Primitive timing/size rows, one per scheme (default 100 trials)."""
-    rows = []
-    for scheme in schemes:
-        timing = measure_primitives(scheme, trials=trials)
-        key = keygen(scheme, 0)
-        rows.append(
-            {
-                "scheme": scheme.value,
-                "trials": timing.trials,
-                "keygen_ms": timing.keygen_ms,
-                "sign_ms": timing.sign_ms,
-                "verify_ms": timing.verify_ms,
-                "sig_size_b": timing.sig_size_b,
-                "public_key_b": len(key.public_key),
-                "private_key_b": len(key.private_key),
-            }
-        )
-    return rows
+    """One ``crypto.csv`` row per scheme (default 100 trials): the fields of
+    its :class:`CryptoTimings`, with the scheme as its name."""
+    timings = [measure_primitives(scheme, trials=trials) for scheme in schemes]
+    return [{**asdict(t), "scheme": t.scheme.value} for t in timings]
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:

@@ -222,11 +222,7 @@ def calibrate_gas(targets: dict = None) -> GasModel:
     for scheme, total in targets.items():
         if total <= 0:
             raise InfeasibleCalibration(f"{scheme}: target must be positive")
-        fixed = (
-            base.g_base
-            + base.g_byte * (HASH_BYTES + CALIBRATION_SIG_SIZES[scheme])
-            + base.g_store
-        )
+        fixed = base.submit_gas(scheme, CALIBRATION_SIG_SIZES[scheme], stored=True)
         surcharge = total - fixed
         if surcharge < 0:
             raise InfeasibleCalibration(

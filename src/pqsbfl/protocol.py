@@ -26,6 +26,7 @@ this system has, and the test suite leans on it.
 
 import hashlib
 import math
+import operator
 import statistics
 import struct
 import time
@@ -84,6 +85,21 @@ def _client_address(client_id: int) -> bytes:
 
 
 _AGGREGATOR_ADDRESS = hashlib.sha3_256(b"aggregator-address").digest()
+
+
+def _resolve_client(addresses: list, client_id) -> tuple:
+    """(index, address) of a submission's client id among the registered
+    ``addresses``. An id that is not an integer, or falls outside ``[0, n)``,
+    comes only from tampering: it gets no index and an address nobody
+    registered, derived afresh."""
+    try:
+        cid = operator.index(client_id)
+    except TypeError:
+        return None, hashlib.sha3_256(b"non-integer-client-address").digest()
+    if 0 <= cid < len(addresses):
+        return cid, addresses[cid]
+    return None, _client_address(cid)
+
 
 # Default confirmation latency without a blockchain, seconds.
 NOBC_LATENCY_S = 0.05
@@ -159,27 +175,17 @@ class ExperimentConfig:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name(),
-            "dataset": self.dataset,
-            "scheme": self.scheme.value,
-            "n_clients": self.n_clients,
-            "rounds": self.rounds,
-            "blockchain": self.blockchain,
-            "train": {
-                "local_epochs": self.train.local_epochs,
-                "batch_size": self.train.batch_size,
-                "learning_rate": self.train.learning_rate,
-                "optimizer": "ADAM",
-            },
-            "gas_targets": {s.value: t for s, t in self.gas_targets.items()},
-            "latency": list(self.latency) if self.latency is not None else None,
-            "master_seed": self.master_seed,
-            "alpha": self.alpha,
-            "synth_samples": self.synth_samples,
-            "synth_features": self.synth_features,
-            "synth_classes": self.synth_classes,
-        }
+        """Every field under its own name, JSON-ready, led by ``name``: the
+        scheme and the ``gas_targets`` keys as scheme names, ``latency`` as
+        a list, and the fixed ``train.optimizer``."""
+        out = {"name": self.name(), **asdict(self)}
+        out.update(
+            scheme=self.scheme.value,
+            gas_targets={s.value: t for s, t in self.gas_targets.items()},
+            latency=list(self.latency) if self.latency is not None else None,
+        )
+        out["train"]["optimizer"] = "ADAM"
+        return out
 
 
 @dataclass
@@ -330,8 +336,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     (possibly corrupted) submission actually sent; it models in-flight
     adversarial interference and is used by the security tests. A malformed
     submission (wrong scheme tag, hash of the wrong length, an empty one, a
-    client id the run does not have) is rejected like a bad signature and
-    excludes only its client.
+    client id that is not an integer or that the run does not have) is
+    rejected like a bad signature and excludes only its client.
 
     Each submission is hash-bound as soon as the contract verifies it: it is
     aggregated only if its own off-chain parameters re-digest to the hash
@@ -359,12 +365,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     for sub in submissions:
         state.sig_bytes_total += len(sub.sig.bytes)
         state.sig_count += 1
-        # Ids outside [0, n) come only from tampering; they get an address
-        # nobody registered, derived afresh so none of them is kept.
-        address = (
-            state.addresses[sub.client_id] if 0 <= sub.client_id < config.n_clients
-            else _client_address(sub.client_id)
-        )
+        cid, address = _resolve_client(state.addresses, sub.client_id)
         receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
         receipts.append(receipt)
         # Hash binding: aggregate a verified submission only if its own
@@ -374,8 +375,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
             and sigsuite.digest_model(sub.params)
             == state.ledger.state.verified_updates[t][address]
         ):
-            n_samples = len(state.partitions[sub.client_id])
-            updates.append(ClientUpdate(sub.client_id, sub.params, n_samples))
+            updates.append(ClientUpdate(cid, sub.params, len(state.partitions[cid])))
 
     if not updates:
         # Close the round's block over its rejected transactions so they
@@ -444,16 +444,9 @@ class ExperimentReport:
     accuracy_gain_per_gas: float = None  # likewise
 
     def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "initial_accuracy": self.initial_accuracy,
-            "final_accuracy": self.final_accuracy,
-            "summary": self.summary,
-            "crypto_sizes": self.crypto_sizes,
-            "gas_per_round": self.gas_per_round,
-            "accuracy_gain_per_gas": self.accuracy_gain_per_gas,
-            "rounds": [r.to_dict() for r in self.rounds],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out.update(config=self.config.to_dict(), rounds=[r.to_dict() for r in self.rounds])
+        return out
 
 
 # The per-round metrics an experiment summary averages.

@@ -114,15 +114,18 @@ class Signature:
 
 @dataclass(frozen=True)
 class CryptoTimings:
-    """Mean primitive timings in milliseconds over ``trials`` runs, and the
-    mean length in bytes of the ``trials`` signatures made."""
+    """One ``crypto.csv`` row, its fields in column order: mean primitive
+    timings in milliseconds over ``trials`` runs, the mean length in bytes
+    of the ``trials`` signatures made, and the key sizes in bytes."""
 
     scheme: SchemeId
+    trials: int
     keygen_ms: float
     sign_ms: float
     verify_ms: float
-    trials: int
     sig_size_b: float
+    public_key_b: int
+    private_key_b: int
 
 
 def _pqc_seed(rng_seed: int) -> bytes:
@@ -264,7 +267,8 @@ def digest_model(params) -> bytes:
 
 def measure_primitives(scheme: SchemeId, trials: int = 100) -> CryptoTimings:
     """Mean wall-clock timings of keygen/sign/verify over fresh operations,
-    and the mean size of the signatures made.
+    the mean size of the signatures made, and the sizes of the last key
+    generated, which signs and verifies them.
 
     One untimed warm-up iteration per primitive is excluded from the means.
     Signing and verification run over ``trials`` distinct random messages
@@ -295,4 +299,5 @@ def measure_primitives(scheme: SchemeId, trials: int = 100) -> CryptoTimings:
     verify_ms = (time.perf_counter() - t0) / trials * 1e3
 
     sig_size_b = sum(len(s) for s in sigs) / trials
-    return CryptoTimings(scheme, keygen_ms, sign_ms, verify_ms, trials, sig_size_b)
+    return CryptoTimings(scheme, trials, keygen_ms, sign_ms, verify_ms, sig_size_b,
+                         len(key.public_key), len(key.private_key))

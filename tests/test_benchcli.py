@@ -9,8 +9,6 @@ import pytest
 from pqsbfl import benchcli, sigsuite
 from pqsbfl.benchcli import (
     COMPARISON_CSV_COLUMNS,
-    CRYPTO_CSV_COLUMNS,
-    SCALING_CSV_COLUMNS,
     emit_crypto_table,
     emit_scaling_data,
     main,
@@ -20,6 +18,7 @@ from pqsbfl.benchcli import (
 )
 from pqsbfl.errors import InsufficientPoints, ParseError, ValidationError
 from pqsbfl.fedcore import TrainConfig
+from pqsbfl.ledger import DEFAULT_GAS_TARGETS
 from pqsbfl.protocol import ExperimentConfig, run_experiment
 from pqsbfl.sigsuite import SchemeId
 
@@ -318,7 +317,10 @@ class TestReportFiles:
         assert rc == 0
         with open(tmp_path / "crypto.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert tuple(rows[0]) == CRYPTO_CSV_COLUMNS
+        assert rows[0] == [
+            "scheme", "trials", "keygen_ms", "sign_ms", "verify_ms",
+            "sig_size_b", "public_key_b", "private_key_b",
+        ]
         assert rows[1][0] == "NONE"
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
@@ -328,6 +330,88 @@ class TestReportFiles:
         assert rc == 1
         assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
         assert not (tmp_path / "crypto.csv").exists()
+
+
+class TestOutputSchema:
+    """Every serialized record's field names, spelled out: a renamed,
+    dropped or reordered field fails here, not only downstream."""
+
+    def test_report_json_key_sets(self, tmp_path):
+        assert main(["--crypto", "NONE", "--clients", "2", "--out", str(tmp_path),
+                     "--config", str(_fast_config_file(tmp_path))]) == 0
+        report = json.loads((tmp_path / "synth-NONE-2c-BC" / "report.json").read_text())
+        assert set(report) == {
+            "config", "initial_accuracy", "final_accuracy", "summary", "crypto_sizes",
+            "gas_per_round", "accuracy_gain_per_gas", "rounds",
+        }
+        assert set(report["config"]) == {
+            "name", "dataset", "scheme", "n_clients", "rounds", "blockchain", "train",
+            "gas_targets", "latency", "master_seed", "alpha", "synth_samples",
+            "synth_features", "synth_classes",
+        }
+        assert set(report["config"]["train"]) == {
+            "local_epochs", "batch_size", "learning_rate", "optimizer",
+        }
+        assert report["config"]["train"]["optimizer"] == "ADAM"
+        assert set(report["summary"]) == {
+            "accuracy", "round_time_s", "compute_time_s", "simulated_latency_s",
+            "mean_sign_ms", "mean_verify_ms", "mean_tx_time_s", "mean_gas_per_update",
+            "total_gas", "overhead_ratio", "verified_count", "rejected_count",
+        }
+        assert set(report["crypto_sizes"]) == {"public_key_b", "private_key_b", "sig_size_mean_b"}
+
+    def test_suite_csv_headers(self, tmp_path):
+        suite = tmp_path / "suite.ini"
+        suite.write_text("".join(
+            f"[n{n}]\ncrypto = NONE\nclients = {n}\n"
+            + "".join(f"{k} = {v}\n" for k, v in FAST.items())
+            for n in (2, 3)
+        ))
+        assert main(["--suite", str(suite), "--out", str(tmp_path / "out")]) == 0
+
+        def header(name):
+            with open(tmp_path / "out" / name, newline="") as fh:
+                return next(csv.reader(fh))
+
+        assert header("comparison.csv") == [
+            "name", "dataset", "scheme", "n_clients", "blockchain", "rounds", "status",
+            "initial_accuracy", "final_accuracy", "gas_per_round", "accuracy_gain_per_gas",
+            "mean_accuracy", "mean_round_time_s", "mean_compute_time_s",
+            "mean_simulated_latency_s", "mean_sign_ms", "mean_verify_ms", "mean_tx_time_s",
+            "mean_gas_per_update", "mean_total_gas", "mean_overhead_ratio",
+            "mean_verified_count", "mean_rejected_count",
+            "sig_size_mean_b", "public_key_b", "private_key_b",
+        ]
+        assert header("scaling.csv") == [
+            "n_clients", "mean_round_time_s", "mean_compute_time_s",
+            "mean_tx_time_s", "mean_gas_per_round",
+        ]
+
+    def test_non_default_config_to_dict(self):
+        cfg = ExperimentConfig(
+            scheme=SchemeId.NONE,
+            latency=(0.1, 0.5),
+            gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.PQC: 2_000_000},
+        )
+        assert cfg.to_dict() == {
+            "name": "synth-NONE-3c-BC",
+            "dataset": "synth",
+            "scheme": "NONE",
+            "n_clients": 3,
+            "rounds": 50,
+            "blockchain": True,
+            "train": {
+                "local_epochs": 5, "batch_size": 64, "learning_rate": 0.001,
+                "optimizer": "ADAM",
+            },
+            "gas_targets": {"PQC": 2_000_000, "ECDSA": 188_900, "NONE": 173_650},
+            "latency": [0.1, 0.5],
+            "master_seed": 0,
+            "alpha": 0.5,
+            "synth_samples": 2000,
+            "synth_features": 20,
+            "synth_classes": 5,
+        }
 
 
 def _fast_config_file(tmp_path):
@@ -357,7 +441,10 @@ class TestScalingData:
     def test_rows_sorted_by_client_count(self):
         rows = emit_scaling_data([self._report(4), self._report(2)])
         assert [r["n_clients"] for r in rows] == [2, 4]
-        assert tuple(rows[0]) == SCALING_CSV_COLUMNS
+        assert list(rows[0]) == [
+            "n_clients", "mean_round_time_s", "mean_compute_time_s",
+            "mean_tx_time_s", "mean_gas_per_round",
+        ]
 
     def test_single_point_insufficient(self):
         with pytest.raises(InsufficientPoints):
@@ -373,7 +460,7 @@ class TestCryptoTable:
         assert row["keygen_ms"] >= 0 and row["sign_ms"] >= 0 and row["verify_ms"] >= 0
 
     def test_sig_size_is_the_measured_mean(self, monkeypatch):
-        measured = sigsuite.CryptoTimings(SchemeId.ECDSA, 1.0, 1.0, 1.0, 4, 70.25)
+        measured = sigsuite.CryptoTimings(SchemeId.ECDSA, 4, 1.0, 1.0, 1.0, 70.25, 174, 237)
         monkeypatch.setattr(benchcli, "measure_primitives", lambda scheme, trials: measured)
         (row,) = emit_crypto_table([SchemeId.ECDSA], trials=4)
         assert row["sig_size_b"] == 70.25

@@ -262,8 +262,8 @@ class TestRunRound:
         assert chain_verify(state.ledger.chain).intact
 
     @pytest.mark.parametrize(
-        "client_id", [3, -1, 2**63, -(2**63) - 1],
-        ids=["n_clients", "minus_one", "two_pow_63", "below_int64"],
+        "client_id", [3, -1, 2**63, -(2**63) - 1, "1", 1.0, None],
+        ids=["n_clients", "minus_one", "two_pow_63", "below_int64", "str", "float", "none"],
     )
     def test_unknown_client_id_rejected_round_completes(self, client_id):
         cfg = _small_config(scheme=SchemeId.NONE)
