@@ -227,7 +227,7 @@ def partition_dirichlet(
 
     Returns one ascending int64 index array per client, client ``c``'s at
     list index ``c``; the arrays are views into one stable argsort of every
-    sample's owner.
+    sample's owner, held in the narrowest integer dtype that fits.
 
     For each class in class order, the class's indices are permuted and
     client proportions are drawn from a symmetric Dirichlet; small alpha
@@ -266,7 +266,7 @@ def partition_dirichlet(
         owner[np.flatnonzero(owner == donor)[-1]] = client
         counts[[donor, client]] += (-1, 1)
 
-    owner_of = np.empty_like(owner)
+    owner_of = np.empty(len(owner), np.min_scalar_type(n_clients - 1))  # narrow sorts faster
     owner_of[np.concatenate(received)] = owner
     by_client = np.argsort(owner_of, kind="stable").astype(np.int64, copy=False)
     ends, sizes = np.cumsum(counts).tolist(), counts.tolist()

@@ -20,13 +20,14 @@ hash, or an aggregation record); records are write-once, so the sequence of
 roots commits to the whole state without storing it per block.
 
 A block is a header plus a body, as in Bitcoin and Ethereum: the header
-(height, parent digest, transaction hashes, state root, timestamp) is what
-:meth:`Block.encode` and the block hash cover, and the body is the block's
-transactions in order. Time is logical: a block's timestamp is its height,
-so the chain head is a function of the transaction sequence alone, and of
-the master seed alone for a protocol run. :func:`chain_verify` checks each
-body against its header's transaction hashes, replays the bodies from an
-empty state and compares each recomputed root with the block's.
+(height, parent digest, the body's 32-byte transaction hashes packed into
+one field, state root, timestamp) is what :meth:`Block.encode` and the
+block hash cover, and the body is the block's transactions in order. Time
+is logical: a block's timestamp is its height, so the chain head is a
+function of the transaction sequence alone, and of the master seed alone
+for a protocol run. :func:`chain_verify` checks each body against its
+header's packed hashes, replays the bodies from an empty state and compares
+each recomputed root with the block's.
 
 Verified update hashes are stored the way contract storage lays out a
 nested mapping: ``verified_updates[round][address] -> hash``. A round's
@@ -158,18 +159,14 @@ class Transaction:
                    update_hash: bytes, sig: Signature) -> "Transaction":
         return cls(kind, address, round_, update_hash + sig.bytes, sig.scheme)
 
-    def encode(self) -> bytes:
-        head = struct.pack(
-            "<B32sqI",
-            _KIND_CODE[self.kind],
-            self.sender,
-            self.round,
-            len(self.payload),
-        )
-        return head + self.payload + self.scheme.value.encode()
-
     def tx_hash(self) -> bytes:
-        return hashlib.sha3_256(self.encode()).digest()
+        """SHA3-256 of the packed head, then the payload, then the scheme name."""
+        h = hashlib.sha3_256(struct.pack(
+            "<B32sqI", _KIND_CODE[self.kind], self.sender, self.round, len(self.payload)
+        ))
+        h.update(self.payload)
+        h.update(self.scheme.value.encode())
+        return h.digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,25 +232,23 @@ def calibrate_gas(targets: dict = None) -> GasModel:
 @dataclass(frozen=True, slots=True)
 class Block:
     """A block header and its body. The header fields are what
-    :meth:`encode` and :meth:`block_hash` cover; ``transactions``, the body,
-    holds the transactions ``tx_hashes`` commits to, in the same order."""
+    :meth:`encode` and :meth:`block_hash` cover; ``tx_hashes`` is the packed
+    field the header encodes, the body's 32-byte transaction hashes joined
+    in order, and ``transactions``, the body, holds those transactions."""
 
     height: int
     parent_hash: bytes
-    tx_hashes: tuple
+    tx_hashes: bytes
     state_root: bytes
     timestamp: float
     transactions: tuple = field(repr=False, compare=False)
 
     def encode(self) -> bytes:
-        out = bytearray(struct.pack("<q", self.height))
-        out += self.parent_hash
-        out += struct.pack("<I", len(self.tx_hashes))
-        for h in self.tx_hashes:
-            out += h
-        out += self.state_root
-        out += struct.pack("<d", self.timestamp)
-        return bytes(out)
+        return b"".join((
+            struct.pack("<q", self.height), self.parent_hash,
+            struct.pack("<I", len(self.tx_hashes) // HASH_BYTES), self.tx_hashes,
+            self.state_root, struct.pack("<d", self.timestamp),
+        ))
 
     def block_hash(self) -> bytes:
         return hashlib.sha3_256(self.encode()).digest()
@@ -381,7 +376,7 @@ class SimulatedLedger:
         genesis = Block(
             height=0,
             parent_hash=_ZERO32,
-            tx_hashes=(),
+            tx_hashes=b"",
             state_root=_next_root(_ZERO32, ()),
             timestamp=0.0,
             transactions=(),
@@ -444,7 +439,8 @@ class SimulatedLedger:
 
     def mine_block(self) -> Block:
         """Package all pending transactions FIFO into a new block, which
-        keeps them as its body.
+        keeps them as its body and their hashes joined into one packed
+        header field.
 
         Its state root folds the records they wrote into the previous
         block's root, so mining costs time in the block's size, not the
@@ -456,7 +452,7 @@ class SimulatedLedger:
         block = Block(
             height=height,
             parent_hash=self.chain.head_hash,
-            tx_hashes=tuple(tx_hash for _, tx_hash, _ in pending),
+            tx_hashes=b"".join(tx_hash for _, tx_hash, _ in pending),
             state_root=_next_root(
                 self.chain.blocks[-1].state_root, (r for _, _, r in pending)
             ),
@@ -477,9 +473,11 @@ def chain_verify(chain: Chain) -> ChainCheck:
     folds the records they write into the running root.
 
     Returns intact only if every block has its index as height, links to
-    the previous block's digest, carries a body whose transactions re-hash,
-    one for one and in order, to its ``tx_hashes``, and carries the replayed
-    state root, and the last block hashes to the chain's recorded head hash.
+    the previous block's digest, carries a body whose transaction hashes,
+    joined in order, equal its packed ``tx_hashes`` byte for byte (so a
+    missing, extra or reordered hash or a stray byte fails too), and carries
+    the replayed state root, and the last block hashes to the chain's
+    recorded head hash.
     Otherwise ``broken_height`` is the first height that fails. A submit from an
     address the replay has not registered replays as rejected, so a chain
     whose block claims it wrote a record fails at that block's root.
@@ -493,9 +491,7 @@ def chain_verify(chain: Chain) -> ChainCheck:
         if block.height != i or block.parent_hash != expected_parent:
             return ChainCheck(False, i)
         body = block.transactions
-        if len(body) != len(block.tx_hashes) or any(
-            tx.tx_hash() != txh for tx, txh in zip(body, block.tx_hashes)
-        ):
+        if b"".join(tx.tx_hash() for tx in body) != block.tx_hashes:
             return ChainCheck(False, i)
         root = _next_root(root, (state.apply(tx)[1] for tx in body))
         if block.state_root != root:
@@ -506,20 +502,17 @@ def chain_verify(chain: Chain) -> ChainCheck:
 
 
 def export_chain(chain: Chain) -> str:
-    """Newline-delimited records, one block per line, digests hex-encoded."""
+    """Newline-delimited records, one block per line, digests hex-encoded;
+    the packed ``tx_hashes`` field is split into a list of 32-byte hashes."""
     lines = []
     for block in chain.blocks:
-        lines.append(
-            json.dumps(
-                {
-                    "height": block.height,
-                    "parent_hash": block.parent_hash.hex(),
-                    "block_hash": block.block_hash().hex(),
-                    "tx_hashes": [h.hex() for h in block.tx_hashes],
-                    "state_root": block.state_root.hex(),
-                    "timestamp": block.timestamp,
-                },
-                sort_keys=True,
-            )
-        )
+        hexed = block.tx_hashes.hex()
+        lines.append(json.dumps({
+            "height": block.height,
+            "parent_hash": block.parent_hash.hex(),
+            "block_hash": block.block_hash().hex(),
+            "tx_hashes": [hexed[j:j + 64] for j in range(0, len(hexed), 64)],
+            "state_root": block.state_root.hex(),
+            "timestamp": block.timestamp,
+        }, sort_keys=True))
     return "\n".join(lines) + "\n"

@@ -57,6 +57,7 @@ __all__ = [
     "gas_efficiency",
     "derive_seed",
     "SUMMARY_FIELDS",
+    "TIMING_FIELDS",
     "NOBC_LATENCY_S",
 ]
 
@@ -452,6 +453,10 @@ class ExperimentReport:
 # The per-round metrics an experiment summary averages.
 SUMMARY_FIELDS = tuple(
     f.name for f in fields(RoundMetrics) if f.name not in ("round", "model_digest")
+)
+# The wall-clock ones, per round and in the summary; a fixed seed fixes all others.
+TIMING_FIELDS = (
+    "round_time_s", "compute_time_s", "mean_sign_ms", "mean_verify_ms", "overhead_ratio"
 )
 
 

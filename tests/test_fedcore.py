@@ -153,6 +153,15 @@ class TestPartitionDirichlet:
             assert g.dtype == np.int64
             assert np.array_equal(g, w)
 
+    @pytest.mark.parametrize("n_clients", [256, 257])
+    def test_matches_loop_reference_past_one_byte_owners(self, n_clients):
+        # 257 clients and up need owners wider than one byte
+        train, _ = generate_synthetic(9, 700, 4, 5)
+        got = partition_dirichlet(train, n_clients, 0.3, seed=n_clients)
+        want = _reference_partition(train, n_clients, 0.3, seed=n_clients)
+        assert len(got) == len(want) == n_clients
+        assert all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got, want))
+
     def test_too_many_clients(self):
         train, _ = generate_synthetic(4, 40, 6, 4)
         with pytest.raises(TooManyClients):

@@ -293,7 +293,7 @@ class TestMining:
         before = ledger.chain.height
         block = ledger.mine_block()
         assert ledger.chain.height == before + 1
-        assert block.tx_hashes == ()
+        assert block.tx_hashes == b""
 
     def test_fifo_ordering(self):
         ledger = SimulatedLedger()
@@ -301,7 +301,7 @@ class TestMining:
         ra = ledger.register_client(_address("a"), ka.public_key, SchemeId.NONE)
         rb = ledger.register_client(_address("b"), ka.public_key, SchemeId.NONE)
         block = ledger.mine_block()
-        assert block.tx_hashes == (ra.tx_hash, rb.tx_hash)
+        assert block.tx_hashes == ra.tx_hash + rb.tx_hash
 
     def test_default_timestamp_is_height(self):
         ledger = SimulatedLedger()
@@ -360,6 +360,33 @@ class TestChainIntegrity:
         ids=["drop", "duplicate", "swap"],
     )
     def test_edited_body_detected_at_height(self, edit):
+        chain = self._two_update_chain()
+        target = chain.blocks[2]
+        chain.blocks[2] = dataclasses.replace(target, transactions=edit(target.transactions))
+        check = chain_verify(chain)
+        assert not check.intact
+        assert check.broken_height == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda packed: packed + b"\x00",                            # stray byte
+            lambda packed: packed[:-HASH_BYTES],                        # drop one
+            lambda packed: packed[HASH_BYTES:] + packed[:HASH_BYTES],   # swap two
+        ],
+        ids=["stray-byte", "drop", "swap"],
+    )
+    def test_edited_header_hashes_detected_at_height(self, edit):
+        chain = self._two_update_chain()
+        target = chain.blocks[2]
+        chain.blocks[2] = dataclasses.replace(target, tx_hashes=edit(target.tx_hashes))
+        check = chain_verify(chain)
+        assert not check.intact
+        assert check.broken_height == 2
+
+    def _two_update_chain(self):
+        """Registrations, then a block of two verified updates, then an
+        empty block; an intact copy of its chain."""
         ledger = SimulatedLedger()
         keys = [keygen(SchemeId.NONE, 10 + i) for i in range(2)]
         addrs = [_address(f"body-{i}") for i in range(2)]
@@ -373,12 +400,8 @@ class TestChainIntegrity:
         ledger.mine_block()
         chain = copy.deepcopy(ledger.chain)
         assert chain_verify(chain).intact
-        target = chain.blocks[2]
-        assert len(target.transactions) == 2
-        chain.blocks[2] = dataclasses.replace(target, transactions=edit(target.transactions))
-        check = chain_verify(chain)
-        assert not check.intact
-        assert check.broken_height == 2
+        assert len(chain.blocks[2].transactions) == 2
+        return chain
 
     def test_mutated_state_root_detected(self):
         ledger = self._populated_ledger()
@@ -443,12 +466,13 @@ def _rewrite_payload(chain, height: int, txh: bytes, bit: int):
     body, re-key it, and re-link every block above it and the head, so that
     only the state roots can disagree with the history."""
     block = chain.blocks[height]
-    i = block.tx_hashes.index(txh)
+    i = [tx.tx_hash() for tx in block.transactions].index(txh)
     tx = block.transactions[i]
     forged = dataclasses.replace(tx, payload=_flip_bit(tx.payload, bit % (8 * len(tx.payload))))
+    at = i * HASH_BYTES
     chain.blocks[height] = dataclasses.replace(
         block,
-        tx_hashes=block.tx_hashes[:i] + (forged.tx_hash(),) + block.tx_hashes[i + 1:],
+        tx_hashes=block.tx_hashes[:at] + forged.tx_hash() + block.tx_hashes[at + HASH_BYTES:],
         transactions=block.transactions[:i] + (forged,) + block.transactions[i + 1:],
     )
     for h in range(height + 1, len(chain.blocks)):
@@ -578,6 +602,20 @@ class TestExport:
             assert record["block_hash"] == block.block_hash().hex()
             assert record["block_hash"] == record["block_hash"].lower()
             bytes.fromhex(record["parent_hash"])
+            assert record["tx_hashes"] == [tx.tx_hash().hex() for tx in block.transactions]
+
+    def test_export_text_pinned(self):
+        # SHA3-256 of the export of a (NONE, 3 clients, 2 rounds, seed 7)
+        # run: a change to how blocks are stored must leave the text, and
+        # every block hash, root and transaction hash it prints, unchanged.
+        cfg = ExperimentConfig(scheme=SchemeId.NONE, n_clients=3, rounds=2, master_seed=7)
+        state = init_phase(cfg)
+        for t in (1, 2):
+            run_round(state, t)
+        text = export_chain(state.ledger.chain)
+        assert hashlib.sha3_256(text.encode()).hexdigest() == (
+            "67d0ddad3217970e5595280e05437065f2833ce77117e88543196c2482812da6"
+        )
 
 
 class TestTransactionEncoding:

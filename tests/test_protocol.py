@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pqsbfl.errors import (
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import DEFAULT_GAS_TARGETS, chain_verify
 from pqsbfl.protocol import (
+    TIMING_FIELDS,
     ExperimentConfig,
     derive_seed,
     gas_efficiency,
@@ -232,7 +234,7 @@ class TestRunRound:
         chain = state.ledger.chain
         # genesis, registrations, round 1's three rejected submissions,
         # round 2's three updates plus the aggregation record
-        assert [len(b.tx_hashes) for b in chain.blocks] == [0, 4, 3, 4]
+        assert [len(b.transactions) for b in chain.blocks] == [0, 4, 3, 4]
         assert chain_verify(chain).intact
 
     @pytest.mark.parametrize("blockchain", [True, False], ids=["bc", "nobc"])
@@ -402,14 +404,19 @@ class TestRunExperiment:
         assert report.config.name() in blob
 
 
-# SHA3-256 over the concatenated per-round model_digest hex strings. A
-# refactor of training, aggregation or the round loop must leave these
-# unchanged; c05 only compares schemes with each other, so it cannot catch a
-# change that alters every scheme's trajectory the same way.
+# Per run: the SHA3-256 over the concatenated per-round model_digest hex
+# strings, the chain head, and the SHA3-256 of the canonical report.json
+# without its timing fields. A refactor of training, aggregation, the round
+# loop or the ledger must leave all three unchanged; c05 only compares
+# schemes with each other, so it cannot catch a change that alters every
+# scheme's trajectory the same way. PQC has no entry: hedged ML-DSA signing
+# makes its chain differ from run to run.
 GOLDEN_TRAJECTORIES = [
     (
         dict(scheme=SchemeId.NONE, n_clients=3, rounds=10, master_seed=7),
         "5dc5555f5fce52d70e88cead64585e28c8492f0974482a87888d94d2bb776d68",
+        "be89698a381eda074eb17e95e1065f637a715b26b8c1fdbcd6626f5e7a9cc3af",
+        "f3aef6911e283097479c40b46f19586d1b9458e9b32cf55928fb581dfdd9f0d2",
     ),
     (
         dict(
@@ -417,6 +424,8 @@ GOLDEN_TRAJECTORIES = [
             train=TrainConfig(local_epochs=1),
         ),
         "8ce7ef6c008f265c61cba2b97e32a3147f786af63f2e067be2082bf80fc4bad1",
+        "f8737c40d5b155675b84a1fe6184c5d6ba41b53b4d458ec9ef90b35a482863a6",
+        "71a685ac269a3ccb0ea6adb901470788efef23ad5c4e2abf76a5480558977e8b",
     ),
     (
         dict(
@@ -424,17 +433,36 @@ GOLDEN_TRAJECTORIES = [
             blockchain=False, synth_samples=600,
         ),
         "d6389fbeb1c02d9497b2d10c7a0f37691383244f934cd10a64126cee97c38582",
+        "08d378eef3c214dc8f163a97acd119e2f0a8faf097b7dd01ac1ef748e8d3482e",
+        "653db4b82aab71c1fe5265ac0feaae301d3952f9fe1529d64716c7554d528000",
     ),
 ]
 
 
+def _report_digest(report) -> str:
+    """SHA3-256 of the report's canonical JSON, timing fields removed."""
+    record = report.to_json_dict()
+    for timed in (*record["rounds"], record["summary"]):
+        for f in TIMING_FIELDS:
+            del timed[f]
+    return hashlib.sha3_256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "kwargs,expected", GOLDEN_TRAJECTORIES, ids=["none-3c", "none-16c", "ecdsa-5c-nobc"]
+    "kwargs,expected,head,report_digest",
+    GOLDEN_TRAJECTORIES,
+    ids=["none-3c", "none-16c", "ecdsa-5c-nobc"],
 )
-def test_golden_trajectory(kwargs, expected):
+def test_golden_trajectory(kwargs, expected, head, report_digest, monkeypatch):
+    states = []  # run_experiment keeps no ledger; catch the state it builds
+    monkeypatch.setattr(
+        protocol, "init_phase", lambda cfg: states.append(init_phase(cfg)) or states[-1]
+    )
     report = run_experiment(ExperimentConfig(**kwargs))
     joined = "".join(m.model_digest for m in report.rounds)
     assert hashlib.sha3_256(joined.encode()).hexdigest() == expected
+    assert states[0].ledger.chain.head_hash.hex() == head
+    assert _report_digest(report) == report_digest
 
 
 class TestGasEfficiency:
