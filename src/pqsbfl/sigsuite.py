@@ -4,7 +4,7 @@ Three interchangeable backends:
 
 * ``PQC``   -- ML-DSA-65 (FIPS 204, lattice-based). Key generation, signing
   and verification run on the OpenSSL backend of the ``cryptography``
-  package; the expanded standard encodings come from
+  package (imported on first use); the expanded standard encodings come from
   :mod:`pqsbfl._mldsa_keyexpand`, which expands a whole batch of seeds at
   once (``keygen_batch``); every key's expanded public key is still
   cross-checked against the backend's own encoding.
@@ -13,7 +13,7 @@ Three interchangeable backends:
   signature sizes are recorded per signature, never pinned.
 * ``NONE``  -- hash-only baseline. "Signing" is SHA-256 of the message and
   the key material is a pair of fixed opaque tokens, so payload and size
-  accounting stay meaningful without any cryptography.
+  accounting stay meaningful without ever importing ``cryptography``.
 
 ECDSA signs deterministically (RFC 6979): one key and message always give
 the same signature. ML-DSA signs in the backend's default hedged
@@ -26,15 +26,13 @@ safe to call concurrently; key material is immutable after creation.
 """
 
 import enum
+import functools
 import hashlib
 import os
 import struct
 import time
 from dataclasses import dataclass, field
-
-from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, mldsa
+from types import SimpleNamespace
 
 from . import _mldsa_keyexpand as _expand
 from .errors import MalformedKey, SchemeMismatch, UnsupportedScheme
@@ -128,6 +126,19 @@ class CryptoTimings:
     private_key_b: int
 
 
+@functools.cache
+def _backend() -> SimpleNamespace:
+    """What PQC and ECDSA use from ``cryptography``, imported on first call."""
+    try:
+        from cryptography import exceptions
+        from cryptography.hazmat.primitives import hashes, serialization
+        from cryptography.hazmat.primitives.asymmetric import ec, mldsa
+    except ImportError as exc:
+        raise UnsupportedScheme(f"signature backend unavailable: {exc}") from exc
+    return SimpleNamespace(exceptions=exceptions, SHA256=hashes.SHA256,
+                           serialization=serialization, ec=ec, mldsa=mldsa)
+
+
 def _pqc_seed(rng_seed: int) -> bytes:
     return hashlib.sha256(b"ml-dsa-65 keygen seed" + struct.pack("<Q", rng_seed & (2**64 - 1))).digest()
 
@@ -159,14 +170,15 @@ def keygen_batch(scheme: SchemeId, rng_seeds: list) -> list:
     the same seed (:class:`MalformedKey` on any disagreement). NONE and
     ECDSA generate key by key.
 
-    Raises :class:`UnsupportedScheme` when the backend lacks the algorithm
-    (ML-DSA needs an OpenSSL >= 3.5 build of ``cryptography``).
+    Raises :class:`UnsupportedScheme` when ``cryptography`` cannot be
+    imported or lacks the algorithm (ML-DSA needs an OpenSSL >= 3.5 build).
     """
     if scheme is SchemeId.PQC:
+        backend = _backend()
         seeds = [_pqc_seed(s) for s in rng_seeds]
         try:
-            handles = [mldsa.MLDSA65PrivateKey.from_seed_bytes(seed) for seed in seeds]
-        except UnsupportedAlgorithm as exc:
+            handles = [backend.mldsa.MLDSA65PrivateKey.from_seed_bytes(seed) for seed in seeds]
+        except backend.exceptions.UnsupportedAlgorithm as exc:
             raise UnsupportedScheme(f"ML-DSA-65 backend unavailable: {exc}") from exc
         keys = [KeyPair(scheme, public_key, private_key, handle)
                 for handle, (public_key, private_key) in zip(handles, _expand.expand_seeds(seeds))]
@@ -186,6 +198,7 @@ def keygen_batch(scheme: SchemeId, rng_seeds: list) -> list:
 
 
 def _ecdsa_keygen(rng_seed: int) -> KeyPair:
+    ec, serialization = _backend().ec, _backend().serialization
     handle = ec.derive_private_key(_ecdsa_scalar(rng_seed), ec.SECP256K1())
     public_key = handle.public_key().public_bytes(
         serialization.Encoding.PEM,
@@ -206,14 +219,15 @@ def sign(key: KeyPair, message: bytes) -> Signature:
         return Signature(SchemeId.NONE, hashlib.sha256(message).digest())
 
     if key.scheme is SchemeId.PQC:
-        if not isinstance(key.handle, mldsa.MLDSA65PrivateKey):
+        if not isinstance(key.handle, _backend().mldsa.MLDSA65PrivateKey):
             raise MalformedKey("PQC key pair has no signing handle")
         return Signature(SchemeId.PQC, key.handle.sign(message))
 
     if key.scheme is SchemeId.ECDSA:
-        if not isinstance(key.handle, ec.EllipticCurvePrivateKey):
+        backend = _backend()
+        if not isinstance(key.handle, backend.ec.EllipticCurvePrivateKey):
             raise MalformedKey("ECDSA key pair has no signing handle")
-        der = key.handle.sign(message, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
+        der = key.handle.sign(message, backend.ec.ECDSA(backend.SHA256(), deterministic_signing=True))
         return Signature(SchemeId.ECDSA, der)
 
     raise UnsupportedScheme(f"unknown scheme {key.scheme!r}")
@@ -233,21 +247,23 @@ def verify(public_key: bytes, scheme: SchemeId, message: bytes, sig: Signature) 
         return sig.bytes == hashlib.sha256(message).digest()
 
     if scheme is SchemeId.PQC:
+        backend = _backend()
         try:
-            pk = mldsa.MLDSA65PublicKey.from_public_bytes(public_key)
+            pk = backend.mldsa.MLDSA65PublicKey.from_public_bytes(public_key)
             pk.verify(sig.bytes, message)
             return True
-        except (InvalidSignature, ValueError):
+        except (backend.exceptions.InvalidSignature, ValueError):
             return False
-        except UnsupportedAlgorithm as exc:
+        except backend.exceptions.UnsupportedAlgorithm as exc:
             raise UnsupportedScheme(f"ML-DSA-65 backend unavailable: {exc}") from exc
 
     if scheme is SchemeId.ECDSA:
+        backend = _backend()
         try:
-            pk = serialization.load_pem_public_key(public_key)
-            pk.verify(sig.bytes, message, ec.ECDSA(hashes.SHA256()))
+            pk = backend.serialization.load_pem_public_key(public_key)
+            pk.verify(sig.bytes, message, backend.ec.ECDSA(backend.SHA256()))
             return True
-        except (InvalidSignature, ValueError, TypeError):
+        except (backend.exceptions.InvalidSignature, ValueError, TypeError):
             return False
 
     raise UnsupportedScheme(f"unknown scheme {scheme!r}")

@@ -3,6 +3,8 @@
 import dataclasses
 import hashlib
 import json
+import math
+import types
 
 import numpy as np
 import pytest
@@ -194,13 +196,24 @@ class TestRunRound:
         assert metrics.verified_count == 2
 
     def test_submission_fields_are_signed_or_bound(self):
-        # Each field is signed (digest, sig), hash-bound (params), checked
-        # against the registry (client_id) or instrumentation (sign_ms). A
-        # FedAvg weight here would be none of these and could be rewritten
-        # in flight, so the weights come from the aggregator's partitions.
+        # Each field is signed (digest, sig), hash-bound (params) or checked
+        # against the registry (client_id). A FedAvg weight here would be
+        # none of these and could be rewritten in flight, so the weights
+        # come from the aggregator's partitions.
         assert [f.name for f in dataclasses.fields(protocol.ClientSubmission)] == [
-            "client_id", "params", "digest", "sig", "sign_ms",
+            "client_id", "params", "digest", "sig",
         ]
+
+    def test_sign_time_is_measured_not_carried(self):
+        # A submission in flight may claim any signing time; the round
+        # averages the times it measured itself.
+        def claim_nan_sign_time(sub):
+            return types.SimpleNamespace(**{**vars(sub), "sign_ms": float("nan")})
+
+        metrics = run_round(init_phase(_small_config()), 1, tamper_hook=claim_nan_sign_time)
+        assert metrics.verified_count == 3
+        assert math.isfinite(metrics.mean_sign_ms) and metrics.mean_sign_ms > 0
+        assert math.isfinite(metrics.overhead_ratio)
 
     @pytest.mark.parametrize("blockchain", [True, False], ids=["bc", "nobc"])
     def test_rejected_impostor_keeps_named_client(self, blockchain):

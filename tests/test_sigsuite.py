@@ -1,6 +1,10 @@
 """Signature-suite contracts: sizes, roundtrips, tamper rejection, hashing."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,28 @@ from pqsbfl.sigsuite import (
 )
 
 ALL_SCHEMES = (SchemeId.PQC, SchemeId.ECDSA, SchemeId.NONE)
+SOURCE = Path(__file__).resolve().parent.parent / "src"
+
+# A NONE run through every public stage, asserting each one worked.
+NONE_RUN = """
+from pqsbfl import (ExperimentConfig, SchemeId, chain_verify, export_chain, init_phase,
+                    run_experiment, run_round)
+config = ExperimentConfig(scheme=SchemeId.NONE, n_clients=3, rounds=2, synth_samples=400,
+                          synth_features=10, synth_classes=3)
+state = init_phase(config)
+assert [run_round(state, t).verified_count for t in (1, 2)] == [3, 3]
+assert chain_verify(state.ledger.chain).intact
+assert len(export_chain(state.ledger.chain).splitlines()) == 4  # genesis, keys, 2 rounds
+assert len(run_experiment(config).rounds) == 2
+"""
+
+
+def _run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [str(SOURCE), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
 
 
 def _flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -208,6 +234,18 @@ class TestSignVerify:
         with pytest.raises(MalformedKey):
             sign(hollow, b"m")
 
+    @pytest.mark.parametrize("scheme", (SchemeId.PQC, SchemeId.ECDSA))
+    def test_missing_backend_is_unsupported_scheme(self, scheme, monkeypatch):
+        key = keygen(scheme, 5)
+        sig = sign(key, b"m")
+        monkeypatch.setitem(sys.modules, "cryptography", None)
+        # the uncached loader, so that every operation tries the import again
+        monkeypatch.setattr(sigsuite, "_backend", sigsuite._backend.__wrapped__)
+        for operation in (lambda: keygen(scheme, 5), lambda: sign(key, b"m"),
+                          lambda: verify(key.public_key, scheme, b"m", sig)):
+            with pytest.raises(UnsupportedScheme):
+                operation()
+
     def test_hedged_pqc_signatures_differ_but_both_verify(self):
         key = keygen(SchemeId.PQC, 5)
         msg = b"same message" * 2
@@ -278,3 +316,33 @@ class TestMeasurePrimitives:
     def test_sig_size_is_mean_of_signatures_made(self, scheme, low, high):
         t = measure_primitives(scheme, trials=8)
         assert low <= t.sig_size_b <= high
+
+
+class TestBackendLoading:
+    def test_none_run_never_loads_the_backend(self):
+        _run_fresh(NONE_RUN + "import sys\nassert 'cryptography' not in sys.modules\n")
+
+    @pytest.mark.parametrize("order", [("PQC", "ECDSA"), ("ECDSA", "PQC")],
+                             ids=["pqc-first", "ecdsa-first"])
+    def test_first_signing_operation_loads_the_backend(self, order):
+        _run_fresh(f"""
+import sys
+from pqsbfl.sigsuite import SchemeId, keygen, sign, verify
+assert "cryptography" not in sys.modules
+for scheme in map(SchemeId, {order!r}):
+    key = keygen(scheme, 7)
+    assert "cryptography" in sys.modules
+    sig = sign(key, b"m")
+    assert verify(key.public_key, scheme, b"m", sig)
+    assert not verify(key.public_key, scheme, b"n", sig)
+""")
+
+    def test_missing_backend_fails_only_the_signing_schemes(self):
+        _run_fresh("import sys\nsys.modules['cryptography'] = None\n" + NONE_RUN + """
+import pytest
+from pqsbfl.errors import UnsupportedScheme
+from pqsbfl.sigsuite import keygen
+for scheme in (SchemeId.PQC, SchemeId.ECDSA):
+    with pytest.raises(UnsupportedScheme):
+        keygen(scheme, 0)
+""")
