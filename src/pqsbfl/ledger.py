@@ -29,12 +29,12 @@ for a protocol run. :func:`chain_verify` checks each body against its
 header's packed hashes, replays the bodies from an empty state and compares
 each recomputed root with the block's.
 
-Verified update hashes are stored the way contract storage lays out a
-nested mapping: ``verified_updates[round][address] -> hash``. A round's
+Verified updates are stored the way contract storage lays out a nested
+mapping: ``verified_updates[round][address] -> transaction``. A round's
 inner table is created by its first verified update, so a rejected
-transaction writes nothing, not even an empty round entry. The stored hash
-is the submitting transaction's own :attr:`Transaction.update_hash`, so
-the live contract and a replay hold one hash object per verified update.
+transaction writes nothing, not even an empty round entry. A slot holds
+the submitting transaction, read through :attr:`Transaction.update_hash`,
+so the live contract and a replay store no object per verified update.
 
 Gas for a transaction follows an affine cost model::
 
@@ -128,9 +128,6 @@ class Transaction:
     A registration needs a non-empty key. A submit payload may have any
     length, empty included: the contract rejects one too short to hold a
     32-byte hash, so a client cannot make a transaction fail to form.
-
-    ``update_hash`` is derived, not passed: a submit's payload prefix that
-    holds the hash (sliced once, here), None for a registration.
     """
 
     kind: TxKind
@@ -138,17 +135,17 @@ class Transaction:
     round: int
     payload: bytes
     scheme: SchemeId
-    update_hash: bytes | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.sender) != ADDRESS_BYTES:
             raise ValueError(f"sender must be {ADDRESS_BYTES} bytes")
-        if self.kind is TxKind.REGISTER:
-            if not self.payload:
-                raise ValueError("registration payload must be non-empty")
-            object.__setattr__(self, "update_hash", None)
-        else:
-            object.__setattr__(self, "update_hash", self.payload[:HASH_BYTES])
+        if self.kind is TxKind.REGISTER and not self.payload:
+            raise ValueError("registration payload must be non-empty")
+
+    @property
+    def update_hash(self) -> bytes | None:
+        """A submit's payload prefix that holds the hash, None for a registration."""
+        return None if self.kind is TxKind.REGISTER else self.payload[:HASH_BYTES]
 
     @classmethod
     def registration(cls, address: bytes, public_key: bytes, scheme: SchemeId) -> "Transaction":
@@ -262,17 +259,17 @@ def _next_root(root: bytes, records) -> bytes:
 
 
 class ContractState:
-    """Registry, verified update hashes, and aggregation records.
+    """Registry, verified updates, and aggregation records.
 
     Changed only through :meth:`apply`; keys are write-once. Verified
-    updates are kept per round, ``round -> {address -> hash}``; a round
-    appears only once one of its updates has been verified.
+    updates are kept per round, ``round -> {address -> transaction}``; a
+    round appears only once one of its updates has been verified.
     """
 
     def __init__(self):
         self.registry: dict = {}            # address -> (pk bytes, SchemeId)
-        self.verified_updates: dict = {}    # round -> {address -> 32-byte hash}
-        self.aggregation_records: dict = {} # round -> 32-byte hash
+        self.verified_updates: dict = {}    # round -> {address -> SUBMIT_UPDATE tx}
+        self.aggregation_records: dict = {} # round -> SUBMIT_AGGREGATION tx
 
     def apply(self, tx: Transaction) -> tuple:
         """The contract's state-transition function: execute ``tx``.
@@ -315,7 +312,7 @@ class ContractState:
             table, slot = self.aggregation_records, tx.round
         if not valid or slot in table:
             return TxStatus.REJECTED, b""
-        table[slot] = update_hash
+        table[slot] = tx
         if tx.kind is TxKind.SUBMIT_UPDATE:  # a round's first verified update stores its table
             self.verified_updates[tx.round] = table
             record = struct.pack(

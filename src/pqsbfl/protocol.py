@@ -336,8 +336,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     (possibly corrupted) submission actually sent; it models in-flight
     adversarial interference and is used by the security tests. A malformed
     submission (wrong scheme tag, hash of the wrong length, an empty one, a
-    client id that is not an integer or that the run does not have) is
-    rejected like a bad signature and excludes only its client.
+    digest or signature of the wrong type, a client id that is not an
+    integer or that the run does not have) is rejected like a bad signature
+    and excludes only its client.
 
     Each submission is hash-bound as soon as the contract verifies it: it is
     aggregated only if its own off-chain parameters re-digest to the hash
@@ -363,17 +364,23 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     receipts = []
     updates = []
     for sub in submissions:
-        state.sig_bytes_total += len(sub.sig.bytes)
+        # A field of the wrong type is sent empty, so the contract rejects it.
+        digest = sub.digest if isinstance(sub.digest, bytes) else b""
+        sig = sub.sig
+        if not (isinstance(sig, Signature) and isinstance(sig.scheme, SchemeId)
+                and isinstance(sig.bytes, bytes)):
+            sig = Signature(config.scheme, b"")
+        state.sig_bytes_total += len(sig.bytes)
         state.sig_count += 1
         cid, address = _resolve_client(state.addresses, sub.client_id)
-        receipt = state.ledger.submit_update(address, t, sub.digest, sub.sig)
+        receipt = state.ledger.submit_update(address, t, digest, sig)
         receipts.append(receipt)
         # Hash binding: aggregate a verified submission only if its own
         # off-chain parameters re-digest to the hash the contract recorded.
         if (
             receipt.verified
             and sigsuite.digest_model(sub.params)
-            == state.ledger.state.verified_updates[t][address]
+            == state.ledger.state.verified_updates[t][address].update_hash
         ):
             updates.append(ClientUpdate(cid, sub.params, len(state.partitions[cid])))
 

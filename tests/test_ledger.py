@@ -121,7 +121,7 @@ class TestSubmitUpdate:
         assert ledger.submit_update(addr, 1, d1, sign(key, d1)).verified
         replay = ledger.submit_update(addr, 1, d2, sign(key, d2))
         assert replay.status is TxStatus.REJECTED
-        assert ledger.state.verified_updates == {1: {addr: d1}}
+        assert _update_hashes(ledger.state.verified_updates) == {1: {addr: d1}}
 
     def test_unregistered_client_rejected_and_charged(self):
         ledger = SimulatedLedger()
@@ -197,7 +197,9 @@ class TestVerifiedOnlyWrites:
                     expected[(rnd, addrs[i])] = digest
                 tables = ledger.state.verified_updates
                 assert all(tables.values())
-                assert {(r, a): h for r, t in tables.items() for a, h in t.items()} == expected
+                assert {
+                    (r, a): tx.update_hash for r, t in tables.items() for a, tx in t.items()
+                } == expected
 
 
 class TestSubmitAggregation:
@@ -209,7 +211,7 @@ class TestSubmitAggregation:
         digest = hashlib.sha3_256(b"global").digest()
         receipt = ledger.submit_aggregation(addr, 3, digest, sign(agg, digest))
         assert receipt.verified
-        assert ledger.state.aggregation_records[3] == digest
+        assert ledger.state.aggregation_records[3].update_hash == digest
 
     def test_non_aggregator_key_rejected(self):
         ledger = SimulatedLedger()
@@ -231,7 +233,7 @@ class TestSubmitAggregation:
         d2 = hashlib.sha3_256(b"g2").digest()
         assert ledger.submit_aggregation(addr, 3, d1, sign(agg, d1)).verified
         assert ledger.submit_aggregation(addr, 3, d2, sign(agg, d2)).status is TxStatus.REJECTED
-        assert ledger.state.aggregation_records[3] == d1
+        assert ledger.state.aggregation_records[3].update_hash == d1
 
 
 class TestCalibration:
@@ -437,22 +439,37 @@ class TestChainIntegrity:
 
 
 class TestBlockBody:
-    def test_verified_update_is_the_transactions_hash_slot(self):
+    def test_slots_are_the_transactions_in_the_block_bodies(self):
+        # A slot holds the transaction that filled it, the object in its
+        # block's body, and a transaction stores no field beyond the wire's.
         cfg = ExperimentConfig(
-            scheme=SchemeId.NONE, n_clients=3, rounds=1, master_seed=5,
+            scheme=SchemeId.NONE, n_clients=3, rounds=2, master_seed=5,
             synth_samples=300, synth_features=8, synth_classes=3,
         )
         state = init_phase(cfg)
-        run_round(state, 1)
-        ledger = state.ledger
-        submits = [
-            tx for tx in ledger.chain.blocks[-1].transactions if tx.kind is TxKind.SUBMIT_UPDATE
+        for t in (1, 2):
+            run_round(state, t)
+        contract, blocks = state.ledger.state, state.ledger.chain.blocks
+        assert [len(b.transactions) for b in blocks] == [0, 4, 4, 4]
+        for block in blocks[2:]:
+            *submits, aggregation = block.transactions
+            assert [tx.kind for tx in submits] == [TxKind.SUBMIT_UPDATE] * cfg.n_clients
+            assert list(contract.verified_updates[block.height - 1].values()) == submits
+            for tx in submits:
+                assert contract.verified_updates[tx.round][tx.sender] is tx
+                assert tx.update_hash == tx.payload[:HASH_BYTES]
+            assert aggregation.kind is TxKind.SUBMIT_AGGREGATION
+            assert contract.aggregation_records[aggregation.round] is aggregation
+        assert len(contract.verified_updates) == len(contract.aggregation_records) == 2
+        assert all(tx.update_hash is None for tx in blocks[1].transactions)
+        assert [f.name for f in dataclasses.fields(Transaction)] == [
+            "kind", "sender", "round", "payload", "scheme",
         ]
-        assert len(submits) == cfg.n_clients
-        for tx in submits:
-            assert ledger.state.verified_updates[1][tx.sender] is tx.update_hash
-        registrations = ledger.chain.blocks[1].transactions
-        assert registrations and all(tx.update_hash is None for tx in registrations)
+
+
+def _update_hashes(tables: dict) -> dict:
+    """``verified_updates`` with each slot's transaction read as its hash."""
+    return {r: {a: tx.update_hash for a, tx in t.items()} for r, t in tables.items()}
 
 
 def _flip_bit(data: bytes, bit: int) -> bytes:
@@ -570,8 +587,10 @@ class TestReplay:
                 stored.append(receipt.tx_hash)
 
         ledger.mine_block()
-        assert ledger.state.verified_updates == expected["update"]
-        assert ledger.state.aggregation_records == expected["aggregation"]
+        assert _update_hashes(ledger.state.verified_updates) == expected["update"]
+        assert {
+            r: tx.update_hash for r, tx in ledger.state.aggregation_records.items()
+        } == expected["aggregation"]
         check = chain_verify(ledger.chain)
         assert check.intact and check.broken_height is None
 

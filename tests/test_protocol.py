@@ -8,6 +8,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pqsbfl import fedcore, protocol, sigsuite
 from pqsbfl.errors import (
@@ -17,7 +19,7 @@ from pqsbfl.errors import (
     ZeroDenominator,
 )
 from pqsbfl.fedcore import TrainConfig
-from pqsbfl.ledger import DEFAULT_GAS_TARGETS, chain_verify
+from pqsbfl.ledger import DEFAULT_GAS_TARGETS, TxKind, chain_verify
 from pqsbfl.protocol import (
     TIMING_FIELDS,
     ExperimentConfig,
@@ -337,6 +339,116 @@ class TestRunRound:
         m = run_round(state, 1)
         recomputed = overhead_ratio(m.mean_sign_ms, m.mean_verify_ms, m.mean_tx_time_s)
         assert abs(recomputed - m.overhead_ratio) <= 1e-12 * abs(m.overhead_ratio)
+
+
+# Client 0's on-chain fields, each drawn as (form, value) and resolved
+# against its honest submission inside the test.
+_NOT_BYTES = st.one_of(st.none(), st.text(max_size=3), st.integers())
+_DIGESTS = st.one_of(
+    st.tuples(st.just("honest"), st.none()),
+    st.tuples(st.just("value"), st.one_of(st.binary(max_size=64), _NOT_BYTES)),
+)
+_SIGS = st.one_of(
+    st.tuples(st.just("honest"), st.none()),
+    # the honest signature bytes under any tag, SchemeId or not
+    st.tuples(st.just("tag"), st.sampled_from([*SchemeId, "NONE", None])),
+    # the run's own tag over random bytes or a value that is not bytes
+    st.tuples(st.just("bytes"), st.one_of(st.binary(max_size=80), _NOT_BYTES)),
+    # no Signature at all
+    st.tuples(st.just("object"), st.one_of(st.none(), st.binary(max_size=80))),
+)
+
+
+def _draw_sig(form, value, honest: Signature):
+    if form == "honest":
+        return honest
+    if form == "tag":
+        return Signature(value, honest.bytes)
+    if form == "bytes":
+        return Signature(honest.scheme, value)
+    return value
+
+
+def _on_the_wire(digest, sig, scheme) -> tuple:
+    """The digest and signature a submission with these fields sends: a
+    field of the wrong type goes empty, the signature under the run's tag."""
+    if not isinstance(digest, bytes):
+        digest = b""
+    if not (isinstance(sig, Signature) and isinstance(sig.scheme, SchemeId)
+            and isinstance(sig.bytes, bytes)):
+        sig = Signature(scheme, b"")
+    return digest, sig
+
+
+class TestWireFields:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scheme=st.sampled_from([SchemeId.NONE, SchemeId.ECDSA]),
+        digest=_DIGESTS,
+        sig=_SIGS,
+        resign=st.booleans(),
+    )
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("object", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("bytes", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("tag", "NONE"), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("value", "digest"), sig=("honest", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("value", None), sig=("honest", None), resign=True)
+    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("honest", None), resign=False)
+    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("object", None), resign=True)
+    @example(scheme=SchemeId.PQC, digest=("value", bytes(32)), sig=("honest", None), resign=True)
+    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("tag", "PQC"), resign=False)
+    @example(scheme=SchemeId.PQC, digest=("value", None), sig=("bytes", bytes(8)), resign=False)
+    def test_client_fields_reject_only_that_client(self, scheme, digest, sig, resign):
+        # Whatever client 0 puts in its digest and signature, the round
+        # completes; client 0 is aggregated iff it sent an honest submission
+        # (its own digest, signed with its own key), and the others always are.
+        state = init_phase(_small_config(scheme=scheme, train=TrainConfig(local_epochs=1)))
+        address = state.addresses[0]
+        sent, others_sig_bytes = {}, []
+
+        def send(sub):
+            if sub.client_id != 0:
+                others_sig_bytes.append(len(sub.sig.bytes))
+                return sub
+            d = sub.digest if digest[0] == "honest" else digest[1]
+            s = _draw_sig(*sig, sub.sig)
+            resigned = resign and isinstance(d, bytes)
+            if resigned:
+                s = sigsuite.sign(state.client_keys[0], d)
+            sent.update(honest=sub, digest=d, sig=s, resigned=resigned)
+            return dataclasses.replace(sub, digest=d, sig=s)
+
+        receipts, aggregated = {}, []
+        submit, aggregate = state.ledger.submit_update, fedcore.aggregate
+
+        def recording_submit(address, round_, update_hash, sig):
+            receipts[address] = submit(address, round_, update_hash, sig)
+            return receipts[address]
+
+        state.ledger.submit_update = recording_submit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol.fedcore, "aggregate", lambda updates: (
+                aggregated.extend(u.client_id for u in updates) or aggregate(updates)
+            ))
+            metrics = run_round(state, 1, tamper_hook=send)
+
+        honest = sent["honest"]
+        wire_digest, wire_sig = _on_the_wire(sent["digest"], sent["sig"], scheme)
+        wire = (wire_sig.scheme, wire_digest + wire_sig.bytes)
+        tx = next(tx for tx in state.ledger.chain.blocks[-1].transactions
+                  if tx.kind is TxKind.SUBMIT_UPDATE and tx.sender == address)
+        assert (tx.scheme, tx.payload) == wire
+        is_honest = wire == (scheme, honest.digest + honest.sig.bytes) or (
+            sent["resigned"] and wire_digest == honest.digest
+        )
+        assert aggregated == ([0, 1, 2] if is_honest else [1, 2])
+        assert (metrics.verified_count, metrics.rejected_count) == (2 + is_honest, 1 - is_honest)
+        receipt = receipts[address]
+        assert receipt.gas_used > 0
+        slots = state.ledger.state.verified_updates[1]
+        assert (address in slots) == receipt.verified  # a rejected submit leaves no slot
+        assert state.sig_bytes_total == sum(others_sig_bytes) + len(wire_sig.bytes)
+        assert chain_verify(state.ledger.chain).intact
 
 
 def _fedavg_oracle_initial(cfg):
