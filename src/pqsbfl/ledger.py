@@ -53,7 +53,6 @@ import enum
 import hashlib
 import json
 import struct
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,7 +172,6 @@ class Receipt:
     gas_used: int
     confirm_time_s: float
     block_height: int
-    verify_ms: float = 0.0  # instrumentation: wall time of the contract call
 
     @property
     def verified(self) -> bool:
@@ -383,9 +381,7 @@ class SimulatedLedger:
 
     def _execute(self, tx: Transaction) -> Receipt:
         """Apply ``tx``, queue it for the next block, and charge its gas."""
-        t0 = time.perf_counter()
         status, record = self.state.apply(tx)
-        verify_ms = (time.perf_counter() - t0) * 1e3
         tx_hash = tx.tx_hash()
         self._pending.append((tx, tx_hash, record))
         if tx.kind is TxKind.REGISTER:
@@ -402,7 +398,6 @@ class SimulatedLedger:
             gas_used=gas,
             confirm_time_s=low if low == high else float(self._rng.uniform(low, high)),
             block_height=len(self.chain.blocks),
-            verify_ms=verify_ms,
         )
 
     def register_client(self, address: bytes, public_key: bytes, scheme: SchemeId) -> Receipt:

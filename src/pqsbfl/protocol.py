@@ -305,20 +305,6 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     )
 
 
-def _client_work(state: SystemState, client_id: int) -> tuple:
-    """Train, hash, sign: one client's submission and its signing time in ms."""
-    config = state.config
-    params = fedcore.local_train(
-        state.global_params, state.train_set, state.partitions[client_id], config.train,
-        (config.master_seed ^ client_id) & _MASK64,
-    )
-    digest = sigsuite.digest_model(params)
-    t0 = time.perf_counter()
-    sig = sigsuite.sign(state.client_keys[client_id], digest)
-    sign_ms = (time.perf_counter() - t0) * 1e3
-    return ClientSubmission(client_id, params, digest, sig), sign_ms
-
-
 def overhead_ratio(sign_ms: float, verify_ms: float, denominator_s: float) -> float:
     """Combined sign+verify time (converted to seconds) over a transaction
     time denominator. Raises :class:`ZeroDenominator` if the denominator is
@@ -329,8 +315,14 @@ def overhead_ratio(sign_ms: float, verify_ms: float, denominator_s: float) -> fl
 
 
 def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
-    """Execute federated round ``t``: broadcast, train, sign, submit,
-    verify, aggregate, evaluate.
+    """Execute federated round ``t`` as a sequence of phases, each over all
+    clients in client order: train, digest, sign, tamper hook, submit,
+    hash-bind, then aggregate, evaluate, aggregation submit and mine.
+
+    Two phases are timed with ``perf_counter``: ``mean_sign_ms`` is the sign
+    phase's time over ``n_clients``, and ``mean_verify_ms`` is the submit
+    phase's, which covers the contract's verification of every update plus
+    the loop around it. ``compute_time_s`` is the whole round's wall time.
 
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     (possibly corrupted) submission actually sent; it models in-flight
@@ -340,12 +332,13 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     integer or that the run does not have) is rejected like a bad signature
     and excludes only its client.
 
-    Each submission is hash-bound as soon as the contract verifies it: it is
+    Hash binding follows the submit phase: a verified submission is
     aggregated only if its own off-chain parameters re-digest to the hash
-    the contract recorded. A rejected submission that names another client
-    therefore cannot displace that client's update. FedAvg weights each
-    update by the size of its client's partition, which the aggregator
-    holds, never by a figure the submission carries.
+    the contract recorded in its slot. Slots are write-once, so that slot
+    holds the submission's own transaction, and a rejected submission that
+    names another client cannot displace that client's update. FedAvg
+    weights each update by the size of its client's partition, which the
+    aggregator holds, never by a figure the submission carries.
 
     Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
     global model is left unchanged in that case, and the round's block is
@@ -354,15 +347,28 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     if t < 1:
         raise ValueError(f"rounds are numbered from 1, got {t}")
     config = state.config
+    clients = range(config.n_clients)
     started = time.perf_counter()
 
-    submissions, sign_times = zip(*(_client_work(state, cid) for cid in range(config.n_clients)))
+    params = [
+        fedcore.local_train(
+            state.global_params, state.train_set, state.partitions[cid], config.train,
+            (config.master_seed ^ cid) & _MASK64,
+        )
+        for cid in clients
+    ]
+    digests = [sigsuite.digest_model(p) for p in params]
+    t0 = time.perf_counter()
+    sigs = [sigsuite.sign(key, d) for key, d in zip(state.client_keys, digests)]
+    sign_s = time.perf_counter() - t0
+    submissions = list(map(ClientSubmission, clients, params, digests, sigs))
+    del params, digests, sigs
 
     if tamper_hook is not None:
         submissions = [tamper_hook(sub) for sub in submissions]
 
-    receipts = []
-    updates = []
+    senders, receipts = [], []
+    t0 = time.perf_counter()
     for sub in submissions:
         # A field of the wrong type is sent empty, so the contract rejects it.
         digest = sub.digest if isinstance(sub.digest, bytes) else b""
@@ -373,16 +379,17 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         state.sig_bytes_total += len(sig.bytes)
         state.sig_count += 1
         cid, address = _resolve_client(state.addresses, sub.client_id)
-        receipt = state.ledger.submit_update(address, t, digest, sig)
-        receipts.append(receipt)
-        # Hash binding: aggregate a verified submission only if its own
-        # off-chain parameters re-digest to the hash the contract recorded.
-        if (
-            receipt.verified
-            and sigsuite.digest_model(sub.params)
-            == state.ledger.state.verified_updates[t][address].update_hash
-        ):
-            updates.append(ClientUpdate(cid, sub.params, len(state.partitions[cid])))
+        senders.append((cid, address))
+        receipts.append(state.ledger.submit_update(address, t, digest, sig))
+    submit_s = time.perf_counter() - t0
+
+    # A verified receipt means its transaction filled this write-once slot.
+    slots = state.ledger.state.verified_updates.get(t, {})
+    updates = [
+        ClientUpdate(cid, sub.params, len(state.partitions[cid]))
+        for sub, (cid, address), receipt in zip(submissions, senders, receipts)
+        if receipt.verified and sigsuite.digest_model(sub.params) == slots[address].update_hash
+    ]
 
     if not updates:
         # Close the round's block over its rejected transactions so they
@@ -408,8 +415,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     compute_time = time.perf_counter() - started
     simulated_latency = sum(confirm_times) + agg_latency
-    mean_sign = sum(sign_times) / len(sign_times)
-    mean_verify = sum(r.verify_ms for r in receipts) / len(receipts)
+    mean_sign = sign_s * 1e3 / config.n_clients
+    mean_verify = submit_s * 1e3 / config.n_clients
     mean_tx = statistics.mean(confirm_times)  # correctly rounded: a constant stays exact
     ratio = overhead_ratio(mean_sign, mean_verify, mean_tx) if mean_tx > 0 else 0.0
 
