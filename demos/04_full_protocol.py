@@ -25,10 +25,10 @@ for scheme in (SchemeId.PQC, SchemeId.ECDSA, SchemeId.NONE):
         )
         report = run_experiment(cfg)
         trajectories[cfg.name()] = [m.model_digest for m in report.rounds]
-        gas = f"{report.gas_per_round:12,.0f}" if blockchain else "         n/a"
         print(
             f"{cfg.name():>22}: accuracy {report.final_accuracy:.4f}  "
-            f"gas/round {gas}  overhead {report.summary['overhead_ratio']:.6f}"
+            f"gas/round {report.summary['total_gas']:12,.0f}  "
+            f"overhead {report.summary['overhead_ratio']:.6f}"
         )
 
 reference = next(iter(trajectories.values()))

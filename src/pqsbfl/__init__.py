@@ -38,7 +38,6 @@ from .protocol import (
     ExperimentConfig,
     ExperimentReport,
     RoundMetrics,
-    gas_efficiency,
     init_phase,
     overhead_ratio,
     run_experiment,

@@ -54,7 +54,7 @@ __all__ = [
 ROUNDS_CSV_COLUMNS = tuple(f.name for f in fields(RoundMetrics))
 
 _IDENTITY_COLUMNS = ("name", "dataset", "scheme", "n_clients", "blockchain", "rounds", "status")
-_REPORT_COLUMNS = ("initial_accuracy", "final_accuracy", "gas_per_round", "accuracy_gain_per_gas")
+_REPORT_COLUMNS = ("initial_accuracy", "final_accuracy")
 # comparison column -> the summary field it reports, e.g. mean_total_gas -> total_gas
 _SUMMARY_COLUMNS = {f if f.startswith("mean_") else f"mean_{f}": f for f in SUMMARY_FIELDS}
 _CRYPTO_SIZE_COLUMNS = ("sig_size_mean_b", "public_key_b", "private_key_b")
@@ -431,11 +431,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, overrides)
         report = run_experiment(cfg)
         write_report_files(report, out_dir)
-        gas = "n/a" if report.gas_per_round is None else f"{report.gas_per_round:.0f}"
         print(
             f"{cfg.name()}: final accuracy {report.final_accuracy:.4f}, "
             f"mean round time {report.summary['round_time_s']:.3f} s, "
-            f"gas/round {gas}"
+            f"gas/round {report.summary['total_gas']:.0f}"
         )
         return 0
     except PqsBflError as exc:

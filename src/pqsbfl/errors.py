@@ -53,10 +53,6 @@ class ZeroDenominator(PqsBflError):
     """Overhead ratio requested with a nonpositive time denominator."""
 
 
-class NotApplicable(PqsBflError):
-    """A blockchain-only metric was requested for a no-blockchain run."""
-
-
 # -- benchmark CLI ----------------------------------------------------------
 
 class ParseError(PqsBflError):

@@ -47,6 +47,11 @@ externally measured targets exactly. Failed transactions, malformed ones
 included, still consume gas (EVM convention) but write no state. Records
 are write-once: duplicate registrations or resubmissions for an
 already-verified slot are rejected.
+
+Receipts hold no wall time: a receipt's fields (hash, status, gas,
+confirmation seconds drawn from the ledger's seeded latency stream, block
+height) are a function of the transaction sequence and the ledger's
+settings, so two ledgers given the same transactions return equal receipts.
 """
 
 import enum

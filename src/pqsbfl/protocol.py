@@ -2,9 +2,12 @@
 
 Each experiment runs the full update-authentication loop. During
 initialization every client (and the aggregator) generates a key pair and
-registers it; each round then broadcasts the global model, trains locally,
-hashes the canonical model bytes, signs the hash, and submits it for
-verification. The aggregator only averages updates whose hashes were
+registers it. Each round then runs in phases, each over all clients in
+client order: train on the broadcast global model, digest the canonical
+model bytes, sign the digests, pass the submissions through the optional
+tamper hook, submit them for verification, and bind each verified hash to
+its off-chain parameters; then aggregate, evaluate, submit the aggregation
+record and mine. The aggregator only averages updates whose hashes were
 verified and whose off-chain parameters re-digest to the verified hash, so
 any in-flight tampering excludes that client from the round.
 
@@ -14,8 +17,12 @@ round. With a blockchain the contract is gas metered and confirmation
 latency defaults to a per-scheme constant; without one ("NoBC") the same
 ledger charges zero gas, latency defaults to a 50 ms constant, and the
 aggregator records no aggregation hash. Delays are accounted
-arithmetically, never slept, so runs stay fast; wall-clock compute time and
-simulated latency are reported as separate components.
+arithmetically, never slept, so runs stay fast. A round's simulated latency
+is its slowest update's confirmation plus the aggregation's, since all of
+its updates share one block. The wall-clock fields are ``compute_time_s``
+(the whole round), ``mean_sign_ms`` (the sign phase over the client count)
+and ``mean_verify_ms`` (the submit phase, contract verification included,
+over the client count); ``round_time_s`` adds the simulated latency.
 
 Learning is deliberately independent of the signature scheme: all training
 randomness derives from the master seed alone, so for a fixed seed the
@@ -33,7 +40,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 from . import fedcore, sigsuite
-from .errors import NotApplicable, NoVerifiedUpdates, ValidationError, ZeroDenominator
+from .errors import NoVerifiedUpdates, ValidationError, ZeroDenominator
 from .fedcore import ClientUpdate, ModelParams, TrainConfig
 from .ledger import (
     DEFAULT_GAS_TARGETS,
@@ -54,7 +61,6 @@ __all__ = [
     "run_round",
     "run_experiment",
     "overhead_ratio",
-    "gas_efficiency",
     "derive_seed",
     "SUMMARY_FIELDS",
     "TIMING_FIELDS",
@@ -322,7 +328,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     Two phases are timed with ``perf_counter``: ``mean_sign_ms`` is the sign
     phase's time over ``n_clients``, and ``mean_verify_ms`` is the submit
     phase's, which covers the contract's verification of every update plus
-    the loop around it. ``compute_time_s`` is the whole round's wall time.
+    the loop around it. ``compute_time_s`` is the whole round's wall time,
+    and ``simulated_latency_s`` the slowest update's confirmation plus the
+    aggregation's.
 
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     (possibly corrupted) submission actually sent; it models in-flight
@@ -333,8 +341,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     and excludes only its client.
 
     Hash binding follows the submit phase: a verified submission is
-    aggregated only if its own off-chain parameters re-digest to the hash
-    the contract recorded in its slot. Slots are write-once, so that slot
+    aggregated only if its own off-chain parameters are a model that
+    re-digests to the hash the contract recorded in its slot. Slots are write-once, so that slot
     holds the submission's own transaction, and a rejected submission that
     names another client cannot displace that client's update. FedAvg
     weights each update by the size of its client's partition, which the
@@ -388,7 +396,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     updates = [
         ClientUpdate(cid, sub.params, len(state.partitions[cid]))
         for sub, (cid, address), receipt in zip(submissions, senders, receipts)
-        if receipt.verified and sigsuite.digest_model(sub.params) == slots[address].update_hash
+        if receipt.verified and isinstance(sub.params, ModelParams)
+        and sigsuite.digest_model(sub.params) == slots[address].update_hash
     ]
 
     if not updates:
@@ -414,7 +423,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     state.ledger.mine_block()
 
     compute_time = time.perf_counter() - started
-    simulated_latency = sum(confirm_times) + agg_latency
+    simulated_latency = max(confirm_times) + agg_latency
     mean_sign = sign_s * 1e3 / config.n_clients
     mean_verify = submit_s * 1e3 / config.n_clients
     mean_tx = statistics.mean(confirm_times)  # correctly rounded: a constant stays exact
@@ -454,8 +463,6 @@ class ExperimentReport:
     crypto_sizes: dict
     initial_accuracy: float
     final_accuracy: float
-    gas_per_round: float = None          # None for no-blockchain runs
-    accuracy_gain_per_gas: float = None  # likewise
 
     def to_json_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -501,31 +508,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         ),
     }
 
-    final_accuracy = metrics[-1].accuracy if metrics else state.initial_accuracy
-    report = ExperimentReport(
+    return ExperimentReport(
         config=config,
         rounds=metrics,
         summary=_summarize(metrics, state.initial_accuracy),
         crypto_sizes=crypto_sizes,
         initial_accuracy=state.initial_accuracy,
-        final_accuracy=final_accuracy,
+        final_accuracy=metrics[-1].accuracy if metrics else state.initial_accuracy,
     )
-    if config.blockchain and metrics:
-        report.gas_per_round, report.accuracy_gain_per_gas = gas_efficiency(report)
-    return report
-
-
-def gas_efficiency(report: ExperimentReport) -> tuple:
-    """(mean gas per round, accuracy gain per unit of gas) for a BC report.
-
-    Raises :class:`NotApplicable` for no-blockchain reports, where gas is
-    undefined.
-    """
-    if not report.config.blockchain:
-        raise NotApplicable("gas efficiency is undefined without a blockchain")
-    if not report.rounds:
-        raise ValueError("gas efficiency needs at least one round")
-    total = sum(m.total_gas for m in report.rounds)
-    gas_per_round = total / len(report.rounds)
-    gain = report.final_accuracy - report.initial_accuracy
-    return gas_per_round, (gain / total if total > 0 else 0.0)

@@ -16,6 +16,7 @@ from pqsbfl import fedcore, sigsuite
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import (
     DEFAULT_GAS_TARGETS,
+    DEFAULT_LATENCY_S,
     SimulatedLedger,
     Transaction,
     TxKind,
@@ -246,20 +247,25 @@ def test_c08_learning_sanity():
 def test_c09_scalability():
     """Per-round compute time grows sublinearly in clients (the fixed training
     set is split across clients, so each client trains on fewer samples);
-    per-client gas is constant across client counts."""
-    compute, gas = {}, {}
+    per-client gas is constant across client counts. A round's updates share
+    one block, so its simulated latency is the slowest update's confirmation
+    plus the aggregation's, whatever the client count."""
+    compute, gas, latency = {}, {}, {}
     for n in (3, 10, 30):
         cfg = ExperimentConfig(scheme=SchemeId.PQC, n_clients=n, rounds=4, master_seed=5)
         report = run_experiment(cfg)
         compute[n] = report.summary["compute_time_s"]
         gas[n] = {m.mean_gas_per_update for m in report.rounds}
+        latency[n] = report.summary["simulated_latency_s"]
     assert compute[30] / compute[3] < 30 / 3
     assert compute[10] / compute[3] < 10 / 3
     assert gas[3] == gas[10] == gas[30] == {1_724_100.0}
+    assert latency[3] == latency[10] == latency[30] == 2 * DEFAULT_LATENCY_S[SchemeId.PQC]
     print(
         "ACCEPTANCE 9 PASS: compute/round "
         f"3c {compute[3]*1e3:.1f} ms, 10c {compute[10]*1e3:.1f} ms, "
-        f"30c {compute[30]*1e3:.1f} ms; per-client gas constant"
+        f"30c {compute[30]*1e3:.1f} ms; per-client gas and simulated latency "
+        f"{latency[3]:.2f} s constant"
     )
 
 

@@ -233,7 +233,7 @@ class TestSuite:
         row, report = table.rows[name], reports[name]
         assert float(row["final_accuracy"]) == report.final_accuracy
         assert float(row["mean_accuracy"]) == report.summary["accuracy"]
-        assert float(row["gas_per_round"]) == report.gas_per_round
+        assert float(row["mean_total_gas"]) == report.summary["total_gas"]
         written = json.loads((tmp_path / "out" / name / "report.json").read_text())
         assert written["final_accuracy"] == report.final_accuracy
 
@@ -341,8 +341,7 @@ class TestOutputSchema:
                      "--config", str(_fast_config_file(tmp_path))]) == 0
         report = json.loads((tmp_path / "synth-NONE-2c-BC" / "report.json").read_text())
         assert set(report) == {
-            "config", "initial_accuracy", "final_accuracy", "summary", "crypto_sizes",
-            "gas_per_round", "accuracy_gain_per_gas", "rounds",
+            "config", "initial_accuracy", "final_accuracy", "summary", "crypto_sizes", "rounds",
         }
         assert set(report["config"]) == {
             "name", "dataset", "scheme", "n_clients", "rounds", "blockchain", "train",
@@ -375,8 +374,7 @@ class TestOutputSchema:
 
         assert header("comparison.csv") == [
             "name", "dataset", "scheme", "n_clients", "blockchain", "rounds", "status",
-            "initial_accuracy", "final_accuracy", "gas_per_round", "accuracy_gain_per_gas",
-            "mean_accuracy", "mean_round_time_s", "mean_compute_time_s",
+            "initial_accuracy", "final_accuracy", "mean_accuracy", "mean_round_time_s", "mean_compute_time_s",
             "mean_simulated_latency_s", "mean_sign_ms", "mean_verify_ms", "mean_tx_time_s",
             "mean_gas_per_update", "mean_total_gas", "mean_overhead_ratio",
             "mean_verified_count", "mean_rejected_count",

@@ -15,6 +15,7 @@ from pqsbfl.errors import InfeasibleCalibration
 from pqsbfl.ledger import (
     CALIBRATION_SIG_SIZES,
     DEFAULT_GAS_TARGETS,
+    Receipt,
     SimulatedLedger,
     Transaction,
     TxKind,
@@ -287,6 +288,38 @@ class TestLatency:
         samples = _confirm_times(SimulatedLedger(latency=(0.1, 0.5), rng_seed=42), 10_000)
         assert 0.28 <= float(np.mean(samples)) <= 0.32
         assert min(samples) >= 0.1 and max(samples) <= 0.5
+
+
+class TestReceipts:
+    def test_receipt_fields_pinned(self):
+        # No wall-clock field: a receipt is a function of the transactions.
+        assert [f.name for f in dataclasses.fields(Receipt)] == [
+            "tx_hash", "status", "gas_used", "confirm_time_s", "block_height",
+        ]
+
+    def test_same_transactions_same_receipts(self):
+        def receipts():
+            ledger = SimulatedLedger(latency=(0.1, 0.5), rng_seed=9)
+            key = keygen(SchemeId.NONE, 1)
+            addr = _address("a")
+            digest = bytes(range(HASH_BYTES))
+            out = [
+                ledger.register_client(addr, key.public_key, SchemeId.NONE),
+                ledger.register_client(addr, key.public_key, SchemeId.NONE),
+                ledger.submit_update(addr, 1, digest, sign(key, digest)),
+                ledger.submit_update(addr, 1, digest, sign(key, digest)),
+                ledger.submit_update(_address("b"), 1, digest, sign(key, digest)),
+            ]
+            ledger.mine_block()
+            out.append(ledger.submit_aggregation(addr, 1, digest, sign(key, digest)))
+            return out
+
+        first = receipts()
+        assert [r.status for r in first] == [
+            TxStatus.VERIFIED, TxStatus.REJECTED, TxStatus.VERIFIED,
+            TxStatus.REJECTED, TxStatus.REJECTED, TxStatus.VERIFIED,
+        ]
+        assert receipts() == first
 
 
 class TestMining:

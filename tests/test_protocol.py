@@ -12,19 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqsbfl import fedcore, protocol, sigsuite
-from pqsbfl.errors import (
-    NotApplicable,
-    NoVerifiedUpdates,
-    ValidationError,
-    ZeroDenominator,
-)
+from pqsbfl.errors import NoVerifiedUpdates, ValidationError, ZeroDenominator
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import DEFAULT_GAS_TARGETS, TxKind, chain_verify
 from pqsbfl.protocol import (
     TIMING_FIELDS,
     ExperimentConfig,
     derive_seed,
-    gas_efficiency,
     init_phase,
     overhead_ratio,
     run_experiment,
@@ -357,6 +351,11 @@ _SIGS = st.one_of(
     # no Signature at all
     st.tuples(st.just("object"), st.one_of(st.none(), st.binary(max_size=80))),
 )
+# Client 0's off-chain parameters: its trained model or a value that is not one.
+_PARAMS = st.one_of(
+    st.tuples(st.just("honest"), st.none()),
+    st.tuples(st.just("value"), st.one_of(st.none(), st.text(max_size=3), st.binary(max_size=8))),
+)
 
 
 def _draw_sig(form, value, honest: Signature):
@@ -386,22 +385,40 @@ class TestWireFields:
         scheme=st.sampled_from([SchemeId.NONE, SchemeId.ECDSA]),
         digest=_DIGESTS,
         sig=_SIGS,
+        params=_PARAMS,
         resign=st.booleans(),
     )
-    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("object", None), resign=False)
-    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("bytes", None), resign=False)
-    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("tag", "NONE"), resign=False)
-    @example(scheme=SchemeId.NONE, digest=("value", "digest"), sig=("honest", None), resign=False)
-    @example(scheme=SchemeId.NONE, digest=("value", None), sig=("honest", None), resign=True)
-    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("honest", None), resign=False)
-    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("object", None), resign=True)
-    @example(scheme=SchemeId.PQC, digest=("value", bytes(32)), sig=("honest", None), resign=True)
-    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("tag", "PQC"), resign=False)
-    @example(scheme=SchemeId.PQC, digest=("value", None), sig=("bytes", bytes(8)), resign=False)
-    def test_client_fields_reject_only_that_client(self, scheme, digest, sig, resign):
-        # Whatever client 0 puts in its digest and signature, the round
-        # completes; client 0 is aggregated iff it sent an honest submission
-        # (its own digest, signed with its own key), and the others always are.
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("object", None),
+             params=("honest", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("bytes", None),
+             params=("honest", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("tag", "NONE"),
+             params=("honest", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("value", "digest"), sig=("honest", None),
+             params=("honest", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("value", None), sig=("honest", None),
+             params=("honest", None), resign=True)
+    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("honest", None),
+             params=("honest", None), resign=False)
+    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("object", None),
+             params=("honest", None), resign=True)
+    @example(scheme=SchemeId.PQC, digest=("value", bytes(32)), sig=("honest", None),
+             params=("honest", None), resign=True)
+    @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("tag", "PQC"),
+             params=("honest", None), resign=False)
+    @example(scheme=SchemeId.PQC, digest=("value", None), sig=("bytes", bytes(8)),
+             params=("honest", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("value", None), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("value", "x"), resign=False)
+    @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
+             params=("value", b"raw"), resign=False)
+    def test_client_fields_reject_only_that_client(self, scheme, digest, sig, params, resign):
+        # Whatever client 0 puts in its digest, signature and parameters, the
+        # round completes; client 0 is aggregated iff it sent an honest
+        # submission (its own model and digest, the digest signed with its
+        # own key), and the others always are.
         state = init_phase(_small_config(scheme=scheme, train=TrainConfig(local_epochs=1)))
         address = state.addresses[0]
         sent, others_sig_bytes = {}, []
@@ -415,8 +432,9 @@ class TestWireFields:
             resigned = resign and isinstance(d, bytes)
             if resigned:
                 s = sigsuite.sign(state.client_keys[0], d)
+            p = sub.params if params[0] == "honest" else params[1]
             sent.update(honest=sub, digest=d, sig=s, resigned=resigned)
-            return dataclasses.replace(sub, digest=d, sig=s)
+            return dataclasses.replace(sub, params=p, digest=d, sig=s)
 
         receipts, aggregated = {}, []
         submit, aggregate = state.ledger.submit_update, fedcore.aggregate
@@ -438,8 +456,9 @@ class TestWireFields:
         tx = next(tx for tx in state.ledger.chain.blocks[-1].transactions
                   if tx.kind is TxKind.SUBMIT_UPDATE and tx.sender == address)
         assert (tx.scheme, tx.payload) == wire
-        is_honest = wire == (scheme, honest.digest + honest.sig.bytes) or (
-            sent["resigned"] and wire_digest == honest.digest
+        is_honest = params[0] == "honest" and (
+            wire == (scheme, honest.digest + honest.sig.bytes)
+            or (sent["resigned"] and wire_digest == honest.digest)
         )
         assert aggregated == ([0, 1, 2] if is_honest else [1, 2])
         assert (metrics.verified_count, metrics.rejected_count) == (2 + is_honest, 1 - is_honest)
@@ -541,7 +560,7 @@ GOLDEN_TRAJECTORIES = [
         dict(scheme=SchemeId.NONE, n_clients=3, rounds=10, master_seed=7),
         "5dc5555f5fce52d70e88cead64585e28c8492f0974482a87888d94d2bb776d68",
         "be89698a381eda074eb17e95e1065f637a715b26b8c1fdbcd6626f5e7a9cc3af",
-        "f3aef6911e283097479c40b46f19586d1b9458e9b32cf55928fb581dfdd9f0d2",
+        "a07ff875af82703607d1bba6e787dac50d9458b0561be0f829df7f30eb011b4a",
     ),
     (
         dict(
@@ -550,7 +569,7 @@ GOLDEN_TRAJECTORIES = [
         ),
         "8ce7ef6c008f265c61cba2b97e32a3147f786af63f2e067be2082bf80fc4bad1",
         "f8737c40d5b155675b84a1fe6184c5d6ba41b53b4d458ec9ef90b35a482863a6",
-        "71a685ac269a3ccb0ea6adb901470788efef23ad5c4e2abf76a5480558977e8b",
+        "1f6a9bf46932a579cbcacc6ca3740a600d9e75eb6611883afe50d282d0579ae2",
     ),
     (
         dict(
@@ -559,7 +578,7 @@ GOLDEN_TRAJECTORIES = [
         ),
         "d6389fbeb1c02d9497b2d10c7a0f37691383244f934cd10a64126cee97c38582",
         "08d378eef3c214dc8f163a97acd119e2f0a8faf097b7dd01ac1ef748e8d3482e",
-        "653db4b82aab71c1fe5265ac0feaae301d3952f9fe1529d64716c7554d528000",
+        "640723394c811d47fa6128cd55ee56f1d3f55ca556bfdbb1a3ec978cf0e1f8ba",
     ),
 ]
 
@@ -594,20 +613,9 @@ class TestGasEfficiency:
     def test_pqc_gas_per_round_arithmetic(self):
         # 3 client updates + 1 aggregation record, all at the PQC target
         report = run_experiment(_small_config())
-        assert report.gas_per_round == 4 * 1_724_100
+        assert report.summary["total_gas"] == 4 * 1_724_100
         for m in report.rounds:
             assert m.mean_gas_per_update == 1_724_100
-
-    def test_nobc_not_applicable(self):
-        report = run_experiment(_small_config(blockchain=False))
-        with pytest.raises(NotApplicable):
-            gas_efficiency(report)
-
-    def test_zero_gain_zero_efficiency(self):
-        report = run_experiment(_small_config())
-        frozen = dataclasses.replace(report, final_accuracy=report.initial_accuracy)
-        _, per_gas = gas_efficiency(frozen)
-        assert per_gas == 0.0
 
 
 class TestConfig:
