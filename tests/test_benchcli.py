@@ -374,10 +374,10 @@ class TestOutputSchema:
 
         assert header("comparison.csv") == [
             "name", "dataset", "scheme", "n_clients", "blockchain", "rounds", "status",
-            "initial_accuracy", "final_accuracy", "mean_accuracy", "mean_round_time_s", "mean_compute_time_s",
-            "mean_simulated_latency_s", "mean_sign_ms", "mean_verify_ms", "mean_tx_time_s",
-            "mean_gas_per_update", "mean_total_gas", "mean_overhead_ratio",
-            "mean_verified_count", "mean_rejected_count",
+            "initial_accuracy", "final_accuracy", "mean_accuracy", "mean_round_time_s",
+            "mean_compute_time_s", "mean_simulated_latency_s", "mean_sign_ms",
+            "mean_verify_ms", "mean_tx_time_s", "mean_gas_per_update", "mean_total_gas",
+            "mean_overhead_ratio", "mean_verified_count", "mean_rejected_count",
             "sig_size_mean_b", "public_key_b", "private_key_b",
         ]
         assert header("scaling.csv") == [
