@@ -25,9 +25,11 @@ one field, state root, timestamp) is what :meth:`Block.encode` and the
 block hash cover, and the body is the block's transactions in order. Time
 is logical: a block's timestamp is its height, so the chain head is a
 function of the transaction sequence alone, and of the master seed alone
-for a protocol run. :func:`chain_verify` checks each body against its
-header's packed hashes, replays the bodies from an empty state and compares
-each recomputed root with the block's.
+for a protocol run. One sealing function builds every block, genesis and
+mined ones alike, from its height, its parent's hash and root, and its
+executed transactions. :func:`chain_verify` replays the bodies from an
+empty state, re-seals each block through that same function and compares
+the result with the stored header byte for byte, timestamp included.
 
 Verified updates are stored the way contract storage lays out a nested
 mapping: ``verified_updates[round][address] -> transaction``. A round's
@@ -254,11 +256,23 @@ class Block:
         return hashlib.sha3_256(self.encode()).digest()
 
 
-def _next_root(root: bytes, records) -> bytes:
-    h = hashlib.sha3_256(root)
-    for record in records:
+def _seal(height: int, parent_hash: bytes, prev_root: bytes, executed) -> Block:
+    """Build the block at ``height`` over ``executed``, a sequence of
+    ``(tx, tx_hash, record)`` triples in execution order: the only place a
+    :class:`Block` is made. Its state root folds the records into
+    ``prev_root``, its packed ``tx_hashes`` joins the hashes, its body holds
+    the transactions, and its timestamp is its height."""
+    h = hashlib.sha3_256(prev_root)
+    for _, _, record in executed:
         h.update(record)
-    return h.digest()
+    return Block(
+        height=height,
+        parent_hash=parent_hash,
+        tx_hashes=b"".join(tx_hash for _, tx_hash, _ in executed),
+        state_root=h.digest(),
+        timestamp=float(height),
+        transactions=tuple(tx for tx, _, _ in executed),
+    )
 
 
 class ContractState:
@@ -370,19 +384,10 @@ class SimulatedLedger:
         self.gas = calibrate_gas() if gas_model is None else gas_model
         self.latency = latency
         self.state = ContractState()
-        self.chain = Chain()
+        genesis = _seal(0, _ZERO32, _ZERO32, ())
+        self.chain = Chain([genesis], genesis.block_hash())
         self._rng = np.random.default_rng(rng_seed)
         self._pending: list = []  # (tx, tx_hash, record written) per transaction
-        genesis = Block(
-            height=0,
-            parent_hash=_ZERO32,
-            tx_hashes=b"",
-            state_root=_next_root(_ZERO32, ()),
-            timestamp=0.0,
-            transactions=(),
-        )
-        self.chain.blocks.append(genesis)
-        self.chain.head_hash = genesis.block_hash()
 
     def _execute(self, tx: Transaction) -> Receipt:
         """Apply ``tx``, queue it for the next block, and charge its gas."""
@@ -435,65 +440,55 @@ class SimulatedLedger:
         )
 
     def mine_block(self) -> Block:
-        """Package all pending transactions FIFO into a new block, which
-        keeps them as its body and their hashes joined into one packed
-        header field.
+        """Seal all pending transactions FIFO into a new block, which keeps
+        them as its body and their hashes joined into one packed header
+        field.
 
-        Its state root folds the records they wrote into the previous
-        block's root, so mining costs time in the block's size, not the
-        chain's. Its timestamp is its height (logical time), so the head
-        hash depends on nothing but the transaction sequence.
+        The block comes from the one sealing function that also builds
+        genesis and that :func:`chain_verify` re-runs. Its state root folds
+        the records they wrote into the previous block's root, so mining
+        costs time in the block's size, not the chain's. Its timestamp is its
+        height (logical time), so the head hash depends on nothing but the
+        transaction sequence.
         """
         pending, self._pending = self._pending, []
-        height = len(self.chain.blocks)
-        block = Block(
-            height=height,
-            parent_hash=self.chain.head_hash,
-            tx_hashes=b"".join(tx_hash for _, tx_hash, _ in pending),
-            state_root=_next_root(
-                self.chain.blocks[-1].state_root, (r for _, _, r in pending)
-            ),
-            timestamp=float(height),
-            transactions=tuple(tx for tx, _, _ in pending),
-        )
+        block = _seal(len(self.chain.blocks), self.chain.head_hash,
+                      self.chain.blocks[-1].state_root, pending)
         self.chain.blocks.append(block)
         self.chain.head_hash = block.block_hash()
         return block
 
 
 def chain_verify(chain: Chain) -> ChainCheck:
-    """Replay the chain from genesis and recheck every hash link and root.
+    """Replay the chain from genesis and re-seal every block.
 
     Starting from an empty :class:`ContractState`, re-executes each block's
     body in order through :meth:`ContractState.apply`, which re-verifies
-    every submit signature against the registry the replay has built, and
-    folds the records they write into the running root.
+    every submit signature against the registry the replay has built. The
+    body, its transaction hashes and the records the replay wrote go through
+    the same sealing function :meth:`SimulatedLedger.mine_block` uses, at
+    the block's index, on the previous stored block's hash and state root.
 
-    Returns intact only if every block has its index as height, links to
-    the previous block's digest, carries a body whose transaction hashes,
-    joined in order, equal its packed ``tx_hashes`` byte for byte (so a
-    missing, extra or reordered hash or a stray byte fails too), and carries
-    the replayed state root, and the last block hashes to the chain's
-    recorded head hash.
-    Otherwise ``broken_height`` is the first height that fails. A submit from an
-    address the replay has not registered replays as rejected, so a chain
-    whose block claims it wrote a record fails at that block's root.
+    Returns intact only if every stored header equals its re-seal byte for
+    byte (:meth:`Block.encode`: height, parent digest, packed transaction
+    hashes, state root and timestamp all included, so a missing, extra or
+    reordered hash, a stray byte or an edited logical time fails too) and
+    the last block hashes to the chain's recorded head hash.
+    Otherwise ``broken_height`` is the first height whose header differs
+    from its re-seal, or the last height for a wrong head hash. A submit
+    from an address the replay has not registered replays as rejected, so a
+    chain whose block claims it wrote a record fails at that block's root.
     """
     if not chain.blocks:
         raise ValueError("chain is empty")
     state = ContractState()
-    root = _ZERO32
-    for i, block in enumerate(chain.blocks):
-        expected_parent = _ZERO32 if i == 0 else chain.blocks[i - 1].block_hash()
-        if block.height != i or block.parent_hash != expected_parent:
-            return ChainCheck(False, i)
-        body = block.transactions
-        if b"".join(tx.tx_hash() for tx in body) != block.tx_hashes:
-            return ChainCheck(False, i)
-        root = _next_root(root, (state.apply(tx)[1] for tx in body))
-        if block.state_root != root:
-            return ChainCheck(False, i)
-    if chain.blocks[-1].block_hash() != chain.head_hash:
+    prev_hash = prev_root = _ZERO32
+    for height, block in enumerate(chain.blocks):
+        executed = [(tx, tx.tx_hash(), state.apply(tx)[1]) for tx in block.transactions]
+        if _seal(height, prev_hash, prev_root, executed).encode() != block.encode():
+            return ChainCheck(False, height)
+        prev_hash, prev_root = block.block_hash(), block.state_root
+    if prev_hash != chain.head_hash:
         return ChainCheck(False, len(chain.blocks) - 1)
     return ChainCheck(True, None)
 
