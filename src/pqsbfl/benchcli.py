@@ -11,9 +11,8 @@ Outputs are plot-ready CSV plus a full JSON report per run:
 
 * ``<out>/<name>/report.json``  -- complete experiment report
 * ``<out>/<name>/rounds.csv``   -- one row per federated round
-* ``<out>/comparison.csv``      -- one summary row per suite entry
-* ``<out>/scaling.csv``         -- client-count scaling (suites spanning
-  several client counts)
+* ``<out>/comparison.csv``      -- one summary row per suite entry; rows that
+  share dataset, crypto and blockchain show client-count scaling
 * ``<out>/crypto.csv``          -- primitive timings and sizes
   (``--crypto-bench``)
 
@@ -30,7 +29,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
-from .errors import InsufficientPoints, ParseError, PqsBflError, ValidationError
+from .errors import ParseError, PqsBflError, ValidationError
 from .protocol import (
     SUMMARY_FIELDS,
     ExperimentConfig,
@@ -46,7 +45,6 @@ __all__ = [
     "parse_config",
     "parse_suite",
     "run_suite",
-    "emit_scaling_data",
     "emit_crypto_table",
     "main",
 ]
@@ -61,15 +59,6 @@ _CRYPTO_SIZE_COLUMNS = ("sig_size_mean_b", "public_key_b", "private_key_b")
 COMPARISON_CSV_COLUMNS = (
     _IDENTITY_COLUMNS + _REPORT_COLUMNS + tuple(_SUMMARY_COLUMNS) + _CRYPTO_SIZE_COLUMNS
 )
-
-# scaling column -> the summary field it averages over one client count's reports
-_SCALING_COLUMNS = {
-    "mean_round_time_s": "round_time_s",
-    "mean_compute_time_s": "compute_time_s",
-    "mean_tx_time_s": "mean_tx_time_s",
-    "mean_gas_per_round": "total_gas",
-}
-SCALING_CSV_COLUMNS = ("n_clients", *_SCALING_COLUMNS)
 
 CRYPTO_CSV_COLUMNS = tuple(f.name for f in fields(CryptoTimings))
 
@@ -316,8 +305,7 @@ def run_suite(spec: SuiteSpec):
     """Run every suite entry in order; failures don't stop the rest.
 
     Returns ``(ComparisonTable, {name: report})``; writes per-config report
-    files, the top-level ``comparison.csv``, and ``scaling.csv`` whenever the
-    successful entries span at least two client counts.
+    files and the top-level ``comparison.csv``.
     """
 
     rows = {}
@@ -334,33 +322,7 @@ def run_suite(spec: SuiteSpec):
 
     table = ComparisonTable(COMPARISON_CSV_COLUMNS, rows)
     _write_csv(spec.out_dir / "comparison.csv", table.columns, list(rows.values()))
-    counts = {r.config.n_clients for r in reports.values()}
-    if len(counts) >= 2:
-        scaling = emit_scaling_data(list(reports.values()))
-        _write_csv(spec.out_dir / "scaling.csv", SCALING_CSV_COLUMNS, scaling)
     return table, reports
-
-
-def emit_scaling_data(reports) -> list:
-    """Client-count scaling rows from finished reports, sorted by count.
-
-    Reports sharing a client count are averaged. Raises
-    :class:`InsufficientPoints` unless two or more counts are present.
-    """
-    by_count = {}
-    for report in reports:
-        by_count.setdefault(report.config.n_clients, []).append(report)
-    if len(by_count) < 2:
-        raise InsufficientPoints(
-            f"need reports for >= 2 client counts, got {sorted(by_count)}"
-        )
-    rows = []
-    for count in sorted(by_count):
-        group = by_count[count]
-        means = {c: sum(r.summary[f] for r in group) / len(group)
-                 for c, f in _SCALING_COLUMNS.items()}
-        rows.append({"n_clients": count, **means})
-    return rows
 
 
 def emit_crypto_table(schemes, trials: int = 100) -> list:

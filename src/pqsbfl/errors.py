@@ -68,7 +68,3 @@ class ValidationError(PqsBflError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class InsufficientPoints(PqsBflError):
-    """A scaling dataset needs at least two distinct client counts."""

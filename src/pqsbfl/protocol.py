@@ -39,6 +39,8 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
 
+import numpy as np
+
 from . import fedcore, sigsuite
 from .errors import NoVerifiedUpdates, ValidationError, ZeroDenominator
 from .fedcore import ClientUpdate, ModelParams, TrainConfig
@@ -341,8 +343,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     and excludes only its client.
 
     Hash binding follows the submit phase: a verified submission is
-    aggregated only if its own off-chain parameters are a model that
-    re-digests to the hash the contract recorded in its slot. Slots are
+    aggregated only if its own off-chain parameters are a finite model of
+    the global model's layout that re-digests to the hash the contract
+    recorded in its slot. Slots are
     write-once, so that slot holds the submission's own transaction, and a
     rejected submission that names another client cannot displace that
     client's update. FedAvg weights each update by the size of its client's
@@ -398,6 +401,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         ClientUpdate(cid, sub.params, len(state.partitions[cid]))
         for sub, (cid, address), receipt in zip(submissions, senders, receipts)
         if receipt.verified and isinstance(sub.params, ModelParams)
+        and sub.params.layout == state.global_params.layout
+        and np.isfinite(sub.params.values).all()
         and sigsuite.digest_model(sub.params) == slots[address].update_hash
     ]
 

@@ -10,16 +10,15 @@ from pqsbfl import benchcli, sigsuite
 from pqsbfl.benchcli import (
     COMPARISON_CSV_COLUMNS,
     emit_crypto_table,
-    emit_scaling_data,
     main,
     parse_config,
     parse_suite,
     run_suite,
 )
-from pqsbfl.errors import InsufficientPoints, ParseError, ValidationError
+from pqsbfl.errors import ParseError, ValidationError
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import DEFAULT_GAS_TARGETS
-from pqsbfl.protocol import ExperimentConfig, run_experiment
+from pqsbfl.protocol import ExperimentConfig
 from pqsbfl.sigsuite import SchemeId
 
 FAST = dict(
@@ -380,10 +379,6 @@ class TestOutputSchema:
             "mean_overhead_ratio", "mean_verified_count", "mean_rejected_count",
             "sig_size_mean_b", "public_key_b", "private_key_b",
         ]
-        assert header("scaling.csv") == [
-            "n_clients", "mean_round_time_s", "mean_compute_time_s",
-            "mean_tx_time_s", "mean_gas_per_round",
-        ]
 
     def test_non_default_config_to_dict(self):
         cfg = ExperimentConfig(
@@ -420,33 +415,6 @@ def _fast_config_file(tmp_path):
         + "[train]\nlocal_epochs = 2\n"
     )
     return path
-
-
-class TestScalingData:
-    def _report(self, n_clients):
-        return run_experiment(
-            ExperimentConfig(
-                scheme=SchemeId.NONE,
-                n_clients=n_clients,
-                rounds=1,
-                synth_samples=300,
-                synth_features=8,
-                synth_classes=3,
-                train=TrainConfig(local_epochs=1),
-            )
-        )
-
-    def test_rows_sorted_by_client_count(self):
-        rows = emit_scaling_data([self._report(4), self._report(2)])
-        assert [r["n_clients"] for r in rows] == [2, 4]
-        assert list(rows[0]) == [
-            "n_clients", "mean_round_time_s", "mean_compute_time_s",
-            "mean_tx_time_s", "mean_gas_per_round",
-        ]
-
-    def test_single_point_insufficient(self):
-        with pytest.raises(InsufficientPoints):
-            emit_scaling_data([self._report(2)])
 
 
 class TestCryptoTable:

@@ -15,6 +15,7 @@ from pqsbfl.errors import InfeasibleCalibration
 from pqsbfl.ledger import (
     CALIBRATION_SIG_SIZES,
     DEFAULT_GAS_TARGETS,
+    ChainCheck,
     Receipt,
     SimulatedLedger,
     Transaction,
@@ -437,6 +438,25 @@ class TestChainIntegrity:
         assert chain_verify(chain).intact
         assert len(chain.blocks[2].transactions) == 2
         return chain
+
+    @pytest.mark.parametrize("relink", [False, True], ids=["alone", "relinked"])
+    @pytest.mark.parametrize(
+        "name", ["height", "parent_hash", "tx_hashes", "state_root", "timestamp"]
+    )
+    def test_edited_header_field_detected_at_its_height(self, name, relink):
+        # Relinking makes every later parent_hash and the head agree with the
+        # edited block, so only the edited header itself is wrong.
+        chain = copy.deepcopy(self._populated_ledger().chain)
+        blocks = chain.blocks
+        mid = len(blocks) // 2
+        value = getattr(blocks[mid], name)
+        edited = _flip_bit(value, 0) if isinstance(value, bytes) else value + 1
+        blocks[mid] = dataclasses.replace(blocks[mid], **{name: edited})
+        if relink:
+            for i in range(mid + 1, len(blocks)):
+                blocks[i] = dataclasses.replace(blocks[i], parent_hash=blocks[i - 1].block_hash())
+            chain.head_hash = blocks[-1].block_hash()
+        assert chain_verify(chain) == ChainCheck(False, mid)
 
     def test_mutated_state_root_detected(self):
         ledger = self._populated_ledger()

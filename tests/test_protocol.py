@@ -340,6 +340,7 @@ class TestRunRound:
 _NOT_BYTES = st.one_of(st.none(), st.text(max_size=3), st.integers())
 _DIGESTS = st.one_of(
     st.tuples(st.just("honest"), st.none()),
+    st.tuples(st.just("sent"), st.none()),  # the digest of the params sent
     st.tuples(st.just("value"), st.one_of(st.binary(max_size=64), _NOT_BYTES)),
 )
 _SIGS = st.one_of(
@@ -351,11 +352,28 @@ _SIGS = st.one_of(
     # no Signature at all
     st.tuples(st.just("object"), st.one_of(st.none(), st.binary(max_size=80))),
 )
-# Client 0's off-chain parameters: its trained model or a value that is not one.
+# Client 0's off-chain parameters: its trained model, a model the round must
+# not aggregate (another layout, all NaN, one inf), or a value that is not one.
 _PARAMS = st.one_of(
     st.tuples(st.just("honest"), st.none()),
+    st.tuples(st.just("model"), st.sampled_from(["layout", "nan", "inf"])),
     st.tuples(st.just("value"), st.one_of(st.none(), st.text(max_size=3), st.binary(max_size=8))),
 )
+
+
+def _draw_params(form, value, honest: fedcore.ModelParams):
+    if form == "honest":
+        return honest
+    if form == "value":
+        return value
+    if value == "layout":
+        return fedcore.ModelParams(np.zeros(4), (("w", (2, 2)),))
+    values = honest.values.copy()
+    if value == "nan":
+        values[:] = NAN
+    else:
+        values[0] = INF
+    return fedcore.ModelParams(values, honest.layout)
 
 
 def _draw_sig(form, value, honest: Signature):
@@ -414,11 +432,21 @@ class TestWireFields:
              params=("value", "x"), resign=False)
     @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
              params=("value", b"raw"), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("sent", None), sig=("honest", None),
+             params=("model", "layout"), resign=True)
+    @example(scheme=SchemeId.NONE, digest=("sent", None), sig=("honest", None),
+             params=("model", "nan"), resign=True)
+    @example(scheme=SchemeId.ECDSA, digest=("sent", None), sig=("honest", None),
+             params=("model", "inf"), resign=True)
+    @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
+             params=("model", "nan"), resign=True)
     def test_client_fields_reject_only_that_client(self, scheme, digest, sig, params, resign):
         # Whatever client 0 puts in its digest, signature and parameters, the
         # round completes; client 0 is aggregated iff it sent an honest
         # submission (its own model and digest, the digest signed with its
-        # own key), and the others always are.
+        # own key), and the others always are. A model of another layout or
+        # with a non-finite value is not honest even when its digest is
+        # signed and bound.
         state = init_phase(_small_config(scheme=scheme, train=TrainConfig(local_epochs=1)))
         address = state.addresses[0]
         sent, others_sig_bytes = {}, []
@@ -427,12 +455,15 @@ class TestWireFields:
             if sub.client_id != 0:
                 others_sig_bytes.append(len(sub.sig.bytes))
                 return sub
-            d = sub.digest if digest[0] == "honest" else digest[1]
+            p = _draw_params(*params, sub.params)
+            if digest[0] == "sent" and isinstance(p, fedcore.ModelParams):
+                d = sigsuite.digest_model(p)
+            else:
+                d = digest[1] if digest[0] == "value" else sub.digest
             s = _draw_sig(*sig, sub.sig)
             resigned = resign and isinstance(d, bytes)
             if resigned:
                 s = sigsuite.sign(state.client_keys[0], d)
-            p = sub.params if params[0] == "honest" else params[1]
             sent.update(honest=sub, digest=d, sig=s, resigned=resigned)
             return dataclasses.replace(sub, params=p, digest=d, sig=s)
 
