@@ -257,11 +257,9 @@ class Block:
 
 
 def _seal(height: int, parent_hash: bytes, prev_root: bytes, executed) -> Block:
-    """Build the block at ``height`` over ``executed``, a sequence of
-    ``(tx, tx_hash, record)`` triples in execution order: the only place a
-    :class:`Block` is made. Its state root folds the records into
-    ``prev_root``, its packed ``tx_hashes`` joins the hashes, its body holds
-    the transactions, and its timestamp is its height."""
+    """The only place a :class:`Block` is made: the block at ``height`` over
+    ``executed``, ``(tx, tx_hash, record)`` triples in execution order, with
+    the records folded into ``prev_root`` and its height as its timestamp."""
     h = hashlib.sha3_256(prev_root)
     for _, _, record in executed:
         h.update(record)
@@ -442,14 +440,13 @@ class SimulatedLedger:
     def mine_block(self) -> Block:
         """Seal all pending transactions FIFO into a new block, which keeps
         them as its body and their hashes joined into one packed header
-        field.
+        field, through the one sealing function that also builds genesis and
+        that :func:`chain_verify` re-runs.
 
-        The block comes from the one sealing function that also builds
-        genesis and that :func:`chain_verify` re-runs. Its state root folds
-        the records they wrote into the previous block's root, so mining
-        costs time in the block's size, not the chain's. Its timestamp is its
-        height (logical time), so the head hash depends on nothing but the
-        transaction sequence.
+        Its state root folds the records they wrote into the previous
+        block's root, so mining costs time in the block's size, not the
+        chain's. Its timestamp is its height (logical time), so the head
+        hash depends on nothing but the transaction sequence.
         """
         pending, self._pending = self._pending, []
         block = _seal(len(self.chain.blocks), self.chain.head_hash,
@@ -464,20 +461,19 @@ def chain_verify(chain: Chain) -> ChainCheck:
 
     Starting from an empty :class:`ContractState`, re-executes each block's
     body in order through :meth:`ContractState.apply`, which re-verifies
-    every submit signature against the registry the replay has built. The
-    body, its transaction hashes and the records the replay wrote go through
-    the same sealing function :meth:`SimulatedLedger.mine_block` uses, at
-    the block's index, on the previous stored block's hash and state root.
+    every submit signature against the registry the replay has built, and
+    re-seals the block through the sealing function
+    :meth:`SimulatedLedger.mine_block` uses, at its index, on the previous
+    stored block's hash and state root.
 
-    Returns intact only if every stored header equals its re-seal byte for
-    byte (:meth:`Block.encode`: height, parent digest, packed transaction
-    hashes, state root and timestamp all included, so a missing, extra or
-    reordered hash, a stray byte or an edited logical time fails too) and
-    the last block hashes to the chain's recorded head hash.
-    Otherwise ``broken_height`` is the first height whose header differs
-    from its re-seal, or the last height for a wrong head hash. A submit
-    from an address the replay has not registered replays as rejected, so a
-    chain whose block claims it wrote a record fails at that block's root.
+    Returns intact only if every stored header encodes to the same bytes as
+    its re-seal (height, parent digest, packed transaction hashes, state
+    root and timestamp all included) and the last block hashes to the
+    chain's recorded head hash. Otherwise ``broken_height`` is the first
+    height whose header differs from its re-seal, or the last height for a
+    wrong head hash. A submit from an address the replay has not registered
+    replays as rejected, so a chain whose block claims it wrote a record
+    fails at that block's root.
     """
     if not chain.blocks:
         raise ValueError("chain is empty")

@@ -345,12 +345,11 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     Hash binding follows the submit phase: a verified submission is
     aggregated only if its own off-chain parameters are a finite model of
     the global model's layout that re-digests to the hash the contract
-    recorded in its slot. Slots are
-    write-once, so that slot holds the submission's own transaction, and a
-    rejected submission that names another client cannot displace that
-    client's update. FedAvg weights each update by the size of its client's
-    partition, which the aggregator holds, never by a figure the submission
-    carries.
+    recorded in its slot. Slots are write-once, so that slot holds the
+    submission's own transaction, and a rejected submission that names
+    another client cannot displace that client's update. FedAvg weights
+    each update by the size of its client's partition, which the aggregator
+    holds, never by a figure the submission carries.
 
     Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
     global model is left unchanged in that case, and the round's block is
