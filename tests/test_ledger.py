@@ -458,6 +458,15 @@ class TestChainIntegrity:
             chain.head_hash = blocks[-1].block_hash()
         assert chain_verify(chain) == ChainCheck(False, mid)
 
+    @pytest.mark.parametrize(
+        "name", ["height", "parent_hash", "tx_hashes", "state_root", "timestamp"]
+    )
+    def test_header_field_of_the_wrong_type_detected_at_its_height(self, name):
+        chain = copy.deepcopy(self._populated_ledger().chain)
+        mid = len(chain.blocks) // 2
+        chain.blocks[mid] = dataclasses.replace(chain.blocks[mid], **{name: "x"})
+        assert chain_verify(chain) == ChainCheck(False, mid)
+
     def test_mutated_state_root_detected(self):
         ledger = self._populated_ledger()
         chain = copy.deepcopy(ledger.chain)
