@@ -580,17 +580,21 @@ class TestRunExperiment:
 
 
 # Per run: the SHA3-256 over the concatenated per-round model_digest hex
-# strings, the chain head, and the SHA3-256 of the canonical report.json
-# without its timing fields. A refactor of training, aggregation, the round
-# loop or the ledger must leave all three unchanged; c05 only compares
-# schemes with each other, so it cannot catch a change that alters every
-# scheme's trajectory the same way. PQC has no entry: hedged ML-DSA signing
-# makes its chain differ from run to run.
+# strings, the chain head, the last block's state root, and the SHA3-256 of
+# the canonical report.json without its timing fields. A refactor of
+# training, aggregation, the round loop or the ledger must leave all four
+# unchanged; c05 only compares schemes with each other, so it cannot catch a
+# change that alters every scheme's trajectory the same way. The PQC entry's
+# head is None, unchecked: hedged ML-DSA signing makes its signatures, and so
+# its transaction and block hashes, differ from run to run. Its state root
+# and report are fixed all the same, because records hold update hashes, not
+# signatures, and an ML-DSA-65 signature always has 3309 bytes.
 GOLDEN_TRAJECTORIES = [
     (
         dict(scheme=SchemeId.NONE, n_clients=3, rounds=10, master_seed=7),
         "5dc5555f5fce52d70e88cead64585e28c8492f0974482a87888d94d2bb776d68",
         "be89698a381eda074eb17e95e1065f637a715b26b8c1fdbcd6626f5e7a9cc3af",
+        "f9531a214ab94600cc366d7682051509a13db98346a2c40f3726eb98a8599ab0",
         "a07ff875af82703607d1bba6e787dac50d9458b0561be0f829df7f30eb011b4a",
     ),
     (
@@ -600,6 +604,7 @@ GOLDEN_TRAJECTORIES = [
         ),
         "8ce7ef6c008f265c61cba2b97e32a3147f786af63f2e067be2082bf80fc4bad1",
         "f8737c40d5b155675b84a1fe6184c5d6ba41b53b4d458ec9ef90b35a482863a6",
+        "2dd2e6efd17fe03d7e7be2056f181c0ce0e2fbd255371e999215c265aad2d49c",
         "1f6a9bf46932a579cbcacc6ca3740a600d9e75eb6611883afe50d282d0579ae2",
     ),
     (
@@ -609,7 +614,15 @@ GOLDEN_TRAJECTORIES = [
         ),
         "d6389fbeb1c02d9497b2d10c7a0f37691383244f934cd10a64126cee97c38582",
         "08d378eef3c214dc8f163a97acd119e2f0a8faf097b7dd01ac1ef748e8d3482e",
+        "02914ab8040dd694510bf7c279f97be4c7293eeac698bf9a7be365d29a280e73",
         "640723394c811d47fa6128cd55ee56f1d3f55ca556bfdbb1a3ec978cf0e1f8ba",
+    ),
+    (
+        dict(scheme=SchemeId.PQC, n_clients=3, rounds=4, master_seed=7),
+        "bed68ce4249e4dfe0663c0b958422651bc37f8011304dda28bbfadb5d80b8f20",
+        None,
+        "b733b301ad173f7f56684f6314fc485e30c4368565b3e342150bae2a57795634",
+        "533d7c6c51f046e96cd96508f6299ec3b7bc224a4af41e8fe068fe0d83b477d7",
     ),
 ]
 
@@ -624,19 +637,22 @@ def _report_digest(report) -> str:
 
 
 @pytest.mark.parametrize(
-    "kwargs,expected,head,report_digest",
+    "kwargs,expected,head,state_root,report_digest",
     GOLDEN_TRAJECTORIES,
-    ids=["none-3c", "none-16c", "ecdsa-5c-nobc"],
+    ids=["none-3c", "none-16c", "ecdsa-5c-nobc", "pqc-3c"],
 )
-def test_golden_trajectory(kwargs, expected, head, report_digest, monkeypatch):
+def test_golden_trajectory(kwargs, expected, head, state_root, report_digest, monkeypatch):
     states = []  # run_experiment keeps no ledger; catch the state it builds
     monkeypatch.setattr(
         protocol, "init_phase", lambda cfg: states.append(init_phase(cfg)) or states[-1]
     )
     report = run_experiment(ExperimentConfig(**kwargs))
     joined = "".join(m.model_digest for m in report.rounds)
+    chain = states[0].ledger.chain
     assert hashlib.sha3_256(joined.encode()).hexdigest() == expected
-    assert states[0].ledger.chain.head_hash.hex() == head
+    if head is not None:
+        assert chain.head_hash.hex() == head
+    assert chain.blocks[-1].state_root.hex() == state_root
     assert _report_digest(report) == report_digest
 
 
