@@ -10,16 +10,15 @@ Dirichlet partitioning, shuffling during local training. Training touches no
 global random state, so the order in which clients train and any signature
 scheme layered on top cannot perturb the model trajectory.
 
-Model parameters live in a single flat float32 vector plus an ordered layout
-of (layer name, shape) descriptors; :func:`canonical_bytes` defines the
-injective byte encoding that is hashed and signed elsewhere.
+Model parameters live in a flat float32 vector plus the run's one shared
+:class:`Layout`; :func:`canonical_bytes` defines the injective byte
+encoding that is hashed and signed elsewhere.
 """
 
 import csv
-import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .errors import (
 
 __all__ = [
     "Dataset",
+    "Layout",
     "ModelParams",
     "TrainConfig",
     "ClientUpdate",
@@ -79,34 +79,52 @@ class Dataset:
         return self.features.shape[1]
 
 
+@dataclass(frozen=True)
+class Layout:
+    """A model's ``((layer name, shape), ...)`` in model order, with each
+    layer's slice of the flat vector, the total size and the canonical header
+    computed once. Equality and hash use the header alone: it encodes the
+    layers injectively, so equal headers mean equal layouts."""
+
+    layers: tuple = field(compare=False)
+    slices: tuple = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, compare=False)
+    header: bytes = field(init=False, repr=False)
+
+    def __post_init__(self):
+        layers = tuple((name, tuple(shape)) for name, shape in self.layers)
+        header = bytearray(struct.pack("<I", len(layers)))
+        slices, offset = [], 0
+        for name, shape in layers:
+            encoded = name.encode("utf-8")
+            header += struct.pack("<I", len(encoded)) + encoded
+            header += struct.pack(f"<{1 + len(shape)}I", len(shape), *shape)
+            slices.append(slice(offset, offset + math.prod(shape)))
+            offset = slices[-1].stop
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "slices", tuple(slices))
+        object.__setattr__(self, "size", offset)
+        object.__setattr__(self, "header", bytes(header))
+
+    def views(self, flat: np.ndarray) -> dict:
+        """Views into ``flat``, one per layer by name, in layout order."""
+        return {name: flat[s].reshape(shape) for (name, shape), s in zip(self.layers, self.slices)}
+
+
 @dataclass
 class ModelParams:
-    """Flat float32 parameter vector plus its canonical layout."""
+    """Flat float32 parameter vector plus its :class:`Layout`."""
 
     values: np.ndarray
-    layout: tuple  # ((layer_name, shape), ...) in fixed model order
+    layout: Layout
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
-        self.layout = tuple((name, tuple(shape)) for name, shape in self.layout)
-        expect = sum(math.prod(shape) for _, shape in self.layout)
-        if expect != self.values.size:
-            raise LayoutMismatch(
-                f"layout describes {expect} elements, vector holds {self.values.size}"
-            )
+        if self.layout.size != self.values.size:
+            raise LayoutMismatch(f"{self.values.size} values for a layout of {self.layout.size}")
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.values.copy(), self.layout)
-
-    def unpack(self) -> dict:
-        """Views into the flat vector, one per layer, in layout order."""
-        out = {}
-        offset = 0
-        for name, shape in self.layout:
-            size = math.prod(shape)
-            out[name] = self.values[offset:offset + size].reshape(shape)
-            offset += size
-        return out
 
 
 @dataclass(frozen=True)
@@ -284,7 +302,7 @@ def _model_layout(n_features: int, n_classes: int):
 
 def init_params(n_features: int, n_classes: int, seed: int) -> ModelParams:
     """He-initialized MLP parameters with ``HIDDEN_WIDTH`` hidden units
-    (deterministic)."""
+    (deterministic), on a new :class:`Layout` that the run's models share."""
     rng = np.random.default_rng(seed)
     w1 = rng.standard_normal((n_features, HIDDEN_WIDTH)) * np.sqrt(2.0 / n_features)
     w2 = rng.standard_normal((HIDDEN_WIDTH, n_classes)) * np.sqrt(1.0 / HIDDEN_WIDTH)
@@ -296,21 +314,12 @@ def init_params(n_features: int, n_classes: int, seed: int) -> ModelParams:
             np.zeros(n_classes),
         ]
     ).astype(np.float32)
-    return ModelParams(values, _model_layout(n_features, n_classes))
+    return ModelParams(values, Layout(_model_layout(n_features, n_classes)))
 
 
 def _check_model_fits(params: ModelParams, dataset: Dataset):
-    layers = dict(params.layout)
-    try:
-        in_dim = layers["hidden.weight"][0]
-        out_dim = layers["output.bias"][0]
-    except KeyError as exc:
-        raise LayoutMismatch(f"unexpected layout, missing {exc}") from None
-    if in_dim != dataset.n_features or out_dim != dataset.n_classes:
-        raise LayoutMismatch(
-            f"model is {in_dim}->..->{out_dim}, dataset is "
-            f"{dataset.n_features} features / {dataset.n_classes} classes"
-        )
+    if params.layout.layers != _model_layout(dataset.n_features, dataset.n_classes):
+        raise LayoutMismatch(f"{params.layout} is not the MLP of the dataset's dimensions")
 
 
 def _forward(layers: dict, x: np.ndarray):
@@ -331,7 +340,7 @@ def cross_entropy(params: ModelParams, dataset: Dataset, indices=None) -> float:
     _check_model_fits(params, dataset)
     x = dataset.features if indices is None else dataset.features[indices]
     y = dataset.labels if indices is None else dataset.labels[indices]
-    _, _, logits = _forward(params.unpack(), x)
+    _, _, logits = _forward(params.layout.views(params.values), x)
     probs = _softmax(logits)
     eps = np.finfo(np.float32).tiny
     return float(-np.log(probs[np.arange(len(y)), y] + eps).mean())
@@ -359,7 +368,7 @@ def local_train(
     if cfg.local_epochs == 0:
         return params
 
-    layers = params.unpack()  # views; updates write through to params.values
+    layers = params.layout.views(params.values)  # updates write through to params.values
     x_all = dataset.features[indices]
     y_all = dataset.labels[indices]
     n = len(y_all)
@@ -371,7 +380,7 @@ def local_train(
     m = np.zeros_like(params.values)
     v = np.zeros_like(params.values)
     grad = np.zeros_like(params.values)
-    grads = ModelParams(grad, params.layout).unpack()  # views into grad
+    grads = params.layout.views(grad)  # writes land in grad
     step = 0
 
     for _ in range(cfg.local_epochs):
@@ -427,36 +436,23 @@ def aggregate(updates: list[ClientUpdate]) -> ModelParams:
 def evaluate(params: ModelParams, test_dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions on the test set."""
     _check_model_fits(params, test_dataset)
-    _, _, logits = _forward(params.unpack(), test_dataset.features)
+    _, _, logits = _forward(params.layout.views(params.values), test_dataset.features)
     predicted = logits.argmax(axis=1)
     return float((predicted == test_dataset.labels).mean())
 
 
-@functools.lru_cache(maxsize=64)
-def _layout_header(layout: tuple) -> bytes:
-    out = bytearray(struct.pack("<I", len(layout)))
-    for name, shape in layout:
-        encoded = name.encode("utf-8")
-        out += struct.pack("<I", len(encoded))
-        out += encoded
-        out += struct.pack("<I", len(shape))
-        for dim in shape:
-            out += struct.pack("<I", dim)
-    return bytes(out)
-
-
 def canonical_parts(params: ModelParams) -> tuple:
     """The (header, body) of :func:`canonical_bytes`, without joining them:
-    the header bytes, encoded once per layout, and the float32 values as a
-    buffer that shares the model's memory."""
-    return _layout_header(params.layout), params.values.astype("<f4", copy=False).data
+    the layout's header, which :class:`Layout` encodes once, and the float32
+    values as a buffer that shares the model's memory."""
+    return params.layout.header, params.values.astype("<f4", copy=False).data
 
 
 def canonical_bytes(params: ModelParams) -> bytes:
     """Injective byte encoding of (layout, values).
 
-    Header: u32 layer count; per layer a length-prefixed UTF-8 name, u32
-    ndim, then the dims. Body: the flat values as little-endian float32.
-    All integers little-endian 32-bit.
+    Header (``params.layout.header``, one per run): u32 layer count; per
+    layer a length-prefixed UTF-8 name, u32 ndim, then the dims. Body: the
+    flat values as little-endian float32. All integers little-endian 32-bit.
     """
     return b"".join(canonical_parts(params))

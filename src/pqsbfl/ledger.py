@@ -470,21 +470,21 @@ def chain_verify(chain: Chain) -> ChainCheck:
     its re-seal (height, parent digest, packed transaction hashes, state
     root and timestamp all included) and the last block hashes to the
     chain's recorded head hash. Otherwise ``broken_height`` is the first
-    height whose header differs from its re-seal or does not encode (a
-    field of the wrong type), or the last height for a wrong head hash. A
-    submit from an address the replay has not registered replays as
-    rejected, so a chain whose block claims it wrote a record fails at that
-    block's root.
+    height whose header differs from its re-seal or whose header or body
+    does not encode (no body, an entry not a :class:`Transaction`, a field
+    of the wrong type), or the last height for a wrong head hash. A submit
+    from an address the replay has not registered replays as rejected, so a
+    chain whose block claims it wrote a record fails at that block's root.
     """
     if not chain.blocks:
         raise ValueError("chain is empty")
     state = ContractState()
     prev_hash = prev_root = _ZERO32
     for height, block in enumerate(chain.blocks):
-        executed = [(tx, tx.tx_hash(), state.apply(tx)[1]) for tx in block.transactions]
         try:
+            executed = [(tx, tx.tx_hash(), state.apply(tx)[1]) for tx in block.transactions]
             header = block.encode()
-        except (struct.error, TypeError):  # a header field of the wrong type
+        except (struct.error, TypeError, KeyError, AttributeError):  # a malformed header or body
             return ChainCheck(False, height)
         if _seal(height, prev_hash, prev_root, executed).encode() != header:
             return ChainCheck(False, height)

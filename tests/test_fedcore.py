@@ -1,5 +1,7 @@
 """Federated-core contracts: data generation, partitioning, training, FedAvg."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from pqsbfl.errors import (
 from pqsbfl.fedcore import (
     ClientUpdate,
     Dataset,
+    Layout,
     ModelParams,
     TrainConfig,
     aggregate,
@@ -214,10 +217,21 @@ class TestLocalTrain:
         with pytest.raises(LayoutMismatch):
             local_train(wrong, train, _full_partition(train), TrainConfig(), 0)
 
+    def test_layout_with_other_layers_mismatch(self):
+        # Both layers have the dataset's dimensions, but the MLP's hidden.bias
+        # and output.weight are missing.
+        train, test = generate_synthetic(1, 200, 4, 3)
+        layout = Layout((("hidden.weight", (4, 32)), ("output.bias", (3,))))
+        params = ModelParams(np.zeros(layout.size, np.float32), layout)
+        with pytest.raises(LayoutMismatch):
+            evaluate(params, test)
+        with pytest.raises(LayoutMismatch):
+            local_train(params, train, _full_partition(train), TrainConfig(), 0)
+
 
 class TestAggregate:
     def _scalar_update(self, cid, value, n):
-        params = ModelParams(np.array([value], dtype=np.float32), (("w", (1,)),))
+        params = ModelParams(np.array([value], dtype=np.float32), Layout((("w", (1,)),)))
         return ClientUpdate(cid, params, n)
 
     def test_identical_updates_fixed_point(self):
@@ -247,8 +261,8 @@ class TestAggregate:
             aggregate([])
 
     def test_layout_mismatch(self):
-        a = ClientUpdate(0, ModelParams(np.zeros(2, np.float32), (("w", (2,)),)), 1)
-        b = ClientUpdate(1, ModelParams(np.zeros(3, np.float32), (("w", (3,)),)), 1)
+        a = ClientUpdate(0, ModelParams(np.zeros(2, np.float32), Layout((("w", (2,)),))), 1)
+        b = ClientUpdate(1, ModelParams(np.zeros(3, np.float32), Layout((("w", (3,)),))), 1)
         with pytest.raises(LayoutMismatch):
             aggregate([a, b])
 
@@ -259,7 +273,7 @@ class TestAggregate:
     )
     def test_convex_combination_bounds(self, weights, seed):
         rng = np.random.default_rng(seed)
-        layout = (("w", (5,)),)
+        layout = Layout((("w", (5,)),))
         updates = [
             ClientUpdate(i, ModelParams(rng.standard_normal(5).astype(np.float32), layout), n)
             for i, n in enumerate(weights)
@@ -273,7 +287,7 @@ class TestAggregate:
 
     def test_equal_weights_match_unweighted_mean_to_one_ulp(self):
         rng = np.random.default_rng(8)
-        layout = (("w", (64,)),)
+        layout = Layout((("w", (64,)),))
         updates = [
             ClientUpdate(i, ModelParams(rng.standard_normal(64).astype(np.float32), layout), 7)
             for i in range(5)
@@ -293,7 +307,7 @@ class TestEvaluate:
         test = Dataset(features, labels, 2)
         params = init_params(4, 2, seed=0)
         params.values[:] = 0.0
-        params.unpack()["output.bias"][0] = 1.0
+        params.layout.views(params.values)["output.bias"][0] = 1.0
         assert evaluate(params, test) == 0.5
 
     def test_deterministic(self):
@@ -309,9 +323,62 @@ class TestEvaluate:
             assert 0.02 <= evaluate(params, test) <= 0.25
 
 
+def _reference_header(layers) -> bytes:
+    """The canonical layout header encoded one field at a time: the encoder
+    that :class:`Layout` replaced, kept as its oracle."""
+    out = bytearray(struct.pack("<I", len(layers)))
+    for name, shape in layers:
+        encoded = name.encode("utf-8")
+        out += struct.pack("<I", len(encoded))
+        out += encoded
+        out += struct.pack("<I", len(shape))
+        for dim in shape:
+            out += struct.pack("<I", dim)
+    return bytes(out)
+
+
+# ((name, shape), ...) descriptors with distinct names, shapes as lists or tuples.
+_LAYERS = st.lists(
+    st.tuples(
+        st.text(max_size=6),
+        st.lists(st.integers(0, 5), max_size=3).flatmap(lambda s: st.sampled_from([s, tuple(s)])),
+    ),
+    max_size=5,
+    unique_by=lambda layer: layer[0],
+)
+
+
+class TestLayout:
+    @settings(max_examples=100, deadline=None)
+    @given(layers=_LAYERS)
+    def test_header_matches_reference_encoder(self, layers):
+        assert Layout(layers).header == _reference_header(layers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(layers=_LAYERS)
+    def test_views_tile_the_flat_vector_in_order(self, layers):
+        layout = Layout(layers)
+        flat = np.arange(layout.size, dtype=np.float32)
+        views = layout.views(flat)
+        assert list(views) == [name for name, _ in layers]
+        offset = 0
+        for (_, shape), view in zip(layers, views.values()):
+            assert view.shape == tuple(shape) and view.base is flat
+            assert np.array_equal(view.ravel(), flat[offset:offset + view.size])
+            offset += view.size
+        assert offset == layout.size
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=_LAYERS, b=_LAYERS)
+    def test_equal_exactly_when_the_layers_are(self, a, b):
+        same = [(n, tuple(s)) for n, s in a] == [(n, tuple(s)) for n, s in b]
+        assert (Layout(a) == Layout(b)) == same
+        assert Layout(a) == Layout(a) and hash(Layout(a)) == hash(Layout(a))
+
+
 class TestCanonicalBytes:
     def test_empty_params_golden_bytes(self):
-        empty = ModelParams(np.zeros(0, dtype=np.float32), ())
+        empty = ModelParams(np.zeros(0, dtype=np.float32), Layout(()))
         assert canonical_bytes(empty) == bytes.fromhex("00000000")
 
     def test_deterministic(self):
@@ -326,14 +393,14 @@ class TestCanonicalBytes:
 
     def test_layout_change_changes_bytes(self):
         vals = np.arange(6, dtype=np.float32)
-        a = ModelParams(vals, (("w", (2, 3)),))
-        b = ModelParams(vals, (("w", (3, 2)),))
-        c = ModelParams(vals, (("v", (2, 3)),))
+        a = ModelParams(vals, Layout((("w", (2, 3)),)))
+        b = ModelParams(vals, Layout((("w", (3, 2)),)))
+        c = ModelParams(vals, Layout((("v", (2, 3)),)))
         assert canonical_bytes(a) != canonical_bytes(b)
         assert canonical_bytes(a) != canonical_bytes(c)
 
     def test_header_then_little_endian_values(self):
-        params = ModelParams(np.array([1.5], dtype=np.float32), (("b", (1,)),))
+        params = ModelParams(np.array([1.5], dtype=np.float32), Layout((("b", (1,)),)))
         blob = canonical_bytes(params)
         assert blob.startswith(b"\x01\x00\x00\x00\x01\x00\x00\x00b\x01\x00\x00\x00\x01\x00\x00\x00")
         assert blob.endswith(np.float32(1.5).tobytes())

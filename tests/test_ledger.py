@@ -467,6 +467,26 @@ class TestChainIntegrity:
         chain.blocks[mid] = dataclasses.replace(chain.blocks[mid], **{name: "x"})
         assert chain_verify(chain) == ChainCheck(False, mid)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: (None,) + body[1:],
+            lambda body: ("x",) + body[1:],
+            lambda body: ((body[0],),) + body[1:],             # the transaction in a 1-tuple
+            lambda body: None,                                 # no body at all
+            lambda body: (dataclasses.replace(body[0], round="r"),) + body[1:],
+        ],
+        ids=["none", "str", "tuple", "no-body", "round-str"],
+    )
+    def test_malformed_body_detected_at_its_height(self, edit):
+        state = init_phase(ExperimentConfig(scheme=SchemeId.NONE, n_clients=3, rounds=1))
+        run_round(state, 1)
+        chain = state.ledger.chain
+        chain.blocks[1] = dataclasses.replace(
+            chain.blocks[1], transactions=edit(chain.blocks[1].transactions)
+        )
+        assert chain_verify(chain) == ChainCheck(False, 1)
+
     def test_mutated_state_root_detected(self):
         ledger = self._populated_ledger()
         chain = copy.deepcopy(ledger.chain)

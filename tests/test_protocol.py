@@ -147,6 +147,19 @@ class TestInitPhase:
 
 
 class TestRunRound:
+    def test_every_model_shares_the_global_layout(self, monkeypatch):
+        state = init_phase(_small_config(scheme=SchemeId.NONE))
+        layout = state.global_params.layout
+        admitted, aggregate = [], fedcore.aggregate
+        monkeypatch.setattr(
+            fedcore, "aggregate", lambda updates: admitted.extend(updates) or aggregate(updates)
+        )
+        for t in (1, 2):
+            run_round(state, t)
+        assert len(admitted) == 2 * state.config.n_clients
+        assert all(u.params.layout is layout for u in admitted)
+        assert state.global_params.layout is layout
+
     def test_happy_path_matches_fedavg_oracle(self):
         cfg = _small_config()
         state = init_phase(cfg)
@@ -367,7 +380,7 @@ def _draw_params(form, value, honest: fedcore.ModelParams):
     if form == "value":
         return value
     if value == "layout":
-        return fedcore.ModelParams(np.zeros(4), (("w", (2, 2)),))
+        return fedcore.ModelParams(np.zeros(4), fedcore.Layout((("w", (2, 2)),)))
     values = honest.values.copy()
     if value == "nan":
         values[:] = NAN

@@ -258,13 +258,13 @@ class TestDigestModel:
     def test_empty_params_golden_digest(self):
         # Golden value computed once with OpenSSL's SHA3-256 (independent of
         # hashlib's built-in Keccak) over the canonical empty encoding.
-        empty = fedcore.ModelParams(np.zeros(0, dtype=np.float32), ())
+        empty = fedcore.ModelParams(np.zeros(0, dtype=np.float32), fedcore.Layout(()))
         assert digest_model(empty).hex() == (
             "8b0a2385d83c8bf7be27e59996f7d881d3bf1fc6606f81ce600b753ad94192a2"
         )
 
     def test_equal_params_equal_digest(self):
-        layout = (("hidden.weight", (2, 3)), ("hidden.bias", (3,)))
+        layout = fedcore.Layout((("hidden.weight", (2, 3)), ("hidden.bias", (3,))))
         vals = np.arange(9, dtype=np.float32)
         a = fedcore.ModelParams(vals.copy(), layout)
         b = fedcore.ModelParams(vals.copy(), layout)
@@ -272,7 +272,7 @@ class TestDigestModel:
 
     def test_single_element_perturbations_change_digest(self):
         rng = np.random.default_rng(31337)
-        layout = (("w", (10, 10)),)
+        layout = fedcore.Layout((("w", (10, 10)),))
         base = fedcore.ModelParams(rng.standard_normal(100).astype(np.float32), layout)
         ref = digest_model(base)
         for _ in range(100):
@@ -284,10 +284,10 @@ class TestDigestModel:
     def test_digest_depends_only_on_canonical_form(self):
         # Assembling the same layers from differently-ordered intermediate
         # dicts must not matter once the canonical layout is applied.
-        layout = (("a", (2,)), ("b", (2,)))
+        layout = fedcore.Layout((("a", (2,)), ("b", (2,))))
         blocks = {"b": np.array([3, 4], np.float32), "a": np.array([1, 2], np.float32)}
         from_scrambled = fedcore.ModelParams(
-            np.concatenate([blocks[name] for name, _ in layout]), layout
+            np.concatenate([blocks[name] for name, _ in layout.layers]), layout
         )
         direct = fedcore.ModelParams(np.array([1, 2, 3, 4], np.float32), layout)
         assert digest_model(from_scrambled) == digest_model(direct)
