@@ -3,7 +3,7 @@
 Configs live in flat INI-style files (``key = value`` under section
 headers), are overridable by command-line flags, and name themselves by the
 ``dataset-crypto-Nc-BC|NoBC`` convention. A suite file holds many entries;
-every entry runs with an independent seed derived from the suite seed and
+every entry runs with its own seed, ``derive_seed`` of the suite seed and
 the entry's learning-relevant identity, so adding an entry never perturbs
 the others and scheme variants of one setup share a model trajectory.
 
@@ -23,10 +23,9 @@ config failed validation or execution.
 import argparse
 import configparser
 import csv
-import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from .errors import ParseError, PqsBflError, ValidationError
@@ -35,13 +34,12 @@ from .protocol import (
     ExperimentConfig,
     ExperimentReport,
     RoundMetrics,
+    derive_seed,
     run_experiment,
 )
 from .sigsuite import CryptoTimings, SchemeId, measure_primitives
 
 __all__ = [
-    "SuiteSpec",
-    "ComparisonTable",
     "parse_config",
     "parse_suite",
     "run_suite",
@@ -61,29 +59,6 @@ COMPARISON_CSV_COLUMNS = (
 )
 
 CRYPTO_CSV_COLUMNS = tuple(f.name for f in fields(CryptoTimings))
-
-
-@dataclass
-class SuiteSpec:
-    configs: list
-    out_dir: Path
-
-
-@dataclass
-class ComparisonTable:
-    """One summary row per configuration, identical column set per row."""
-
-    columns: tuple
-    rows: dict  # config name -> {column: value}
-
-    @property
-    def failed(self) -> list:
-        return [n for n, row in self.rows.items() if row["status"] != "ok"]
-
-
-def stable_name_hash(text: str) -> int:
-    """Stable 64-bit hash of a config identity (not Python's salted hash)."""
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "little")
 
 
 def _parse_bool(raw: str, where: str) -> bool:
@@ -210,15 +185,17 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
     return cfg
 
 
-def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
+def parse_suite(path, out_dir=None, base_seed=None) -> tuple:
     """Read a suite file: a ``[suite]`` section plus one section per entry.
 
-    An entry section accepts every ``section.key`` of a config file
-    (``train.local_epochs``, ``gas.PQC``, ``latency.constant``), with a bare
-    key meaning ``experiment.<key>`` (``crypto = PQC``). Every entry's
-    master seed is the suite seed XORed with a stable hash of its learning
-    identity (dataset, client count, rounds), so scheme variants of one
-    setup share the trajectory.
+    Returns ``(configs, out_dir)``. An entry section accepts every
+    ``section.key`` of a config file (``train.local_epochs``, ``gas.PQC``,
+    ``latency.constant``), with a bare key meaning ``experiment.<key>``
+    (``crypto = PQC``). Every entry's master seed is ``derive_seed`` of
+    its seed (its own ``seed``, else ``base_seed``, else ``[suite] seed``)
+    under ``"suite-entry"`` and its learning identity (dataset, client
+    count, rounds), so scheme variants of one setup share the trajectory.
+    ``out_dir`` wins over ``[suite] out``, which wins over ``out``.
     """
     parser = _read_ini(Path(path))
     suite_seed = 0
@@ -249,13 +226,13 @@ def parse_suite(path, out_dir=None, base_seed=None) -> SuiteSpec:
             cfg = _apply(cfg, key, raw, f"{path}:[{section}].{key}")
 
         identity = f"{cfg.dataset_label()}-{cfg.n_clients}c-{cfg.rounds}r"
-        cfg = replace(cfg, master_seed=cfg.master_seed ^ stable_name_hash(identity))
+        cfg = replace(cfg, master_seed=derive_seed(cfg.master_seed, "suite-entry", identity))
         if cfg.name() in names:
             raise ValidationError([f"duplicate configuration name {cfg.name()!r}"])
         names.add(cfg.name())
         configs.append(cfg)
 
-    return SuiteSpec(configs=configs, out_dir=out)
+    return configs, out
 
 
 def _write_csv(path: Path, columns, rows):
@@ -301,16 +278,16 @@ def _comparison_row(cfg: ExperimentConfig, report=None, error=None) -> dict:
     return row
 
 
-def run_suite(spec: SuiteSpec):
+def run_suite(configs, out_dir: Path):
     """Run every suite entry in order; failures don't stop the rest.
 
-    Returns ``(ComparisonTable, {name: report})``; writes per-config report
-    files and the top-level ``comparison.csv``.
+    Returns ``({name: comparison row}, {name: report})``, a failed entry
+    having a row whose ``status`` is not ``"ok"`` and no report; writes
+    per-config report files and the top-level ``comparison.csv``.
     """
-
     rows = {}
     reports = {}
-    for cfg in spec.configs:
+    for cfg in configs:
         try:
             report, error = run_experiment(cfg), None
         except PqsBflError as exc:
@@ -318,11 +295,10 @@ def run_suite(spec: SuiteSpec):
         rows[cfg.name()] = _comparison_row(cfg, report, error)
         if report is not None:
             reports[cfg.name()] = report
-            write_report_files(report, spec.out_dir)
+            write_report_files(report, out_dir)
 
-    table = ComparisonTable(COMPARISON_CSV_COLUMNS, rows)
-    _write_csv(spec.out_dir / "comparison.csv", table.columns, list(rows.values()))
-    return table, reports
+    _write_csv(out_dir / "comparison.csv", COMPARISON_CSV_COLUMNS, rows.values())
+    return rows, reports
 
 
 def emit_crypto_table(schemes, trials: int = 100) -> list:
@@ -376,11 +352,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.suite:
-            spec = parse_suite(args.suite, out_dir=args.out, base_seed=args.seed)
-            table, _ = run_suite(spec)
-            for name, row in table.rows.items():
+            rows, _ = run_suite(*parse_suite(args.suite, out_dir=args.out, base_seed=args.seed))
+            for name, row in rows.items():
                 print(f"{name}: {row['status']}")
-            return 1 if table.failed else 0
+            return 0 if all(row["status"] == "ok" for row in rows.values()) else 1
 
         overrides = {
             "dataset": args.dataset,

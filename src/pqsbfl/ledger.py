@@ -350,10 +350,6 @@ class Chain:
     blocks: list = field(default_factory=list)
     head_hash: bytes = _ZERO32
 
-    @property
-    def height(self) -> int:
-        return len(self.blocks) - 1
-
 
 @dataclass(frozen=True)
 class ChainCheck:

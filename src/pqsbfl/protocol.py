@@ -42,7 +42,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import fedcore, sigsuite
-from .errors import NoVerifiedUpdates, ValidationError, ZeroDenominator
+from .errors import InfeasibleCalibration, NoVerifiedUpdates, ValidationError, ZeroDenominator
 from .fedcore import ClientUpdate, ModelParams, TrainConfig
 from .ledger import (
     DEFAULT_GAS_TARGETS,
@@ -82,32 +82,27 @@ def derive_seed(master_seed: int, *tags) -> int:
 
 
 def _client_address(client_id: int) -> bytes:
-    """An id in the signed 64-bit range is packed in 8 bytes. Any other id,
-    which only a tampered submission carries, takes a longer two's-complement
-    encoding, so it maps to an address no client registered. Uncached: the
-    registered clients' addresses are kept on :class:`SystemState`."""
-    try:
-        encoded = struct.pack("<q", client_id)
-    except struct.error:
-        encoded = client_id.to_bytes(client_id.bit_length() // 8 + 1, "little", signed=True)
-    return hashlib.sha3_256(b"client-address:" + encoded).digest()
+    """The address client ``client_id`` registers under."""
+    return hashlib.sha3_256(b"client-address:" + struct.pack("<q", client_id)).digest()
 
 
 _AGGREGATOR_ADDRESS = hashlib.sha3_256(b"aggregator-address").digest()
+# Sender of every submission whose client id the run lacks; never registered.
+_UNREGISTERED_ADDRESS = hashlib.sha3_256(b"unregistered-address").digest()
 
 
 def _resolve_client(addresses: list, client_id) -> tuple:
     """(index, address) of a submission's client id among the registered
     ``addresses``. An id that is not an integer, or falls outside ``[0, n)``,
-    comes only from tampering: it gets no index and an address nobody
-    registered, derived afresh."""
+    comes only from tampering: it gets no index and
+    :data:`_UNREGISTERED_ADDRESS`."""
     try:
         cid = operator.index(client_id)
     except TypeError:
-        return None, hashlib.sha3_256(b"non-integer-client-address").digest()
+        return None, _UNREGISTERED_ADDRESS
     if 0 <= cid < len(addresses):
         return cid, addresses[cid]
-    return None, _client_address(cid)
+    return None, _UNREGISTERED_ADDRESS
 
 
 # Default confirmation latency without a blockchain, seconds.
@@ -162,6 +157,8 @@ class ExperimentConfig:
             out.append(f"alpha must be finite and > 0, got {self.alpha}")
         if not isinstance(self.scheme, SchemeId):
             out.append(f"unknown scheme {self.scheme!r}")
+        elif self.scheme not in self.gas_targets:
+            out.append(f"no gas target for {self.scheme}")
         if not (self.dataset == "synth" or self.dataset.startswith("csv:")):
             out.append(f"dataset must be 'synth' or 'csv:<path>', got {self.dataset!r}")
         if self.train.local_epochs < 0:
@@ -177,6 +174,13 @@ class ExperimentConfig:
         for scheme, target in self.gas_targets.items():
             if not (target > 0 and math.isfinite(target)):
                 out.append(f"gas target for {scheme} must be finite and positive")
+                continue
+            try:
+                calibrate_gas({scheme: target})
+            except InfeasibleCalibration as exc:
+                out.append(f"gas target for {exc}")
+            except KeyError:
+                out.append(f"gas target for unknown scheme {scheme!r}")
         if self.latency is not None:
             lo, hi = self.latency
             if not (0 <= lo <= hi and math.isfinite(hi)):  # also rejects NaN
@@ -340,7 +344,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     submission (wrong scheme tag, hash of the wrong length, an empty one, a
     digest or signature of the wrong type, a client id that is not an
     integer or that the run does not have) is rejected like a bad signature
-    and excludes only its client.
+    and excludes only its client. Every submission with such a client id is
+    sent from the one address nothing registers, ``_UNREGISTERED_ADDRESS``.
 
     Hash binding follows the submit phase: a verified submission is
     aggregated only if its own off-chain parameters are a finite model of

@@ -77,13 +77,6 @@ class SchemeId(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @classmethod
-    def from_name(cls, name: str) -> "SchemeId":
-        try:
-            return cls(name)
-        except ValueError:
-            raise UnsupportedScheme(f"unknown scheme {name!r}") from None
-
 
 @dataclass(frozen=True)
 class KeyPair:

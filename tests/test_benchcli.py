@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +19,7 @@ from pqsbfl.benchcli import (
 from pqsbfl.errors import ParseError, ValidationError
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import DEFAULT_GAS_TARGETS
-from pqsbfl.protocol import ExperimentConfig
+from pqsbfl.protocol import ExperimentConfig, derive_seed
 from pqsbfl.sigsuite import SchemeId
 
 FAST = dict(
@@ -128,11 +129,13 @@ class TestKeyTable:
         suite_file.write_text(f"[entry]\n{entry_key} = {raw}\n")
 
         from_file = parse_config(config_file)
-        (from_suite,) = parse_suite(suite_file).configs
-        # undo the suite's per-entry seed derivation (suite seed 0)
-        identity = f"{from_suite.dataset_label()}-{from_suite.n_clients}c-{from_suite.rounds}r"
-        seed = from_suite.master_seed ^ benchcli.stable_name_hash(identity)
-        assert dataclasses.replace(from_suite, master_seed=seed) == from_file
+        (from_suite,), _ = parse_suite(suite_file)
+        # the entry's seed is derived from the file's (suite seed 0)
+        identity = f"{from_file.dataset_label()}-{from_file.n_clients}c-{from_file.rounds}r"
+        assert from_suite.master_seed == derive_seed(
+            from_file.master_seed, "suite-entry", identity
+        )
+        assert dataclasses.replace(from_suite, master_seed=from_file.master_seed) == from_file
         assert from_file != ExperimentConfig()
 
         # configparser lowercases keys, so the message names the key as read
@@ -158,17 +161,17 @@ class TestSuite:
                 f"[{scheme.lower()}]\ncrypto = {scheme}\nclients = 3\n"
                 + "".join(f"{k} = {v}\n" for k, v in FAST.items())
             )
-        spec = parse_suite(self._write_suite(tmp_path, body), out_dir=tmp_path / "out")
-        table, reports = run_suite(spec)
-        assert len(table.rows) == 3
-        assert not table.failed
-        accuracies = {row["final_accuracy"] for row in table.rows.values()}
+        rows, reports = run_suite(*parse_suite(self._write_suite(tmp_path, body),
+                                               out_dir=tmp_path / "out"))
+        assert len(rows) == 3
+        assert all(row["status"] == "ok" for row in rows.values())
+        accuracies = {row["final_accuracy"] for row in rows.values()}
         assert len(accuracies) == 1
 
     def test_empty_suite(self, tmp_path):
-        spec = parse_suite(self._write_suite(tmp_path, "[suite]\n"), out_dir=tmp_path / "o")
-        table, reports = run_suite(spec)
-        assert table.rows == {} and reports == {}
+        rows, reports = run_suite(*parse_suite(self._write_suite(tmp_path, "[suite]\n"),
+                                               out_dir=tmp_path / "o"))
+        assert rows == {} and reports == {}
 
     def test_duplicate_config_names_rejected(self, tmp_path):
         body = (
@@ -185,10 +188,11 @@ class TestSuite:
             + "[good]\ncrypto = NONE\nclients = 2\n"
             + "".join(f"{k} = {v}\n" for k, v in FAST.items())
         )
-        spec = parse_suite(self._write_suite(tmp_path, body), out_dir=tmp_path / "out")
-        table, reports = run_suite(spec)
-        assert len(table.failed) == 1
-        assert table.rows["synth-NONE-2c-BC"]["status"] == "ok"
+        rows, reports = run_suite(*parse_suite(self._write_suite(tmp_path, body),
+                                               out_dir=tmp_path / "out"))
+        assert rows["synth-PQC-3c-BC"]["status"].startswith("error: ")
+        assert rows["synth-NONE-2c-BC"]["status"] == "ok"
+        assert list(reports) == ["synth-NONE-2c-BC"]
         assert (tmp_path / "out" / "comparison.csv").exists()
 
     def test_rerun_reproduces_deterministic_columns(self, tmp_path):
@@ -211,7 +215,7 @@ class TestSuite:
         ]
 
         def run_once(out):
-            run_suite(parse_suite(path, out_dir=out))
+            run_suite(*parse_suite(path, out_dir=out))
             with open(out / "comparison.csv", newline="") as fh:
                 return list(csv.DictReader(fh))
 
@@ -226,10 +230,10 @@ class TestSuite:
             "[suite]\nseed = 5\n[one]\ncrypto = NONE\nclients = 2\n"
             + "".join(f"{k} = {v}\n" for k, v in FAST.items())
         )
-        spec = parse_suite(self._write_suite(tmp_path, body), out_dir=tmp_path / "out")
-        table, reports = run_suite(spec)
-        (name,) = table.rows
-        row, report = table.rows[name], reports[name]
+        rows, reports = run_suite(*parse_suite(self._write_suite(tmp_path, body),
+                                               out_dir=tmp_path / "out"))
+        (name,) = rows
+        row, report = rows[name], reports[name]
         assert float(row["final_accuracy"]) == report.final_accuracy
         assert float(row["mean_accuracy"]) == report.summary["accuracy"]
         assert float(row["mean_total_gas"]) == report.summary["total_gas"]
@@ -256,10 +260,43 @@ class TestSuite:
             "[n]\ncrypto = NONE\nclients = 2\nrounds = 1\n"
             "[m]\ncrypto = NONE\nclients = 4\nrounds = 1\n"
         )
-        spec = parse_suite(self._write_suite(tmp_path, body))
-        seeds = {c.name(): c.master_seed for c in spec.configs}
+        configs, _ = parse_suite(self._write_suite(tmp_path, body))
+        seeds = {c.name(): c.master_seed for c in configs}
         assert seeds["synth-PQC-2c-BC"] == seeds["synth-NONE-2c-BC"]
         assert seeds["synth-NONE-2c-BC"] != seeds["synth-NONE-4c-BC"]
+
+    def test_flags_win_over_the_suite_section_over_defaults(self, tmp_path):
+        entry = "[e]\ncrypto = NONE\n"
+        identity = "synth-3c-50r"  # the defaults' learning identity
+        (cfg,), out = parse_suite(self._write_suite(tmp_path, entry))
+        assert cfg.master_seed == derive_seed(0, "suite-entry", identity)
+        assert out == Path("out")
+
+        path = self._write_suite(tmp_path, f"[suite]\nseed = 4\nout = from-file\n{entry}")
+        (cfg,), out = parse_suite(path)
+        assert cfg.master_seed == derive_seed(4, "suite-entry", identity)
+        assert out == Path("from-file")
+
+        (cfg,), out = parse_suite(path, out_dir=tmp_path / "flag", base_seed=5)
+        assert cfg.master_seed == derive_seed(5, "suite-entry", identity)
+        assert out == tmp_path / "flag"
+
+    @pytest.mark.parametrize("body, section, key", [
+        ("[suite]\ncolour = red\n", "suite", "colour"),
+        ("[entry]\nblockchain = maybe\n", "entry", "blockchain"),
+        ("[entry]\nalpha = x\n", "entry", "alpha"),
+        ("[entry]\ncrypto = RSA\n", "entry", "crypto"),
+        ("[entry]\nlatency.uniform = 1\n", "entry", "latency.uniform"),
+        ("[entry]\ncrypto = NONE\ncrypto = PQC\n", "entry", "crypto"),  # configparser rejects
+    ], ids=["suite-key", "blockchain", "alpha", "crypto", "latency.uniform", "ini"])
+    def test_parse_errors_name_file_section_and_key(self, tmp_path, body, section, key):
+        path = self._write_suite(tmp_path, body)
+        with pytest.raises(ParseError) as excinfo:
+            parse_suite(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        rest = message.replace(str(path), "")
+        assert section in rest and key in rest
 
 
 class TestReportFiles:
@@ -430,7 +467,3 @@ class TestCryptoTable:
         monkeypatch.setattr(benchcli, "measure_primitives", lambda scheme, trials: measured)
         (row,) = emit_crypto_table([SchemeId.ECDSA], trials=4)
         assert row["sig_size_b"] == 70.25
-
-    def test_stable_name_hash_is_stable(self):
-        assert benchcli.stable_name_hash("synth-3c") == benchcli.stable_name_hash("synth-3c")
-        assert benchcli.stable_name_hash("a") != benchcli.stable_name_hash("b")

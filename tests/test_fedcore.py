@@ -97,6 +97,17 @@ class TestGenerateSynthetic:
             generate_synthetic(0, n_samples=10, n_features=0, n_classes=2)
 
 
+class TestDataset:
+    @pytest.mark.parametrize("shape, labels, match", [
+        ((3, 2), [0, 1], "matching labels"),
+        ((0, 2), [], "at least one sample"),
+        ((2, 2), [0, 3], r"\[0, n_classes\)"),
+    ], ids=["lengths", "empty", "label"])
+    def test_malformed_table_rejected(self, shape, labels, match):
+        with pytest.raises(InvalidDimensions, match=match):
+            Dataset(np.zeros(shape), np.array(labels, dtype=np.int64), n_classes=3)
+
+
 class TestPartitionDirichlet:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -216,6 +227,12 @@ class TestLocalTrain:
         wrong = init_params(7, 3, seed=1)
         with pytest.raises(LayoutMismatch):
             local_train(wrong, train, _full_partition(train), TrainConfig(), 0)
+
+    def test_zero_batch_size_rejected(self):
+        train, _ = generate_synthetic(2, 200, 6, 3)
+        params = init_params(6, 3, seed=1)
+        with pytest.raises(ValueError, match="batch_size"):
+            local_train(params, train, _full_partition(train), TrainConfig(batch_size=0), 0)
 
     def test_layout_with_other_layers_mismatch(self):
         # Both layers have the dataset's dimensions, but the MLP's hidden.bias
@@ -375,6 +392,10 @@ class TestLayout:
         assert (Layout(a) == Layout(b)) == same
         assert Layout(a) == Layout(a) and hash(Layout(a)) == hash(Layout(a))
 
+    def test_params_must_fill_their_layout(self):
+        with pytest.raises(LayoutMismatch, match="5 values for a layout of 6"):
+            ModelParams(np.zeros(5), Layout((("w", (2, 3)),)))
+
 
 class TestCanonicalBytes:
     def test_empty_params_golden_bytes(self):
@@ -451,6 +472,9 @@ class TestCsvIngestion:
         path = tmp_path / "empty.csv"
         path.write_text("")
         with pytest.raises(ParseError):
+            load_csv(path)
+        path.write_text("f0,label\n")
+        with pytest.raises(ParseError, match="no data rows"):
             load_csv(path)
 
     def test_split_needs_two_samples(self, tmp_path):

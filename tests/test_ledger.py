@@ -326,9 +326,9 @@ class TestReceipts:
 class TestMining:
     def test_empty_pending_set(self):
         ledger = SimulatedLedger()
-        before = ledger.chain.height
+        before = len(ledger.chain.blocks)
         block = ledger.mine_block()
-        assert ledger.chain.height == before + 1
+        assert len(ledger.chain.blocks) == before + 1
         assert block.tx_hashes == b""
 
     def test_fifo_ordering(self):
@@ -486,6 +486,19 @@ class TestChainIntegrity:
             chain.blocks[1], transactions=edit(chain.blocks[1].transactions)
         )
         assert chain_verify(chain) == ChainCheck(False, 1)
+
+    @pytest.mark.parametrize("edit, broken_height", [
+        (lambda chain: chain.blocks.pop(), 2),  # the head still names the dropped block
+        (lambda chain: setattr(chain, "head_hash", chain.blocks[1].block_hash()), 3),
+    ], ids=["last-block-dropped", "head-names-block-1"])
+    def test_head_hash_anchors_the_last_block(self, edit, broken_height):
+        state = init_phase(ExperimentConfig(scheme=SchemeId.NONE, n_clients=3, rounds=2))
+        for t in (1, 2):
+            run_round(state, t)
+        chain = state.ledger.chain
+        assert len(chain.blocks) == 4 and chain_verify(chain).intact
+        edit(chain)
+        assert chain_verify(chain) == ChainCheck(False, broken_height)
 
     def test_mutated_state_root_detected(self):
         ledger = self._populated_ledger()

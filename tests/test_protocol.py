@@ -74,6 +74,25 @@ def _fedavg_oracle(state, client_ids, round_seed_master):
     return (weighted / total).astype(np.float32)
 
 
+def _record_submits(state) -> list:
+    """Wrap the ledger's ``submit_update``; returns the list each submission's
+    ``(address, round, receipt)`` is appended to."""
+    sent = []
+    submit = state.ledger.submit_update
+
+    def recording_submit(address, round_, update_hash, sig):
+        sent.append((address, round_, submit(address, round_, update_hash, sig)))
+        return sent[-1][2]
+
+    state.ledger.submit_update = recording_submit
+    return sent
+
+
+def _rejected_none_gas(state) -> int:
+    """Gas a rejected NONE submission with a 32-byte signature is charged."""
+    return state.ledger.gas.submit_gas(SchemeId.NONE, sigsuite.HASH_BYTES, stored=False)
+
+
 class TestInitPhase:
     def test_bc_registry_counts_clients_plus_aggregator(self):
         state = init_phase(_small_config())
@@ -118,7 +137,11 @@ class TestInitPhase:
         dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.PQC: INF}),
         dict(latency=(INF, INF)),
         dict(latency=(0.1, INF)),
-    ], ids=["alpha", "train.learning_rate", "gas_targets", "latency.low", "latency.high"])
+        dict(scheme=SchemeId.NONE, gas_targets={SchemeId.PQC: 2_000_000}),
+        dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.NONE: 1000}),
+        dict(gas_targets={**DEFAULT_GAS_TARGETS, "RSA": 200_000}),
+    ], ids=["alpha", "train.learning_rate", "gas_targets", "latency.low", "latency.high",
+            "gas_targets.missing", "gas_targets.below_fixed_costs", "gas_targets.unknown_scheme"])
     def test_infinity_rejected_before_keygen(self, override, monkeypatch):
         calls = []
         monkeypatch.setattr(protocol.sigsuite, "keygen_batch",
@@ -297,35 +320,52 @@ class TestRunRound:
             return dataclasses.replace(sub, client_id=client_id) if sub.client_id == 0 else sub
 
         oracle = _fedavg_oracle(init_phase(cfg), {1, 2}, cfg.master_seed)
+        sent = _record_submits(state)
         metrics = run_round(state, 1, tamper_hook=rename)
-        # sent from an address nobody registered: rejected, charged, no write
+        # sent from the address nobody registered: rejected, charged, no write
         assert (metrics.verified_count, metrics.rejected_count) == (2, 1)
+        address, _, receipt = sent[0]
+        assert address == protocol._UNREGISTERED_ADDRESS
+        assert state.ledger.chain.blocks[-1].transactions[0].sender == address
+        assert not receipt.verified and receipt.gas_used == _rejected_none_gas(state) > 0
+        assert list(state.ledger.state.verified_updates[1]) == state.addresses[1:]
         max_ulps = np.spacing(np.abs(oracle))
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
+        assert chain_verify(state.ledger.chain).intact
+
+    def test_two_strangers_in_one_round_both_rejected_and_charged(self):
+        state = init_phase(_small_config(scheme=SchemeId.NONE))
+        strangers = {0: 3, 1: "1"}  # an id the run does not have, and a non-integer
+        sent = _record_submits(state)
+        metrics = run_round(state, 1, tamper_hook=lambda sub: (
+            dataclasses.replace(sub, client_id=strangers[sub.client_id])
+            if sub.client_id in strangers else sub
+        ))
+        assert (metrics.verified_count, metrics.rejected_count) == (1, 2)
+        rejected = (protocol._UNREGISTERED_ADDRESS, False, _rejected_none_gas(state))
+        assert [(a, receipt.verified, receipt.gas_used) for a, _, receipt in sent[:2]] == [
+            rejected, rejected
+        ]
+        assert list(state.ledger.state.verified_updates[1]) == [state.addresses[2]]
         assert chain_verify(state.ledger.chain).intact
 
     def test_fresh_unknown_id_each_round_rejected_and_charged(self):
         cfg = _small_config(scheme=SchemeId.NONE, rounds=3)
         state = init_phase(cfg)
-        receipts = {}
-        submit = state.ledger.submit_update
-
-        def recording_submit(address, round_, update_hash, sig):
-            receipts[address] = submit(address, round_, update_hash, sig)
-            return receipts[address]
-
-        state.ledger.submit_update = recording_submit
+        sent = _record_submits(state)
         for t in range(1, cfg.rounds + 1):
             fresh = cfg.n_clients + t  # never sent before
             run_round(state, t, tamper_hook=lambda sub: (
                 dataclasses.replace(sub, client_id=fresh) if sub.client_id == 0 else sub
             ))
-            receipt = receipts[protocol._client_address(fresh)]
+        receipts = {
+            round_: receipt for address, round_, receipt in sent
+            if address == protocol._UNREGISTERED_ADDRESS
+        }
+        assert list(receipts) == [1, 2, 3]
+        for receipt in receipts.values():
             assert not receipt.verified
-            assert receipt.gas_used == state.ledger.gas.submit_gas(
-                SchemeId.NONE, sigsuite.HASH_BYTES, stored=False
-            ) > 0
-        assert not hasattr(protocol._client_address, "cache_info")  # nothing kept per id
+            assert receipt.gas_used == _rejected_none_gas(state) > 0
 
     @pytest.mark.parametrize("scheme", [SchemeId.NONE, SchemeId.ECDSA], ids=["none", "ecdsa"])
     def test_chain_head_reproducible_for_fixed_seed(self, scheme):

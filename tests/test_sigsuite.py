@@ -110,10 +110,6 @@ class TestKeygen:
         msg = b"self-signed test message"
         assert verify(key.public_key, SchemeId.ECDSA, msg, sign(key, msg))
 
-    def test_unknown_scheme_name_rejected(self):
-        with pytest.raises(UnsupportedScheme):
-            SchemeId.from_name("RSA")
-
 
 class TestKeygenBatch:
     def test_init_phase_batch_known_answer(self):
@@ -229,10 +225,18 @@ class TestSignVerify:
         assert not verify(b"not a pem key", SchemeId.ECDSA, b"m", esig)
 
     def test_sign_without_handle_raises_malformed_key(self):
-        key = keygen(SchemeId.PQC, 5)
-        hollow = KeyPair(SchemeId.PQC, key.public_key, key.private_key)
-        with pytest.raises(MalformedKey):
-            sign(hollow, b"m")
+        for scheme in (SchemeId.PQC, SchemeId.ECDSA):
+            key = keygen(scheme, 5)
+            hollow = KeyPair(scheme, key.public_key, key.private_key)
+            with pytest.raises(MalformedKey):
+                sign(hollow, b"m")
+
+    def test_scheme_that_is_not_a_scheme_id_is_unsupported(self):
+        rsa = "RSA"
+        with pytest.raises(UnsupportedScheme):
+            sign(KeyPair(rsa, NONE_PUBLIC_TOKEN, NONE_PRIVATE_TOKEN), b"m")
+        with pytest.raises(UnsupportedScheme):
+            verify(NONE_PUBLIC_TOKEN, rsa, b"m", Signature(rsa, b""))
 
     @pytest.mark.parametrize("scheme", (SchemeId.PQC, SchemeId.ECDSA))
     def test_missing_backend_is_unsupported_scheme(self, scheme, monkeypatch):
