@@ -26,8 +26,9 @@ print("calibrated verification surcharges:")
 for scheme, surcharge in gas_model.g_verify.items():
     print(f"  {scheme.value:>5}: {surcharge:,}")
 
-# Every receipt confirms after 0.32 s: equal (low, high) latency bounds.
-ledger = SimulatedLedger(gas_model=gas_model, latency=(0.32, 0.32))
+# The ledger's one confirmation time: every receipt confirms after 0.32 s,
+# the simulator's default transaction time for a PQC run on chain.
+ledger = SimulatedLedger(gas_model=gas_model, latency_s=0.32)
 client_key = keygen(SchemeId.PQC, rng_seed=1)
 address = hashlib.sha3_256(b"demo-client").digest()
 

@@ -5,7 +5,9 @@ headers), are overridable by command-line flags, and name themselves by the
 ``dataset-crypto-Nc-BC|NoBC`` convention. A suite file holds many entries;
 every entry runs with its own seed, ``derive_seed`` of the suite seed and
 the entry's learning-relevant identity, so adding an entry never perturbs
-the others and scheme variants of one setup share a model trajectory.
+the others and scheme variants of one setup share a model trajectory. A
+suite run takes only ``--seed`` and ``--out`` from the command line; each
+entry sets the rest of its experiment.
 
 Outputs are plot-ready CSV plus a full JSON report per run:
 
@@ -91,18 +93,6 @@ def _parse_scheme(raw: str, where: str) -> SchemeId:
         raise ParseError(f"{where}: unknown crypto {raw!r}") from None
 
 
-def _parse_constant(raw: str, where: str) -> tuple:
-    seconds = _parse_float(raw, where)
-    return seconds, seconds
-
-
-def _parse_bounds(raw: str, where: str) -> tuple:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"{where}: expected low,high")
-    return tuple(_parse_float(p, where) for p in parts)
-
-
 def _field(name):
     return lambda cfg, value: replace(cfg, **{name: value})
 
@@ -131,8 +121,7 @@ _KEYS = {
     "train.local_epochs": (_parse_int, _train("local_epochs")),
     "train.batch_size": (_parse_int, _train("batch_size")),
     "train.learning_rate": (_parse_float, _train("learning_rate")),
-    "latency.constant": (_parse_constant, _field("latency")),
-    "latency.uniform": (_parse_bounds, _field("latency")),
+    "latency.constant": (_parse_float, _field("latency")),
     **{f"gas.{s.value.lower()}": (_parse_int, _gas(s)) for s in SchemeId},
 }
 
@@ -188,7 +177,8 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
 def parse_suite(path, out_dir=None, base_seed=None) -> tuple:
     """Read a suite file: a ``[suite]`` section plus one section per entry.
 
-    Returns ``(configs, out_dir)``. An entry section accepts every
+    Returns ``(configs, out_dir)``; a file without entries is a
+    :class:`ParseError`. An entry section accepts every
     ``section.key`` of a config file (``train.local_epochs``, ``gas.PQC``,
     ``latency.constant``), with a bare key meaning ``experiment.<key>``
     (``crypto = PQC``). Every entry's master seed is ``derive_seed`` of
@@ -232,6 +222,8 @@ def parse_suite(path, out_dir=None, base_seed=None) -> tuple:
         names.add(cfg.name())
         configs.append(cfg)
 
+    if not configs:
+        raise ParseError(f"{path}: no suite entries")
     return configs, out
 
 
@@ -322,14 +314,22 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--blockchain", choices=["on", "off"])
     parser.add_argument("--seed", type=int, metavar="U64")
     parser.add_argument("--out", metavar="DIR", help="output directory (default: out)")
-    parser.add_argument("--suite", metavar="PATH", help="suite INI file")
+    parser.add_argument(
+        "--suite", metavar="PATH",
+        help="suite INI file; only --seed and --out may go with it",
+    )
     parser.add_argument(
         "--crypto-bench",
         action="store_true",
+        default=None,  # None when absent, so --suite can tell it was given
         help="measure keygen/sign/verify instead of running an experiment",
     )
     parser.add_argument("--trials", type=int, default=100, metavar="N")
     return parser
+
+
+# Experiment flags a suite run rejects: every entry sets its own experiment.
+_SUITE_REJECTS = ("config", "dataset", "crypto", "clients", "rounds", "blockchain", "crypto_bench")
 
 
 def main(argv=None) -> int:
@@ -337,6 +337,16 @@ def main(argv=None) -> int:
     out_dir = Path(args.out) if args.out else Path("out")
 
     try:
+        if args.suite:
+            given = [f"--{dest.replace('_', '-')}" for dest in _SUITE_REJECTS
+                     if getattr(args, dest) is not None]
+            if given:
+                raise ParseError(f"--suite takes only --seed and --out, got {' '.join(given)}")
+            rows, _ = run_suite(*parse_suite(args.suite, out_dir=args.out, base_seed=args.seed))
+            for name, row in rows.items():
+                print(f"{name}: {row['status']}")
+            return 0 if all(row["status"] == "ok" for row in rows.values()) else 1
+
         if args.crypto_bench:
             if args.trials < 1:
                 raise ValidationError([f"--trials must be >= 1, got {args.trials}"])
@@ -350,12 +360,6 @@ def main(argv=None) -> int:
                     f"sig {row['sig_size_b']:.1f} B"
                 )
             return 0
-
-        if args.suite:
-            rows, _ = run_suite(*parse_suite(args.suite, out_dir=args.out, base_seed=args.seed))
-            for name, row in rows.items():
-                print(f"{name}: {row['status']}")
-            return 0 if all(row["status"] == "ok" for row in rows.values()) else 1
 
         overrides = {
             "dataset": args.dataset,

@@ -50,10 +50,10 @@ included, still consume gas (EVM convention) but write no state. Records
 are write-once: duplicate registrations or resubmissions for an
 already-verified slot are rejected.
 
-Receipts hold no wall time: a receipt's fields (hash, status, gas,
-confirmation seconds drawn from the ledger's seeded latency stream, block
-height) are a function of the transaction sequence and the ledger's
-settings, so two ledgers given the same transactions return equal receipts.
+Receipts hold no wall time: a receipt's fields (hash, status, gas, the
+ledger's one constant confirmation time, block height) are a function of
+the transaction sequence and the ledger's settings, so two ledgers given
+the same transactions return equal receipts.
 """
 
 import enum
@@ -61,8 +61,6 @@ import hashlib
 import json
 import struct
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import _mldsa_keyexpand
 from .errors import InfeasibleCalibration
@@ -83,7 +81,6 @@ __all__ = [
     "export_chain",
     "DEFAULT_GAS_TARGETS",
     "CALIBRATION_SIG_SIZES",
-    "DEFAULT_LATENCY_S",
 ]
 
 ADDRESS_BYTES = 32
@@ -101,12 +98,6 @@ CALIBRATION_SIG_SIZES = {
     SchemeId.PQC: _mldsa_keyexpand.SIGNATURE_BYTES,
     SchemeId.ECDSA: 71,
     SchemeId.NONE: 32,
-}
-# Default constant confirmation latency per scheme, seconds.
-DEFAULT_LATENCY_S = {
-    SchemeId.PQC: 0.32,
-    SchemeId.ECDSA: 0.12,
-    SchemeId.NONE: 0.11,
 }
 
 
@@ -194,8 +185,8 @@ class GasModel:
     g_store: int = 20_000
     g_verify: dict = field(default_factory=dict)  # SchemeId -> surcharge
 
-    def register_gas(self, pk_len: int) -> int:
-        records = -(-pk_len // 32)  # ceil: one storage slot per 32 bytes
+    def register_gas(self, pk_len: int, stored: bool) -> int:
+        records = -(-pk_len // 32) if stored else 0  # ceil: one storage slot per 32 bytes
         return self.g_base + self.g_byte * pk_len + self.g_store * records
 
     def submit_gas(self, scheme: SchemeId, sig_len: int, stored: bool) -> int:
@@ -363,24 +354,16 @@ class SimulatedLedger:
     Every contract call returns a :class:`Receipt`; gas is charged whether or
     not the call succeeds. Processed transactions wait in a pending list,
     with their hashes and the records they wrote, and are packaged FIFO into
-    the next mined block, which keeps them as its body. ``latency`` is the
-    ``(low, high)`` bounds of each receipt's confirmation time in seconds:
-    exactly ``low`` when the bounds are equal, otherwise one uniform draw
-    from the ledger's ``rng_seed`` stream.
+    the next mined block, which keeps them as its body. Every receipt's
+    confirmation time is ``latency_s`` seconds.
     """
 
-    def __init__(
-        self,
-        gas_model: GasModel = None,
-        latency: tuple = (0.0, 0.0),
-        rng_seed: int = 0,
-    ):
+    def __init__(self, gas_model: GasModel = None, latency_s: float = 0.0):
         self.gas = calibrate_gas() if gas_model is None else gas_model
-        self.latency = latency
+        self.latency_s = latency_s
         self.state = ContractState()
         genesis = _seal(0, _ZERO32, _ZERO32, ())
         self.chain = Chain([genesis], genesis.block_hash())
-        self._rng = np.random.default_rng(rng_seed)
         self._pending: list = []  # (tx, tx_hash, record written) per transaction
 
     def _execute(self, tx: Transaction) -> Receipt:
@@ -388,25 +371,25 @@ class SimulatedLedger:
         status, record = self.state.apply(tx)
         tx_hash = tx.tx_hash()
         self._pending.append((tx, tx_hash, record))
+        stored = status is TxStatus.VERIFIED
         if tx.kind is TxKind.REGISTER:
-            gas = self.gas.register_gas(len(tx.payload))
+            gas = self.gas.register_gas(len(tx.payload), stored)
         else:
             gas = self.gas.submit_gas(
-                tx.scheme, max(0, len(tx.payload) - HASH_BYTES),
-                status is TxStatus.VERIFIED,
+                tx.scheme, max(0, len(tx.payload) - HASH_BYTES), stored
             )
-        low, high = self.latency
         return Receipt(
             tx_hash=tx_hash,
             status=status,
             gas_used=gas,
-            confirm_time_s=low if low == high else float(self._rng.uniform(low, high)),
+            confirm_time_s=self.latency_s,
             block_height=len(self.chain.blocks),
         )
 
     def register_client(self, address: bytes, public_key: bytes, scheme: SchemeId) -> Receipt:
         """Store a client's public key; duplicate registration is rejected
-        (gas still charged) and never replaces the existing key."""
+        (charged for its payload but not for storage it never wrote) and
+        never replaces the existing key."""
         return self._execute(Transaction.registration(address, public_key, scheme))
 
     def submit_update(self, address: bytes, round_: int,

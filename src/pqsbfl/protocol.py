@@ -13,12 +13,12 @@ any in-flight tampering excludes that client from the round.
 
 Both submission modes send every signed hash through the simulated
 ledger's smart contract, which returns a receipt and mines one block per
-round. With a blockchain the contract is gas metered and confirmation
-latency defaults to a per-scheme constant; without one ("NoBC") the same
-ledger charges zero gas, latency defaults to a 50 ms constant, and the
-aggregator records no aggregation hash. Delays are accounted
-arithmetically, never slept, so runs stay fast. A round's simulated latency
-is its slowest update's confirmation plus the aggregation's, since all of
+round. Every transaction of a run confirms after one constant latency:
+``config.latency`` when set, else a per-scheme default with a blockchain
+and 50 ms without one ("NoBC"), where the same ledger also charges zero
+gas and the aggregator records no aggregation hash. Delays are accounted
+arithmetically, never slept, so runs stay fast. A round's simulated
+latency is one update's confirmation plus the aggregation's, since all of
 its updates share one block. The wall-clock fields are ``compute_time_s``
 (the whole round), ``mean_sign_ms`` (the sign phase over the client count)
 and ``mean_verify_ms`` (the submit phase, contract verification included,
@@ -34,7 +34,6 @@ this system has, and the test suite leans on it.
 import hashlib
 import math
 import operator
-import statistics
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -44,13 +43,7 @@ import numpy as np
 from . import fedcore, sigsuite
 from .errors import InfeasibleCalibration, NoVerifiedUpdates, ValidationError, ZeroDenominator
 from .fedcore import ClientUpdate, ModelParams, TrainConfig
-from .ledger import (
-    DEFAULT_GAS_TARGETS,
-    DEFAULT_LATENCY_S,
-    GasModel,
-    SimulatedLedger,
-    calibrate_gas,
-)
+from .ledger import DEFAULT_GAS_TARGETS, GasModel, SimulatedLedger, calibrate_gas
 from .sigsuite import KeyPair, SchemeId, Signature
 
 __all__ = [
@@ -66,6 +59,7 @@ __all__ = [
     "derive_seed",
     "SUMMARY_FIELDS",
     "TIMING_FIELDS",
+    "DEFAULT_LATENCY_S",
     "NOBC_LATENCY_S",
 ]
 
@@ -105,7 +99,13 @@ def _resolve_client(addresses: list, client_id) -> tuple:
     return None, _UNREGISTERED_ADDRESS
 
 
-# Default confirmation latency without a blockchain, seconds.
+# Default confirmation latency per scheme with a blockchain, and without
+# one, seconds.
+DEFAULT_LATENCY_S = {
+    SchemeId.PQC: 0.32,
+    SchemeId.ECDSA: 0.12,
+    SchemeId.NONE: 0.11,
+}
 NOBC_LATENCY_S = 0.05
 
 
@@ -125,10 +125,9 @@ class ExperimentConfig:
     blockchain: bool = True
     train: TrainConfig = field(default_factory=TrainConfig)
     gas_targets: dict = field(default_factory=lambda: dict(DEFAULT_GAS_TARGETS))
-    # (low, high) bounds of every receipt's confirmation seconds, in either
-    # mode; None: the scheme's DEFAULT_LATENCY_S constant with a blockchain,
-    # NOBC_LATENCY_S without one
-    latency: tuple = None
+    # every receipt's confirmation seconds, in either mode; None: the
+    # scheme's DEFAULT_LATENCY_S with a blockchain, NOBC_LATENCY_S without one
+    latency: float | None = None
     master_seed: int = 0
     alpha: float = 0.5
     synth_samples: int = 2000
@@ -181,21 +180,18 @@ class ExperimentConfig:
                 out.append(f"gas target for {exc}")
             except KeyError:
                 out.append(f"gas target for unknown scheme {scheme!r}")
-        if self.latency is not None:
-            lo, hi = self.latency
-            if not (0 <= lo <= hi and math.isfinite(hi)):  # also rejects NaN
-                out.append("latency must satisfy 0 <= low <= high < inf")
+        if self.latency is not None and not (0 <= self.latency < math.inf):  # also rejects NaN
+            out.append(f"latency must satisfy 0 <= latency < inf, got {self.latency}")
         return out
 
     def to_dict(self) -> dict:
         """Every field under its own name, JSON-ready, led by ``name``: the
-        scheme and the ``gas_targets`` keys as scheme names, ``latency`` as
-        a list, and the fixed ``train.optimizer``."""
+        scheme and the ``gas_targets`` keys as scheme names, and the fixed
+        ``train.optimizer``."""
         out = {"name": self.name(), **asdict(self)}
         out.update(
             scheme=self.scheme.value,
             gas_targets={s.value: t for s, t in self.gas_targets.items()},
-            latency=list(self.latency) if self.latency is not None else None,
         )
         out["train"]["optimizer"] = "ADAM"
         return out
@@ -292,11 +288,13 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     )
     client_keys, aggregator_key = keys[:-1], keys[-1]
 
-    default_latency = DEFAULT_LATENCY_S[config.scheme] if config.blockchain else NOBC_LATENCY_S
     ledger = SimulatedLedger(
         gas_model=calibrate_gas(config.gas_targets) if config.blockchain else GasModel(0, 0, 0),
-        latency=config.latency or (default_latency, default_latency),
-        rng_seed=derive_seed(master, "latency"),
+        latency_s=(
+            config.latency if config.latency is not None
+            else DEFAULT_LATENCY_S[config.scheme] if config.blockchain
+            else NOBC_LATENCY_S
+        ),
     )
     addresses = [_client_address(cid) for cid in range(config.n_clients)]
     for address, key in zip(addresses + [_AGGREGATOR_ADDRESS], keys):
@@ -335,8 +333,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     phase's time over ``n_clients``, and ``mean_verify_ms`` is the submit
     phase's, which covers the contract's verification of every update plus
     the loop around it. ``compute_time_s`` is the whole round's wall time,
-    and ``simulated_latency_s`` the slowest update's confirmation plus the
-    aggregation's.
+    ``mean_tx_time_s`` the ledger's confirmation time, and
+    ``simulated_latency_s`` that time plus the aggregation's confirmation.
 
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     (possibly corrupted) submission actually sent; it models in-flight
@@ -422,7 +420,6 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     accuracy = fedcore.evaluate(new_global, state.test_set)
 
     gas_per_update = [r.gas_used for r in receipts]
-    confirm_times = [r.confirm_time_s for r in receipts]
     total_gas = sum(gas_per_update)
     agg_latency = 0.0
     if config.blockchain:
@@ -433,10 +430,10 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     state.ledger.mine_block()
 
     compute_time = time.perf_counter() - started
-    simulated_latency = max(confirm_times) + agg_latency
+    mean_tx = state.ledger.latency_s  # every receipt's confirmation time
+    simulated_latency = mean_tx + agg_latency
     mean_sign = sign_s * 1e3 / config.n_clients
     mean_verify = submit_s * 1e3 / config.n_clients
-    mean_tx = statistics.mean(confirm_times)  # correctly rounded: a constant stays exact
     ratio = overhead_ratio(mean_sign, mean_verify, mean_tx) if mean_tx > 0 else 0.0
 
     return RoundMetrics(

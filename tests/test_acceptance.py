@@ -16,7 +16,6 @@ from pqsbfl import fedcore, sigsuite
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import (
     DEFAULT_GAS_TARGETS,
-    DEFAULT_LATENCY_S,
     SimulatedLedger,
     Transaction,
     TxKind,
@@ -25,6 +24,7 @@ from pqsbfl.ledger import (
     chain_verify,
 )
 from pqsbfl.protocol import (
+    DEFAULT_LATENCY_S,
     ExperimentConfig,
     init_phase,
     overhead_ratio,

@@ -69,10 +69,11 @@ class TestParseConfig:
         assert cfg.blockchain is False
         assert cfg.train == TrainConfig(local_epochs=3, batch_size=16, learning_rate=0.01)
         assert cfg.gas_targets[SchemeId.PQC] == 2_000_000
-        assert cfg.latency == (0.25, 0.25)
+        assert cfg.latency == 0.25
         path.write_text("[latency]\nuniform = 0.1,0.5\n")
-        assert parse_config(path).latency == (0.1, 0.5)
-        path.write_text("[latency]\nuniform = nan,nan\n")
+        with pytest.raises(ParseError, match=r"\[latency\]\.uniform: unknown key"):
+            parse_config(path)
+        path.write_text("[latency]\nconstant = nan\n")
         with pytest.raises(ValidationError, match="latency"):
             parse_config(path)
 
@@ -109,7 +110,6 @@ _KEY_SAMPLES = {
     "train.batch_size": "16",
     "train.learning_rate": "0.01",
     "latency.constant": "0.25",
-    "latency.uniform": "0.1,0.5",
     "gas.pqc": "2000000",
     "gas.ecdsa": "200000",
     "gas.none": "180000",
@@ -169,9 +169,12 @@ class TestSuite:
         assert len(accuracies) == 1
 
     def test_empty_suite(self, tmp_path):
-        rows, reports = run_suite(*parse_suite(self._write_suite(tmp_path, "[suite]\n"),
-                                               out_dir=tmp_path / "o"))
-        assert rows == {} and reports == {}
+        path = self._write_suite(tmp_path, "[suite]\nseed = 1\n")
+        with pytest.raises(ParseError, match="no suite entries") as excinfo:
+            parse_suite(path)
+        assert str(path) in str(excinfo.value)
+        assert main(["--suite", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
     def test_duplicate_config_names_rejected(self, tmp_path):
         body = (
@@ -251,6 +254,27 @@ class TestSuite:
             + "".join(f"{k} = {v}\n" for k, v in FAST.items()),
         )
         assert main(["--suite", str(good), "--out", str(tmp_path / "o2")]) == 0
+
+    def test_experiment_flags_rejected_with_suite(self, tmp_path, capsys):
+        path = self._write_suite(
+            tmp_path,
+            "[one]\ncrypto = NONE\nclients = 2\n"
+            + "".join(f"{k} = {v}\n" for k, v in FAST.items()),
+        )
+        out = tmp_path / "out"
+        for flags in (
+            ["--crypto", "PQC", "--clients", "5", "--rounds", "3"],
+            ["--clients", "0"],
+            ["--config", str(path), "--dataset", "synth", "--blockchain", "off"],
+            ["--crypto-bench"],
+        ):
+            assert main(["--suite", str(path), *flags, "--seed", "2", "--out", str(out)]) == 1
+            named = " ".join(f for f in flags if f.startswith("--"))
+            assert capsys.readouterr().err == (
+                f"error: --suite takes only --seed and --out, got {named}\n"
+            )
+            assert not out.exists()
+        assert main(["--suite", str(path), "--seed", "2", "--out", str(out)]) == 0
 
     def test_entry_seed_derivation_isolates_learning_identity(self, tmp_path):
         # same dataset/clients/rounds: PQC and NONE entries share a seed
@@ -420,7 +444,7 @@ class TestOutputSchema:
     def test_non_default_config_to_dict(self):
         cfg = ExperimentConfig(
             scheme=SchemeId.NONE,
-            latency=(0.1, 0.5),
+            latency=0.25,
             gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.PQC: 2_000_000},
         )
         assert cfg.to_dict() == {
@@ -435,7 +459,7 @@ class TestOutputSchema:
                 "optimizer": "ADAM",
             },
             "gas_targets": {"PQC": 2_000_000, "ECDSA": 188_900, "NONE": 173_650},
-            "latency": [0.1, 0.5],
+            "latency": 0.25,
             "master_seed": 0,
             "alpha": 0.5,
             "synth_samples": 2000,
