@@ -26,26 +26,25 @@ print("calibrated verification surcharges:")
 for scheme, surcharge in gas_model.g_verify.items():
     print(f"  {scheme.value:>5}: {surcharge:,}")
 
-# The ledger's one confirmation time: every receipt confirms after 0.32 s,
-# the simulator's default transaction time for a PQC run on chain.
-ledger = SimulatedLedger(gas_model=gas_model, latency_s=0.32)
+# A receipt is the contract's verdict: verified or not, the gas charged,
+# and the block the transaction lands in.
+ledger = SimulatedLedger(gas_model=gas_model)
 client_key = keygen(SchemeId.PQC, rng_seed=1)
 address = hashlib.sha3_256(b"demo-client").digest()
 
 receipt = ledger.register_client(address, client_key.public_key, SchemeId.PQC)
-print(f"\nregister: status={receipt.status.value} gas={receipt.gas_used:,}")
+print(f"\nregister: verified={receipt.verified} gas={receipt.gas_used:,}")
 
 digest = hashlib.sha3_256(b"round-1 model bytes").digest()
 signature = sign(client_key, digest)
 receipt = ledger.submit_update(address, 1, digest, signature)
-print(f"submit:   status={receipt.status.value} gas={receipt.gas_used:,} "
-      f"confirm={receipt.confirm_time_s}s")
+print(f"submit:   verified={receipt.verified} gas={receipt.gas_used:,}")
 
 # A tampered signature still costs gas but is rejected and writes nothing.
 broken = bytearray(signature.bytes)
 broken[42] ^= 0x10
 receipt = ledger.submit_update(address, 2, digest, Signature(SchemeId.PQC, bytes(broken)))
-print(f"tampered: status={receipt.status.value} gas={receipt.gas_used:,} "
+print(f"tampered: verified={receipt.verified} gas={receipt.gas_used:,} "
       f"records={sum(map(len, ledger.state.verified_updates.values()))}")
 
 ledger.mine_block()

@@ -6,8 +6,8 @@ headers), are overridable by command-line flags, and name themselves by the
 every entry runs with its own seed, ``derive_seed`` of the suite seed and
 the entry's learning-relevant identity, so adding an entry never perturbs
 the others and scheme variants of one setup share a model trajectory. A
-suite run takes only ``--seed`` and ``--out`` from the command line; each
-entry sets the rest of its experiment.
+suite run takes only ``--seed`` and ``--out`` from the command line (each
+entry sets the rest of its experiment); every mode rejects a flag it would ignore.
 
 Outputs are plot-ready CSV plus a full JSON report per run:
 
@@ -184,8 +184,9 @@ def parse_suite(path, out_dir=None, base_seed=None) -> tuple:
     (``crypto = PQC``). Every entry's master seed is ``derive_seed`` of
     its seed (its own ``seed``, else ``base_seed``, else ``[suite] seed``)
     under ``"suite-entry"`` and its learning identity (dataset, client
-    count, rounds), so scheme variants of one setup share the trajectory.
-    ``out_dir`` wins over ``[suite] out``, which wins over ``out``.
+    count, rounds), so scheme variants of one setup share the trajectory; a
+    seed outside ``[0, 2**64)`` is a :class:`ValidationError`. ``out_dir``
+    wins over ``[suite] out``, which wins over ``out``.
     """
     parser = _read_ini(Path(path))
     suite_seed = 0
@@ -215,6 +216,10 @@ def parse_suite(path, out_dir=None, base_seed=None) -> tuple:
         for key, raw in parser.items(section):
             cfg = _apply(cfg, key, raw, f"{path}:[{section}].{key}")
 
+        # Only the seed can break a default config's rules; derive_seed would fold it.
+        problems = replace(ExperimentConfig(), master_seed=cfg.master_seed).violations()
+        if problems:
+            raise ValidationError([f"{path}:[{section}]: {p}" for p in problems])
         identity = f"{cfg.dataset_label()}-{cfg.n_clients}c-{cfg.rounds}r"
         cfg = replace(cfg, master_seed=derive_seed(cfg.master_seed, "suite-entry", identity))
         if cfg.name() in names:
@@ -303,6 +308,7 @@ def emit_crypto_table(schemes, trials: int = 100) -> list:
 def _build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pqsbfl",
+        argument_default=argparse.SUPPRESS,
         description="Signed federated learning benchmark: single runs, "
         "suite sweeps, and crypto primitive tables.",
     )
@@ -321,37 +327,51 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--crypto-bench",
         action="store_true",
-        default=None,  # None when absent, so --suite can tell it was given
         help="measure keygen/sign/verify instead of running an experiment",
     )
-    parser.add_argument("--trials", type=int, default=100, metavar="N")
+    parser.add_argument("--trials", type=int, metavar="N", help="default: 100")
     return parser
 
 
-# Experiment flags a suite run rejects: every entry sets its own experiment.
-_SUITE_REJECTS = ("config", "dataset", "crypto", "clients", "rounds", "blockchain", "crypto_bench")
+# The flags each mode reads: --suite selects its mode, else --crypto-bench,
+# else the command is one run. The parser leaves out every flag not given,
+# and a mode rejects any given flag it does not read.
+_MODE_FLAGS = {
+    "suite": ("seed", "out"),
+    "crypto_bench": ("crypto", "trials", "out"),
+    "run": ("config", "dataset", "crypto", "clients", "rounds", "blockchain", "seed", "out"),
+}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
 
 def main(argv=None) -> int:
-    args = _build_arg_parser().parse_args(argv)
-    out_dir = Path(args.out) if args.out else Path("out")
+    args = vars(_build_arg_parser().parse_args(argv))  # only the flags given
+    mode = "suite" if "suite" in args else "crypto_bench" if "crypto_bench" in args else "run"
+    out_dir = Path(args.get("out") or "out")
 
     try:
-        if args.suite:
-            given = [f"--{dest.replace('_', '-')}" for dest in _SUITE_REJECTS
-                     if getattr(args, dest) is not None]
-            if given:
-                raise ParseError(f"--suite takes only --seed and --out, got {' '.join(given)}")
-            rows, _ = run_suite(*parse_suite(args.suite, out_dir=args.out, base_seed=args.seed))
+        reads = _MODE_FLAGS[mode]
+        ignored = [_flag(dest) for dest in args if dest != mode and dest not in reads]
+        if ignored:
+            allowed = ", ".join(map(_flag, reads[:-1])) + " and " + _flag(reads[-1])
+            who = "a run" if mode == "run" else _flag(mode)
+            raise ParseError(f"{who} takes only {allowed}, got {' '.join(ignored)}")
+
+        if mode == "suite":
+            rows, _ = run_suite(*parse_suite(args["suite"], args.get("out"), args.get("seed")))
             for name, row in rows.items():
                 print(f"{name}: {row['status']}")
             return 0 if all(row["status"] == "ok" for row in rows.values()) else 1
 
-        if args.crypto_bench:
-            if args.trials < 1:
-                raise ValidationError([f"--trials must be >= 1, got {args.trials}"])
-            schemes = [SchemeId(args.crypto)] if args.crypto else list(SchemeId)
-            rows = emit_crypto_table(schemes, trials=args.trials)
+        if mode == "crypto_bench":
+            trials = args.get("trials", 100)
+            if trials < 1:
+                raise ValidationError([f"--trials must be >= 1, got {trials}"])
+            schemes = [SchemeId(args["crypto"])] if "crypto" in args else list(SchemeId)
+            rows = emit_crypto_table(schemes, trials=trials)
             _write_csv(out_dir / "crypto.csv", CRYPTO_CSV_COLUMNS, rows)
             for row in rows:
                 print(
@@ -361,15 +381,9 @@ def main(argv=None) -> int:
                 )
             return 0
 
-        overrides = {
-            "dataset": args.dataset,
-            "crypto": args.crypto,
-            "clients": args.clients,
-            "rounds": args.rounds,
-            "blockchain": args.blockchain,
-            "seed": args.seed,
-        }
-        cfg = parse_config(args.config, overrides)
+        # Every other flag a run reads names the config key it overrides.
+        overrides = {k: v for k, v in args.items() if k not in ("config", "out")}
+        cfg = parse_config(args.get("config"), overrides)
         report = run_experiment(cfg)
         write_report_files(report, out_dir)
         print(

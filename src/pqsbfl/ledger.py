@@ -50,15 +50,16 @@ included, still consume gas (EVM convention) but write no state. Records
 are write-once: duplicate registrations or resubmissions for an
 already-verified slot are rejected.
 
-Receipts hold no wall time: a receipt's fields (hash, status, gas, the
-ledger's one constant confirmation time, block height) are a function of
-the transaction sequence and the ledger's settings, so two ledgers given
-the same transactions return equal receipts.
+A receipt holds what the contract decided and nothing it echoes: the
+transaction's hash, whether it wrote a record (``verified``), the gas
+charged and its block's height, all functions of the transaction sequence
+and the gas model, so two ledgers given the same transactions agree.
 """
 
 import enum
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -68,7 +69,6 @@ from .sigsuite import HASH_BYTES, SchemeId, Signature, verify
 
 __all__ = [
     "TxKind",
-    "TxStatus",
     "Transaction",
     "Receipt",
     "GasModel",
@@ -105,11 +105,6 @@ class TxKind(enum.Enum):
     REGISTER = "REGISTER"
     SUBMIT_UPDATE = "SUBMIT_UPDATE"
     SUBMIT_AGGREGATION = "SUBMIT_AGGREGATION"
-
-
-class TxStatus(enum.Enum):
-    VERIFIED = "VERIFIED"
-    REJECTED = "REJECTED"
 
 
 _KIND_CODE = {kind: i for i, kind in enumerate(TxKind)}
@@ -165,15 +160,13 @@ class Transaction:
 
 @dataclass(frozen=True, slots=True)
 class Receipt:
-    tx_hash: bytes
-    status: TxStatus
-    gas_used: int
-    confirm_time_s: float
-    block_height: int
+    """The contract's verdict on one transaction: ``verified`` when it wrote a
+    record, the gas charged either way, and its block's height."""
 
-    @property
-    def verified(self) -> bool:
-        return self.status is TxStatus.VERIFIED
+    tx_hash: bytes
+    verified: bool
+    gas_used: int
+    block_height: int
 
 
 @dataclass(frozen=True)
@@ -204,14 +197,15 @@ def calibrate_gas(targets: dict = None) -> GasModel:
     (:data:`CALIBRATION_SIG_SIZES`) costs exactly ``targets[s]``.
 
     g_base/g_byte/g_store stay at their defaults. Raises
-    :class:`InfeasibleCalibration` if any surcharge would go negative.
+    :class:`InfeasibleCalibration` if any target is not finite and positive
+    or any surcharge would go negative.
     """
     targets = DEFAULT_GAS_TARGETS if targets is None else targets
     base = GasModel()
     g_verify = {}
     for scheme, total in targets.items():
-        if total <= 0:
-            raise InfeasibleCalibration(f"{scheme}: target must be positive")
+        if not 0 < total < math.inf:  # rejects NaN; compares a huge int without overflow
+            raise InfeasibleCalibration(f"{scheme}: target {total} is not finite and positive")
         fixed = base.submit_gas(scheme, CALIBRATION_SIG_SIZES[scheme], stored=True)
         surcharge = total - fixed
         if surcharge < 0:
@@ -277,12 +271,12 @@ class ContractState:
         self.verified_updates: dict = {}    # round -> {address -> SUBMIT_UPDATE tx}
         self.aggregation_records: dict = {} # round -> SUBMIT_AGGREGATION tx
 
-    def apply(self, tx: Transaction) -> tuple:
+    def apply(self, tx: Transaction) -> bytes:
         """The contract's state-transition function: execute ``tx``.
 
-        Returns the 2-tuple ``(status, record)``. ``record`` is the
-        injective encoding of what ``tx`` wrote (a kind byte, then
-        fixed-width or length-prefixed fields), empty when it was rejected.
+        Returns the record ``tx`` wrote, the injective encoding of its write
+        (a kind byte, then fixed-width or length-prefixed fields), or ``b""``
+        when ``tx`` was rejected; a write's record is never empty.
 
         A registration is rejected if the address already holds a key. A
         submit payload is a 32-byte hash followed by the signature; it is
@@ -296,18 +290,17 @@ class ContractState:
         """
         if tx.kind is TxKind.REGISTER:
             if tx.sender in self.registry:
-                return TxStatus.REJECTED, b""
+                return b""
             self.registry[tx.sender] = (tx.payload, tx.scheme)
-            record = struct.pack(
+            return struct.pack(
                 "<B32sBI", _KIND_CODE[tx.kind], tx.sender,
                 _SCHEME_CODE[tx.scheme], len(tx.payload),
             ) + tx.payload
-            return TxStatus.VERIFIED, record
 
         # An unregistered sender has no scheme, so its tag never matches.
         public_key, scheme = self.registry.get(tx.sender, (None, None))
         if tx.scheme is not scheme or len(tx.payload) < HASH_BYTES:
-            return TxStatus.REJECTED, b""
+            return b""
         update_hash = tx.update_hash
         sig = Signature(scheme, tx.payload[HASH_BYTES:])
         valid = verify(public_key, scheme, update_hash, sig)
@@ -317,16 +310,14 @@ class ContractState:
         else:
             table, slot = self.aggregation_records, tx.round
         if not valid or slot in table:
-            return TxStatus.REJECTED, b""
+            return b""
         table[slot] = tx
         if tx.kind is TxKind.SUBMIT_UPDATE:  # a round's first verified update stores its table
             self.verified_updates[tx.round] = table
-            record = struct.pack(
+            return struct.pack(
                 "<Bq32s32s", _KIND_CODE[tx.kind], tx.round, tx.sender, update_hash
             )
-        else:
-            record = struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
-        return TxStatus.VERIFIED, record
+        return struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
 
 
 @dataclass
@@ -354,13 +345,11 @@ class SimulatedLedger:
     Every contract call returns a :class:`Receipt`; gas is charged whether or
     not the call succeeds. Processed transactions wait in a pending list,
     with their hashes and the records they wrote, and are packaged FIFO into
-    the next mined block, which keeps them as its body. Every receipt's
-    confirmation time is ``latency_s`` seconds.
+    the next mined block, which keeps them as its body.
     """
 
-    def __init__(self, gas_model: GasModel = None, latency_s: float = 0.0):
+    def __init__(self, gas_model: GasModel = None):
         self.gas = calibrate_gas() if gas_model is None else gas_model
-        self.latency_s = latency_s
         self.state = ContractState()
         genesis = _seal(0, _ZERO32, _ZERO32, ())
         self.chain = Chain([genesis], genesis.block_hash())
@@ -368,21 +357,20 @@ class SimulatedLedger:
 
     def _execute(self, tx: Transaction) -> Receipt:
         """Apply ``tx``, queue it for the next block, and charge its gas."""
-        status, record = self.state.apply(tx)
+        record = self.state.apply(tx)
         tx_hash = tx.tx_hash()
         self._pending.append((tx, tx_hash, record))
-        stored = status is TxStatus.VERIFIED
+        verified = bool(record)
         if tx.kind is TxKind.REGISTER:
-            gas = self.gas.register_gas(len(tx.payload), stored)
+            gas = self.gas.register_gas(len(tx.payload), verified)
         else:
             gas = self.gas.submit_gas(
-                tx.scheme, max(0, len(tx.payload) - HASH_BYTES), stored
+                tx.scheme, max(0, len(tx.payload) - HASH_BYTES), verified
             )
         return Receipt(
             tx_hash=tx_hash,
-            status=status,
+            verified=verified,
             gas_used=gas,
-            confirm_time_s=self.latency_s,
             block_height=len(self.chain.blocks),
         )
 
@@ -399,7 +387,7 @@ class SimulatedLedger:
         Invalid signatures, scheme tags other than the registered one, hashes
         that are not 32 bytes (the payload's fixed hash field then takes the
         wrong bytes, so verification fails, or the payload is too short to
-        hold it) and write-once violations yield REJECTED receipts, charged
+        hold it) and write-once violations yield unverified receipts, charged
         gas, with no state change; so does a sender with no registered key.
         A payload under 32 bytes, an empty one included, is charged as if it
         carried an empty signature.
@@ -461,7 +449,7 @@ def chain_verify(chain: Chain) -> ChainCheck:
     prev_hash = prev_root = _ZERO32
     for height, block in enumerate(chain.blocks):
         try:
-            executed = [(tx, tx.tx_hash(), state.apply(tx)[1]) for tx in block.transactions]
+            executed = [(tx, tx.tx_hash(), state.apply(tx)) for tx in block.transactions]
             header = block.encode()
         except (struct.error, TypeError, KeyError, AttributeError):  # a malformed header or body
             return ChainCheck(False, height)

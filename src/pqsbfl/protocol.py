@@ -13,11 +13,11 @@ any in-flight tampering excludes that client from the round.
 
 Both submission modes send every signed hash through the simulated
 ledger's smart contract, which returns a receipt and mines one block per
-round. Every transaction of a run confirms after one constant latency:
-``config.latency`` when set, else a per-scheme default with a blockchain
-and 50 ms without one ("NoBC"), where the same ledger also charges zero
-gas and the aggregator records no aggregation hash. Delays are accounted
-arithmetically, never slept, so runs stay fast. A round's simulated
+round. The ledger keeps no time: every transaction of a run confirms after
+one constant latency, ``config.latency`` when set, else a per-scheme default
+with a blockchain and 50 ms without one ("NoBC"), where the same ledger also
+charges zero gas and the aggregator records no aggregation hash. Delays are
+accounted arithmetically, never slept, so runs stay fast. A round's simulated
 latency is one update's confirmation plus the aggregation's, since all of
 its updates share one block. The wall-clock fields are ``compute_time_s``
 (the whole round), ``mean_sign_ms`` (the sign phase over the client count)
@@ -125,7 +125,7 @@ class ExperimentConfig:
     blockchain: bool = True
     train: TrainConfig = field(default_factory=TrainConfig)
     gas_targets: dict = field(default_factory=lambda: dict(DEFAULT_GAS_TARGETS))
-    # every receipt's confirmation seconds, in either mode; None: the
+    # every transaction's confirmation seconds, in either mode; None: the
     # scheme's DEFAULT_LATENCY_S with a blockchain, NOBC_LATENCY_S without one
     latency: float | None = None
     master_seed: int = 0
@@ -171,9 +171,6 @@ class ExperimentConfig:
         if self.synth_features < 1:
             out.append("synth_features must be >= 1")
         for scheme, target in self.gas_targets.items():
-            if not (target > 0 and math.isfinite(target)):
-                out.append(f"gas target for {scheme} must be finite and positive")
-                continue
             try:
                 calibrate_gas({scheme: target})
             except InfeasibleCalibration as exc:
@@ -182,6 +179,8 @@ class ExperimentConfig:
                 out.append(f"gas target for unknown scheme {scheme!r}")
         if self.latency is not None and not (0 <= self.latency < math.inf):  # also rejects NaN
             out.append(f"latency must satisfy 0 <= latency < inf, got {self.latency}")
+        if not 0 <= self.master_seed <= _MASK64:
+            out.append(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         return out
 
     def to_dict(self) -> dict:
@@ -289,12 +288,7 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     client_keys, aggregator_key = keys[:-1], keys[-1]
 
     ledger = SimulatedLedger(
-        gas_model=calibrate_gas(config.gas_targets) if config.blockchain else GasModel(0, 0, 0),
-        latency_s=(
-            config.latency if config.latency is not None
-            else DEFAULT_LATENCY_S[config.scheme] if config.blockchain
-            else NOBC_LATENCY_S
-        ),
+        calibrate_gas(config.gas_targets) if config.blockchain else GasModel(0, 0, 0)
     )
     addresses = [_client_address(cid) for cid in range(config.n_clients)]
     for address, key in zip(addresses + [_AGGREGATOR_ADDRESS], keys):
@@ -333,8 +327,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     phase's time over ``n_clients``, and ``mean_verify_ms`` is the submit
     phase's, which covers the contract's verification of every update plus
     the loop around it. ``compute_time_s`` is the whole round's wall time,
-    ``mean_tx_time_s`` the ledger's confirmation time, and
-    ``simulated_latency_s`` that time plus the aggregation's confirmation.
+    ``mean_tx_time_s`` the run's one confirmation latency, and
+    ``simulated_latency_s`` that latency plus the aggregation's.
 
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     (possibly corrupted) submission actually sent; it models in-flight
@@ -421,20 +415,22 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     gas_per_update = [r.gas_used for r in receipts]
     total_gas = sum(gas_per_update)
-    agg_latency = 0.0
     if config.blockchain:
         agg_sig = sigsuite.sign(state.aggregator_key, global_digest)
         receipt = state.ledger.submit_aggregation(_AGGREGATOR_ADDRESS, t, global_digest, agg_sig)
         total_gas += receipt.gas_used
-        agg_latency = receipt.confirm_time_s
     state.ledger.mine_block()
 
     compute_time = time.perf_counter() - started
-    mean_tx = state.ledger.latency_s  # every receipt's confirmation time
-    simulated_latency = mean_tx + agg_latency
+    latency = (
+        config.latency if config.latency is not None
+        else DEFAULT_LATENCY_S[config.scheme] if config.blockchain
+        else NOBC_LATENCY_S
+    )
+    simulated_latency = latency + (latency if config.blockchain else 0.0)
     mean_sign = sign_s * 1e3 / config.n_clients
     mean_verify = submit_s * 1e3 / config.n_clients
-    ratio = overhead_ratio(mean_sign, mean_verify, mean_tx) if mean_tx > 0 else 0.0
+    ratio = overhead_ratio(mean_sign, mean_verify, latency) if latency > 0 else 0.0
 
     return RoundMetrics(
         round=t,
@@ -444,7 +440,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         simulated_latency_s=simulated_latency,
         mean_sign_ms=mean_sign,
         mean_verify_ms=mean_verify,
-        mean_tx_time_s=mean_tx,
+        mean_tx_time_s=latency,
         mean_gas_per_update=sum(gas_per_update) / len(gas_per_update),
         total_gas=total_gas,
         overhead_ratio=ratio,

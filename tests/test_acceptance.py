@@ -19,7 +19,6 @@ from pqsbfl.ledger import (
     SimulatedLedger,
     Transaction,
     TxKind,
-    TxStatus,
     calibrate_gas,
     chain_verify,
 )
@@ -80,7 +79,7 @@ def test_c02_gas_reproduction_exact():
             sig = sign(key, digest)
             i += 1
         receipt = ledger.submit_update(addr, 1, digest, sig)
-        assert receipt.status is TxStatus.VERIFIED
+        assert receipt.verified
         observed[scheme] = receipt.gas_used
     assert observed == {
         SchemeId.PQC: 1_724_100,
@@ -152,7 +151,7 @@ def test_c06_security_properties():
                 SchemeId.PQC, _flip_bit(sig.bytes, int(rng.integers(0, len(sig.bytes) * 8)))
             )
         receipt = ledger.submit_update(addr, i, digest, sig)
-        rejected += receipt.status is TxStatus.REJECTED
+        rejected += not receipt.verified
     assert rejected == 1000
     assert ledger.state.verified_updates == {}
     assert ledger.state.aggregation_records == {}

@@ -305,6 +305,19 @@ class TestSuite:
         assert cfg.master_seed == derive_seed(5, "suite-entry", identity)
         assert out == tmp_path / "flag"
 
+    def test_seeds_outside_u64_rejected_before_derivation(self, tmp_path):
+        entry = "[e]\ncrypto = NONE\n"
+        for body, base_seed in (
+            (entry + "seed = -1\n", None),
+            (f"[suite]\nseed = {2**64}\n" + entry, None),
+            (entry, -1),
+        ):
+            path = self._write_suite(tmp_path, body)
+            with pytest.raises(ValidationError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+                parse_suite(path, base_seed=base_seed)
+        (cfg,), _ = parse_suite(self._write_suite(tmp_path, entry + f"seed = {2**64 - 1}\n"))
+        assert cfg.master_seed == derive_seed(2**64 - 1, "suite-entry", "synth-3c-50r")
+
     @pytest.mark.parametrize("body, section, key", [
         ("[suite]\ncolour = red\n", "suite", "colour"),
         ("[entry]\nblockchain = maybe\n", "entry", "blockchain"),
@@ -390,6 +403,42 @@ class TestReportFiles:
         assert rc == 1
         assert capsys.readouterr().err == f"error: --trials must be >= 1, got {trials}\n"
         assert not (tmp_path / "crypto.csv").exists()
+
+
+class TestModeFlags:
+    @pytest.mark.parametrize("mode, flags, message", [
+        ("suite", ["--trials", "0"], "--suite takes only --seed and --out, got --trials"),
+        ("crypto-bench",
+         ["--crypto", "NONE", "--clients", "7", "--rounds", "9", "--seed", "3", "--trials", "2"],
+         "--crypto-bench takes only --crypto, --trials and --out, "
+         "got --clients --rounds --seed"),
+        ("run", ["--crypto", "NONE", "--clients", "2", "--rounds", "1", "--trials", "0"],
+         "a run takes only --config, --dataset, --crypto, --clients, --rounds, "
+         "--blockchain, --seed and --out, got --trials"),
+    ], ids=["suite", "crypto-bench", "run"])
+    def test_each_mode_rejects_flags_it_does_not_read(self, tmp_path, capsys,
+                                                      mode, flags, message):
+        suite = tmp_path / "suite.ini"
+        suite.write_text(
+            "[one]\ncrypto = NONE\nclients = 2\n"
+            + "".join(f"{k} = {v}\n" for k, v in FAST.items())
+        )
+        selector = {"suite": ["--suite", str(suite)], "crypto-bench": ["--crypto-bench"],
+                    "run": []}[mode]
+        out = tmp_path / "out"
+        assert main([*selector, *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_crypto_bench_trials_default_to_100(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            benchcli, "measure_primitives",
+            lambda scheme, trials: sigsuite.CryptoTimings(scheme, trials, 0, 0, 0, 32, 26, 27),
+        )
+        assert main(["--crypto-bench", "--crypto", "NONE", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "crypto.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["trials"] == "100"
 
 
 class TestOutputSchema:

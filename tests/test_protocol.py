@@ -729,15 +729,32 @@ class TestConfig:
         assert csv_cfg.name() == "readings-PQC-3c-BC"
 
     def test_nobc_mean_tx_time_is_fixed_delay(self):
+        # No aggregation record without a blockchain: one confirmation per round.
         for latency, expected in ((None, 0.05), (0.2, 0.2)):
             report = run_experiment(_small_config(blockchain=False, latency=latency))
             for m in report.rounds:
                 assert m.mean_tx_time_s == expected
+                assert m.simulated_latency_s == expected
 
     def test_bc_default_latency_constant(self):
-        report = run_experiment(_small_config())
-        for m in report.rounds:
-            assert m.mean_tx_time_s == pytest.approx(0.32)
+        # The updates' confirmation, then the aggregation's.
+        for latency, expected in ((None, 0.32), (0.2, 0.2)):
+            report = run_experiment(_small_config(latency=latency))
+            for m in report.rounds:
+                assert m.mean_tx_time_s == expected
+                assert m.simulated_latency_s == 2 * expected
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
+    def test_seed_outside_u64_rejected(self, seed):
+        # derive_seed would fold it into range: -1 aliases 2**64 - 1, 2**64 aliases 0.
+        assert _small_config(master_seed=seed).violations() == [
+            f"master_seed must be in [0, 2**64), got {seed}"
+        ]
+        assert _small_config(master_seed=seed % 2**64).violations() == []
+
+    def test_huge_integer_gas_target_is_valid(self):
+        targets = {**DEFAULT_GAS_TARGETS, SchemeId.PQC: 10**400}  # beyond any float
+        assert _small_config(gas_targets=targets).violations() == []
 
     def test_derive_seed_stable_and_tag_sensitive(self):
         assert derive_seed(1, "a") == derive_seed(1, "a")
