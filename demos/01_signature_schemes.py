@@ -8,7 +8,7 @@ to tampered or cross-signed messages. Ends with a small timing table.
 
 import hashlib
 
-from pqsbfl import SchemeId, Signature, keygen, measure_primitives, sign, verify
+from pqsbfl import SchemeId, keygen, measure_primitives, sign, verify
 
 # A model-update digest is what actually gets signed in the protocol:
 # 32 bytes of SHA3-256, never the raw model parameters.
@@ -19,7 +19,7 @@ print("-" * 60)
 for scheme in (SchemeId.PQC, SchemeId.ECDSA, SchemeId.NONE):
     key = keygen(scheme, rng_seed=2024)
     sig = sign(key, update_digest)
-    ok = verify(key.public_key, scheme, update_digest, sig)
+    ok = verify(key.public_key, scheme, update_digest, sig.bytes)
     print(
         f"{scheme.value:>5}: pk {len(key.public_key):4d} B  "
         f"sk {len(key.private_key):4d} B  sig {len(sig.bytes):4d} B  valid={ok}"
@@ -30,21 +30,23 @@ for scheme in (SchemeId.PQC, SchemeId.ECDSA, SchemeId.NONE):
 # The NONE baseline "signs" by hashing, so its signature is a 32-byte digest.
 
 print()
-print("tampering and wrong keys never verify")
+print("tampering, wrong keys and other schemes never verify")
 print("-" * 60)
 key = keygen(SchemeId.PQC, rng_seed=7)
-sig = sign(key, update_digest)
+sig = sign(key, update_digest).bytes  # the verifier names the scheme; only bytes travel
 
-flipped = bytearray(sig.bytes)
+flipped = bytearray(sig)
 flipped[100] ^= 0x01  # a single flipped bit anywhere breaks the signature
-print("bit-flipped signature:", verify(key.public_key, SchemeId.PQC, update_digest,
-                                       Signature(SchemeId.PQC, bytes(flipped))))
+print("bit-flipped signature:", verify(key.public_key, SchemeId.PQC, update_digest, bytes(flipped)))
 
 other_digest = hashlib.sha3_256(b"a different model").digest()
 print("different message:    ", verify(key.public_key, SchemeId.PQC, other_digest, sig))
 
 other_key = keygen(SchemeId.PQC, rng_seed=8)
 print("another client's key: ", verify(other_key.public_key, SchemeId.PQC, update_digest, sig))
+
+none_sig = hashlib.sha256(update_digest).digest()  # what a NONE client "signs"
+print("NONE bytes under PQC: ", verify(key.public_key, SchemeId.PQC, update_digest, none_sig))
 
 print()
 print("primitive timings (means over 50 trials, one warm-up excluded)")

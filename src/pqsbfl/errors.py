@@ -15,10 +15,6 @@ class MalformedKey(PqsBflError):
     """A key pair is missing material or carries wrong-sized encodings."""
 
 
-class SchemeMismatch(PqsBflError):
-    """A signature's scheme tag disagrees with the scheme it is checked under."""
-
-
 # -- federated core ---------------------------------------------------------
 
 class InvalidDimensions(PqsBflError):

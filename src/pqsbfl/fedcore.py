@@ -120,6 +120,8 @@ class ModelParams:
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.float32)
+        if self.values.ndim != 1:  # any shape of the right size is read as the flat vector
+            self.values = self.values.reshape(-1)
         if self.layout.size != self.values.size:
             raise LayoutMismatch(f"{self.values.size} values for a layout of {self.layout.size}")
 

@@ -281,29 +281,31 @@ class ContractState:
         A registration is rejected if the address already holds a key. A
         submit payload is a 32-byte hash followed by the signature; it is
         rejected when its scheme tag differs from the registered one, when
-        the payload is too short to hold the hash, when the signature does
-        not verify under the registered key, when its sender has no
-        registered key, or when its slot (round and sender for updates, round
-        for aggregations) is taken. A verified update lands in
+        the payload is too short to hold the hash, when the signature bytes
+        do not verify under the registered key and scheme, when its sender
+        has no registered key, or when its slot (round and sender for
+        updates, round for aggregations) is taken. A verified update lands in
         ``verified_updates[round][sender]``; the round's inner table is
-        created then, so a rejected transaction leaves no round entry.
+        created then, so a rejected transaction leaves no round entry. The
+        record is encoded before the write, so a transaction whose fields do
+        not encode raises and writes nothing.
         """
         if tx.kind is TxKind.REGISTER:
             if tx.sender in self.registry:
                 return b""
-            self.registry[tx.sender] = (tx.payload, tx.scheme)
-            return struct.pack(
+            record = struct.pack(
                 "<B32sBI", _KIND_CODE[tx.kind], tx.sender,
                 _SCHEME_CODE[tx.scheme], len(tx.payload),
             ) + tx.payload
+            self.registry[tx.sender] = (tx.payload, tx.scheme)
+            return record
 
         # An unregistered sender has no scheme, so its tag never matches.
         public_key, scheme = self.registry.get(tx.sender, (None, None))
         if tx.scheme is not scheme or len(tx.payload) < HASH_BYTES:
             return b""
         update_hash = tx.update_hash
-        sig = Signature(scheme, tx.payload[HASH_BYTES:])
-        valid = verify(public_key, scheme, update_hash, sig)
+        valid = verify(public_key, scheme, update_hash, tx.payload[HASH_BYTES:])
 
         if tx.kind is TxKind.SUBMIT_UPDATE:
             table, slot = self.verified_updates.get(tx.round, {}), tx.sender
@@ -311,13 +313,13 @@ class ContractState:
             table, slot = self.aggregation_records, tx.round
         if not valid or slot in table:
             return b""
-        table[slot] = tx
         if tx.kind is TxKind.SUBMIT_UPDATE:  # a round's first verified update stores its table
+            record = struct.pack("<Bq32s32s", _KIND_CODE[tx.kind], tx.round, tx.sender, update_hash)
             self.verified_updates[tx.round] = table
-            return struct.pack(
-                "<Bq32s32s", _KIND_CODE[tx.kind], tx.round, tx.sender, update_hash
-            )
-        return struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
+        else:
+            record = struct.pack("<Bq32s", _KIND_CODE[tx.kind], tx.round, update_hash)
+        table[slot] = tx
+        return record
 
 
 @dataclass

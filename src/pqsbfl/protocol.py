@@ -348,12 +348,13 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     each update by the size of its client's partition, which the aggregator
     holds, never by a figure the submission carries.
 
-    Raises :class:`NoVerifiedUpdates` if every submission is rejected; the
-    global model is left unchanged in that case, and the round's block is
-    still mined so it holds the rejected transactions.
+    Raises :class:`ValueError`, before any work, for ``t`` outside
+    ``[1, 2**63)``, and :class:`NoVerifiedUpdates` if every submission is
+    rejected; the global model is left unchanged in that case, and the
+    round's block is still mined so it holds the rejected transactions.
     """
-    if t < 1:
-        raise ValueError(f"rounds are numbered from 1, got {t}")
+    if not 1 <= t < 2**63:  # a round number is a signed 64-bit ledger field
+        raise ValueError(f"rounds are numbered from 1 to 2**63 - 1, got {t}")
     config = state.config
     clients = range(config.n_clients)
     started = time.perf_counter()

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from . import _mldsa_keyexpand as _expand
-from .errors import MalformedKey, SchemeMismatch, UnsupportedScheme
+from .errors import MalformedKey, UnsupportedScheme
 from .fedcore import canonical_parts
 
 __all__ = [
@@ -98,9 +98,6 @@ class KeyPair:
 class Signature:
     scheme: SchemeId
     bytes: bytes  # noqa: A003 - field name fixed by the wire format
-
-    def __len__(self) -> int:
-        return len(self.bytes)
 
 
 @dataclass(frozen=True)
@@ -226,24 +223,22 @@ def sign(key: KeyPair, message: bytes) -> Signature:
     raise UnsupportedScheme(f"unknown scheme {key.scheme!r}")
 
 
-def verify(public_key: bytes, scheme: SchemeId, message: bytes, sig: Signature) -> bool:
-    """True iff ``sig`` authenticates ``message`` under ``public_key``.
+def verify(public_key: bytes, scheme: SchemeId, message: bytes, signature: bytes) -> bool:
+    """True iff ``signature`` authenticates ``message`` under ``public_key``.
 
-    Pure and deterministic for fixed inputs. Malformed keys or signature
-    bytes verify as invalid; a scheme tag disagreement raises
-    :class:`SchemeMismatch` instead (it is a caller bug, not a forgery).
+    The verifier names the scheme; ``signature`` is raw bytes and carries
+    no tag of its own. Pure and deterministic for fixed inputs. Malformed
+    keys or signature bytes, bytes of another scheme among them, verify as
+    invalid.
     """
-    if sig.scheme is not scheme:
-        raise SchemeMismatch(f"signature is {sig.scheme}, checked under {scheme}")
-
     if scheme is SchemeId.NONE:
-        return sig.bytes == hashlib.sha256(message).digest()
+        return signature == hashlib.sha256(message).digest()
 
     if scheme is SchemeId.PQC:
         backend = _backend()
         try:
             pk = backend.mldsa.MLDSA65PublicKey.from_public_bytes(public_key)
-            pk.verify(sig.bytes, message)
+            pk.verify(signature, message)
             return True
         except (backend.exceptions.InvalidSignature, ValueError):
             return False
@@ -254,7 +249,7 @@ def verify(public_key: bytes, scheme: SchemeId, message: bytes, sig: Signature) 
         backend = _backend()
         try:
             pk = backend.serialization.load_pem_public_key(public_key)
-            pk.verify(sig.bytes, message, backend.ec.ECDSA(backend.SHA256()))
+            pk.verify(signature, message, backend.ec.ECDSA(backend.SHA256()))
             return True
         except (backend.exceptions.InvalidSignature, ValueError, TypeError):
             return False
@@ -300,6 +295,7 @@ def measure_primitives(scheme: SchemeId, trials: int = 100) -> CryptoTimings:
     t0 = time.perf_counter()
     sigs = [sign(key, m) for m in messages]
     sign_ms = (time.perf_counter() - t0) / trials * 1e3
+    sigs = [s.bytes for s in sigs]
 
     verify(key.public_key, scheme, messages[0], sigs[0])  # warm-up
     t0 = time.perf_counter()

@@ -160,7 +160,7 @@ def test_c06_security_properties():
     msg = hashlib.sha3_256(b"cross").digest()
     for i in range(50):
         a, b = keygen(SchemeId.PQC, 1000 + i), keygen(SchemeId.PQC, 2000 + i)
-        cross_rejections += not sigsuite.verify(b.public_key, SchemeId.PQC, msg, sign(a, msg))
+        cross_rejections += not sigsuite.verify(b.public_key, SchemeId.PQC, msg, sign(a, msg).bytes)
     assert cross_rejections == 50
 
     cfg = ExperimentConfig(

@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,6 +83,12 @@ class TestRegistration:
             ledger.register_client(_address(f"c{i}"), key.public_key, SchemeId.NONE)
             sizes.append(len(ledger.state.registry))
         assert sizes == sorted(sizes) == [1, 2, 3, 4]
+
+    def test_registration_that_does_not_encode_writes_nothing(self):
+        ledger = SimulatedLedger()
+        with pytest.raises(KeyError):  # a scheme name, not a SchemeId, has no record code
+            ledger.register_client(_address("a"), b"pk", "NONE")
+        assert ledger.state.registry == {}
 
 
 class TestSubmitUpdate:
@@ -162,6 +169,17 @@ class TestSubmitUpdate:
         assert ledger.state.verified_updates == {}
         ledger.mine_block()
         # intact: the replay rejected it too, or the block's root would differ
+        assert chain_verify(ledger.chain).intact
+
+    @pytest.mark.parametrize("submit", ["submit_update", "submit_aggregation"])
+    def test_submit_that_does_not_encode_writes_nothing(self, submit):
+        ledger, key, addr = self._registered(SchemeId.NONE)
+        digest = hashlib.sha3_256(b"u").digest()
+        with pytest.raises(struct.error):  # the round does not fit the record's int64
+            getattr(ledger, submit)(addr, 2**63, digest, sign(key, digest))
+        assert ledger.state.verified_updates == {}
+        assert ledger.state.aggregation_records == {}
+        ledger.mine_block()
         assert chain_verify(ledger.chain).intact
 
     def test_short_hash_rejected_and_charged(self):

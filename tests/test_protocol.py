@@ -378,8 +378,16 @@ class TestRunRound:
 
     def test_round_numbering_starts_at_one(self):
         state = init_phase(_small_config())
-        with pytest.raises(ValueError):
-            run_round(state, 0)
+        contract = state.ledger.state
+        before = (state.ledger.chain.head_hash, len(state.ledger.chain.blocks),
+                  dict(contract.registry))
+        for t in (0, 2**63):  # 2**63 does not fit the ledger's signed 64-bit round
+            with pytest.raises(ValueError):
+                run_round(state, t)
+        assert (state.ledger.chain.head_hash, len(state.ledger.chain.blocks),
+                contract.registry) == before
+        assert contract.verified_updates == contract.aggregation_records == {}
+        assert state.sig_count == 0
 
     def test_metric_consistency_invariant(self):
         state = init_phase(_small_config())
@@ -405,10 +413,12 @@ _SIGS = st.one_of(
     # no Signature at all
     st.tuples(st.just("object"), st.one_of(st.none(), st.binary(max_size=80))),
 )
-# Client 0's off-chain parameters: its trained model, a model the round must
-# not aggregate (another layout, all NaN, one inf), or a value that is not one.
+# Client 0's off-chain parameters: its trained model, a column or row view
+# of it (the same canonical bytes, so honest), a model the round must not
+# aggregate (another layout, all NaN, one inf), or a value that is not one.
 _PARAMS = st.one_of(
     st.tuples(st.just("honest"), st.none()),
+    st.tuples(st.just("view"), st.sampled_from([(-1, 1), (1, -1)])),
     st.tuples(st.just("model"), st.sampled_from(["layout", "nan", "inf"])),
     st.tuples(st.just("value"), st.one_of(st.none(), st.text(max_size=3), st.binary(max_size=8))),
 )
@@ -419,6 +429,8 @@ def _draw_params(form, value, honest: fedcore.ModelParams):
         return honest
     if form == "value":
         return value
+    if form == "view":
+        return fedcore.ModelParams(honest.values.reshape(value), honest.layout)
     if value == "layout":
         return fedcore.ModelParams(np.zeros(4), fedcore.Layout((("w", (2, 2)),)))
     values = honest.values.copy()
@@ -493,13 +505,17 @@ class TestWireFields:
              params=("model", "inf"), resign=True)
     @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
              params=("model", "nan"), resign=True)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("view", (-1, 1)), resign=False)
+    @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
+             params=("view", (1, -1)), resign=True)
     def test_client_fields_reject_only_that_client(self, scheme, digest, sig, params, resign):
         # Whatever client 0 puts in its digest, signature and parameters, the
         # round completes; client 0 is aggregated iff it sent an honest
         # submission (its own model and digest, the digest signed with its
         # own key), and the others always are. A model of another layout or
         # with a non-finite value is not honest even when its digest is
-        # signed and bound.
+        # signed and bound; a view of its own model in another shape is.
         state = init_phase(_small_config(scheme=scheme, train=TrainConfig(local_epochs=1)))
         address = state.addresses[0]
         sent, others_sig_bytes = {}, []
@@ -540,7 +556,7 @@ class TestWireFields:
         tx = next(tx for tx in state.ledger.chain.blocks[-1].transactions
                   if tx.kind is TxKind.SUBMIT_UPDATE and tx.sender == address)
         assert (tx.scheme, tx.payload) == wire
-        is_honest = params[0] == "honest" and (
+        is_honest = params[0] in ("honest", "view") and (
             wire == (scheme, honest.digest + honest.sig.bytes)
             or (sent["resigned"] and wire_digest == honest.digest)
         )

@@ -1,5 +1,6 @@
 """Signature-suite contracts: sizes, roundtrips, tamper rejection, hashing."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -8,18 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqsbfl import _mldsa_keyexpand, fedcore, sigsuite
-from pqsbfl.errors import MalformedKey, SchemeMismatch, UnsupportedScheme
+from pqsbfl.errors import MalformedKey, UnsupportedScheme
 from pqsbfl.protocol import derive_seed
 from pqsbfl.sigsuite import (
     NONE_PRIVATE_TOKEN,
     NONE_PUBLIC_TOKEN,
     KeyPair,
     SchemeId,
-    Signature,
     digest_model,
     keygen,
     keygen_batch,
@@ -51,6 +51,11 @@ def _run_fresh(code: str):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
+
+
+@functools.cache
+def _cached_key(scheme: SchemeId) -> KeyPair:
+    return keygen(scheme, 5)
 
 
 def _flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -108,7 +113,7 @@ class TestKeygen:
     def test_ecdsa_self_signed_roundtrip(self):
         key = keygen(SchemeId.ECDSA, 42)
         msg = b"self-signed test message"
-        assert verify(key.public_key, SchemeId.ECDSA, msg, sign(key, msg))
+        assert verify(key.public_key, SchemeId.ECDSA, msg, sign(key, msg).bytes)
 
 
 class TestKeygenBatch:
@@ -171,14 +176,14 @@ class TestSignVerify:
     def test_roundtrip(self, scheme):
         key = keygen(scheme, 7)
         msg = hashlib.sha3_256(b"model bytes").digest()
-        assert verify(key.public_key, scheme, msg, sign(key, msg))
+        assert verify(key.public_key, scheme, msg, sign(key, msg).bytes)
 
     @settings(max_examples=25, deadline=None)
     @given(msg=st.binary(min_size=0, max_size=200))
     def test_roundtrip_fuzzed_messages(self, msg):
         for scheme in ALL_SCHEMES:
             key = keygen(scheme, 11)
-            assert verify(key.public_key, scheme, msg, sign(key, msg))
+            assert verify(key.public_key, scheme, msg, sign(key, msg).bytes)
 
     @pytest.mark.parametrize("scheme", (SchemeId.PQC, SchemeId.ECDSA))
     def test_single_bit_tampers_rejected(self, scheme):
@@ -189,10 +194,9 @@ class TestSignVerify:
         rng = np.random.default_rng(2024)
         for _ in range(250):
             bit = int(rng.integers(0, len(sig.bytes) * 8))
-            bad = Signature(scheme, _flip_bit(sig.bytes, bit))
-            assert not verify(key.public_key, scheme, msg, bad)
+            assert not verify(key.public_key, scheme, msg, _flip_bit(sig.bytes, bit))
             bit = int(rng.integers(0, len(msg) * 8))
-            assert not verify(key.public_key, scheme, _flip_bit(msg, bit), sig)
+            assert not verify(key.public_key, scheme, _flip_bit(msg, bit), sig.bytes)
 
     def test_cross_key_verification_rejected(self):
         msg = b"k" * 32
@@ -200,29 +204,50 @@ class TestSignVerify:
             key_a = keygen(scheme, 100)
             key_b = keygen(scheme, 200)
             sig = sign(key_a, msg)
-            assert not verify(key_b.public_key, scheme, msg, sig)
+            assert not verify(key_b.public_key, scheme, msg, sig.bytes)
 
     def test_verify_is_deterministic(self):
         key = keygen(SchemeId.PQC, 5)
         msg = b"d" * 32
-        sig = sign(key, msg)
-        bad = Signature(SchemeId.PQC, _flip_bit(sig.bytes, 17))
+        sig = sign(key, msg).bytes
+        bad = _flip_bit(sig, 17)
         assert all(verify(key.public_key, SchemeId.PQC, msg, sig) for _ in range(5))
         assert not any(verify(key.public_key, SchemeId.PQC, msg, bad) for _ in range(5))
 
-    def test_scheme_mismatch_raises(self):
-        key = keygen(SchemeId.PQC, 5)
-        sig = sign(key, b"m")
-        with pytest.raises(SchemeMismatch):
-            verify(key.public_key, SchemeId.ECDSA, b"m", sig)
+    def test_other_schemes_bytes_are_invalid(self):
+        # The verifier names the scheme: bytes made under another scheme
+        # verify as invalid, never as an error.
+        pqc, ecdsa = _cached_key(SchemeId.PQC), _cached_key(SchemeId.ECDSA)
+        assert not verify(ecdsa.public_key, SchemeId.ECDSA, b"m", sign(pqc, b"m").bytes)
+        assert not verify(pqc.public_key, SchemeId.PQC, b"m", sign(ecdsa, b"m").bytes)
+        assert not verify(pqc.public_key, SchemeId.PQC, b"m", hashlib.sha256(b"m").digest())
 
-    def test_malformed_public_key_is_invalid_not_error(self):
-        key = keygen(SchemeId.PQC, 5)
-        sig = sign(key, b"m")
-        assert not verify(b"\x00" * 10, SchemeId.PQC, b"m", sig)
-        ekey = keygen(SchemeId.ECDSA, 5)
-        esig = sign(ekey, b"m")
-        assert not verify(b"not a pem key", SchemeId.ECDSA, b"m", esig)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        # the scheme's own key, another scheme's key, or random key bytes
+        key=st.one_of(st.sampled_from(ALL_SCHEMES), st.binary(max_size=2000)),
+        # the own key's signature over b"m", or random bytes of any length,
+        # some at and around each scheme's signature size
+        signature=st.one_of(
+            st.just("signed"),
+            st.binary(max_size=4000),
+            st.sampled_from([31, 32, 33, 70, 71, 72, 3308, 3309, 3310]).flatmap(
+                lambda n: st.binary(min_size=n, max_size=n)),
+        ),
+    )
+    @example(scheme=SchemeId.PQC, key=b"\x00" * 10, signature="signed")
+    @example(scheme=SchemeId.ECDSA, key=b"not a pem key", signature="signed")
+    @example(scheme=SchemeId.PQC, key=SchemeId.PQC, signature=bytes(3309))
+    @example(scheme=SchemeId.ECDSA, key=SchemeId.PQC, signature=b"")
+    def test_malformed_public_key_is_invalid_not_error(self, scheme, key, signature):
+        # Malformed keys or signature bytes verify as invalid and never
+        # raise; only the own key's signature verifies (NONE reads no key).
+        public_key = _cached_key(key).public_key if isinstance(key, SchemeId) else key
+        valid = signature == "signed" and (key is scheme or scheme is SchemeId.NONE)
+        if signature == "signed":
+            signature = sign(_cached_key(scheme), b"m").bytes
+        assert verify(public_key, scheme, b"m", signature) is valid
 
     def test_sign_without_handle_raises_malformed_key(self):
         for scheme in (SchemeId.PQC, SchemeId.ECDSA):
@@ -236,12 +261,12 @@ class TestSignVerify:
         with pytest.raises(UnsupportedScheme):
             sign(KeyPair(rsa, NONE_PUBLIC_TOKEN, NONE_PRIVATE_TOKEN), b"m")
         with pytest.raises(UnsupportedScheme):
-            verify(NONE_PUBLIC_TOKEN, rsa, b"m", Signature(rsa, b""))
+            verify(NONE_PUBLIC_TOKEN, rsa, b"m", b"")
 
     @pytest.mark.parametrize("scheme", (SchemeId.PQC, SchemeId.ECDSA))
     def test_missing_backend_is_unsupported_scheme(self, scheme, monkeypatch):
         key = keygen(scheme, 5)
-        sig = sign(key, b"m")
+        sig = sign(key, b"m").bytes
         monkeypatch.setitem(sys.modules, "cryptography", None)
         # the uncached loader, so that every operation tries the import again
         monkeypatch.setattr(sigsuite, "_backend", sigsuite._backend.__wrapped__)
@@ -253,7 +278,7 @@ class TestSignVerify:
     def test_hedged_pqc_signatures_differ_but_both_verify(self):
         key = keygen(SchemeId.PQC, 5)
         msg = b"same message" * 2
-        s1, s2 = sign(key, msg), sign(key, msg)
+        s1, s2 = sign(key, msg).bytes, sign(key, msg).bytes
         assert verify(key.public_key, SchemeId.PQC, msg, s1)
         assert verify(key.public_key, SchemeId.PQC, msg, s2)
 
@@ -336,7 +361,7 @@ assert "cryptography" not in sys.modules
 for scheme in map(SchemeId, {order!r}):
     key = keygen(scheme, 7)
     assert "cryptography" in sys.modules
-    sig = sign(key, b"m")
+    sig = sign(key, b"m").bytes
     assert verify(key.public_key, scheme, b"m", sig)
     assert not verify(key.public_key, scheme, b"n", sig)
 """)
