@@ -63,34 +63,23 @@ COMPARISON_CSV_COLUMNS = (
 CRYPTO_CSV_COLUMNS = tuple(f.name for f in fields(CryptoTimings))
 
 
-def _parse_bool(raw: str, where: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ParseError(f"{where}: expected on/off, got {raw!r}")
+def _parser(convert, expected):
+    """A ``parse(raw, where)`` that returns ``convert(raw)``, or raises a
+    :class:`ParseError` naming ``where`` and quoting ``raw``."""
+    def parse(raw: str, where: str):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise ParseError(f"{where}: expected {expected}, got {raw!r}") from None
+    return parse
 
 
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"{where}: expected integer, got {raw!r}") from None
-
-
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"{where}: expected number, got {raw!r}") from None
-
-
-def _parse_scheme(raw: str, where: str) -> SchemeId:
-    try:
-        return SchemeId(raw.strip())
-    except ValueError:
-        raise ParseError(f"{where}: unknown crypto {raw!r}") from None
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_parse_bool = _parser(lambda raw: _BOOLS[raw.strip().lower()], "on/off")
+_parse_int = _parser(int, "integer")
+_parse_float = _parser(float, "number")
+_parse_scheme = _parser(lambda raw: SchemeId(raw.strip()), "PQC, ECDSA or NONE")
 
 
 def _field(name):
@@ -153,6 +142,7 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
 def parse_config(path=None, overrides=None) -> ExperimentConfig:
     """Build a validated config from an optional INI file plus flag overrides.
 
+    ``overrides`` maps a key to its flag's text, parsed as the file key is.
     Flags always win over file values and defaults fill the rest. Raises
     :class:`ParseError` for malformed input (identifying the file, section
     and key) and :class:`ValidationError` listing every violated constraint.
@@ -166,7 +156,7 @@ def parse_config(path=None, overrides=None) -> ExperimentConfig:
 
     for key, value in (overrides or {}).items():
         if value is not None:
-            cfg = _apply(cfg, key, str(value), f"--{key}")
+            cfg = _apply(cfg, key, value, f"--{key}")
 
     problems = cfg.violations()
     if problems:
@@ -314,11 +304,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", metavar="PATH", help="INI config file")
     parser.add_argument("--dataset", metavar="{synth|csv:<path>}")
-    parser.add_argument("--crypto", choices=[s.value for s in SchemeId])
-    parser.add_argument("--clients", type=int, metavar="N")
-    parser.add_argument("--rounds", type=int, metavar="N")
-    parser.add_argument("--blockchain", choices=["on", "off"])
-    parser.add_argument("--seed", type=int, metavar="U64")
+    parser.add_argument("--crypto", metavar="{PQC|ECDSA|NONE}")
+    parser.add_argument("--clients", metavar="N")
+    parser.add_argument("--rounds", metavar="N")
+    parser.add_argument("--blockchain", metavar="{on|off}")
+    parser.add_argument("--seed", metavar="U64")
     parser.add_argument("--out", metavar="DIR", help="output directory (default: out)")
     parser.add_argument(
         "--suite", metavar="PATH",
@@ -329,7 +319,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="measure keygen/sign/verify instead of running an experiment",
     )
-    parser.add_argument("--trials", type=int, metavar="N", help="default: 100")
+    parser.add_argument("--trials", metavar="N", help="default: 100")
     return parser
 
 
@@ -361,16 +351,18 @@ def main(argv=None) -> int:
             raise ParseError(f"{who} takes only {allowed}, got {' '.join(ignored)}")
 
         if mode == "suite":
-            rows, _ = run_suite(*parse_suite(args["suite"], args.get("out"), args.get("seed")))
+            seed = _parse_int(args["seed"], "--seed") if "seed" in args else None
+            rows, _ = run_suite(*parse_suite(args["suite"], args.get("out"), seed))
             for name, row in rows.items():
                 print(f"{name}: {row['status']}")
             return 0 if all(row["status"] == "ok" for row in rows.values()) else 1
 
         if mode == "crypto_bench":
-            trials = args.get("trials", 100)
+            trials = _parse_int(args.get("trials", "100"), "--trials")
             if trials < 1:
                 raise ValidationError([f"--trials must be >= 1, got {trials}"])
-            schemes = [SchemeId(args["crypto"])] if "crypto" in args else list(SchemeId)
+            schemes = ([_parse_scheme(args["crypto"], "--crypto")] if "crypto" in args
+                       else list(SchemeId))
             rows = emit_crypto_table(schemes, trials=trials)
             _write_csv(out_dir / "crypto.csv", CRYPTO_CSV_COLUMNS, rows)
             for row in rows:

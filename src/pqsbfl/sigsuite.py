@@ -229,7 +229,7 @@ def verify(public_key: bytes, scheme: SchemeId, message: bytes, signature: bytes
     The verifier names the scheme; ``signature`` is raw bytes and carries
     no tag of its own. Pure and deterministic for fixed inputs. Malformed
     keys or signature bytes, bytes of another scheme among them, verify as
-    invalid.
+    invalid; so does an ECDSA key that is not on secp256k1.
     """
     if scheme is SchemeId.NONE:
         return signature == hashlib.sha256(message).digest()
@@ -249,9 +249,13 @@ def verify(public_key: bytes, scheme: SchemeId, message: bytes, signature: bytes
         backend = _backend()
         try:
             pk = backend.serialization.load_pem_public_key(public_key)
+            if not (isinstance(pk, backend.ec.EllipticCurvePublicKey)
+                    and isinstance(pk.curve, backend.ec.SECP256K1)):
+                return False
             pk.verify(signature, message, backend.ec.ECDSA(backend.SHA256()))
             return True
-        except (backend.exceptions.InvalidSignature, ValueError, TypeError):
+        except (backend.exceptions.InvalidSignature, backend.exceptions.UnsupportedAlgorithm,
+                ValueError, TypeError):
             return False
 
     raise UnsupportedScheme(f"unknown scheme {scheme!r}")

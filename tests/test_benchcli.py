@@ -100,7 +100,7 @@ _KEY_SAMPLES = {
     "experiment.crypto": "ECDSA",
     "experiment.clients": "4",
     "experiment.rounds": "7",
-    "experiment.blockchain": "off",
+    "experiment.blockchain": "0",
     "experiment.seed": "99",
     "experiment.alpha": "0.3",
     "experiment.synth_samples": "600",
@@ -137,6 +137,11 @@ class TestKeyTable:
         )
         assert dataclasses.replace(from_suite, master_seed=from_file.master_seed) == from_file
         assert from_file != ExperimentConfig()
+
+        # a key with a flag reads the flag's text as it reads the file's
+        if section == "experiment" and name in benchcli._MODE_FLAGS["run"]:
+            flags = vars(benchcli._build_arg_parser().parse_args([f"--{name}", raw]))
+            assert parse_config(overrides=flags) == from_file
 
         # configparser lowercases keys, so the message names the key as read
         unknown = f"unknown key '{key}_typo'"
@@ -382,6 +387,12 @@ class TestReportFiles:
         rc = main(["--clients", "0", "--out", str(tmp_path)])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_malformed_flag_value_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--clients", "abc", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --clients: expected integer, got 'abc'\n"
+        assert not out.exists()
 
     def test_crypto_bench_writes_table(self, tmp_path):
         rc = main(

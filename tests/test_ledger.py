@@ -8,6 +8,8 @@ import json
 import struct
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import x25519
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +171,28 @@ class TestSubmitUpdate:
         assert ledger.state.verified_updates == {}
         ledger.mine_block()
         # intact: the replay rejected it too, or the block's root would differ
+        assert chain_verify(ledger.chain).intact
+
+    def test_non_secp256k1_key_under_ecdsa_rejects_submission(self):
+        # The contract stores a key without parsing it; a submission that key
+        # cannot verify is rejected and charged, and never raises.
+        ledger = SimulatedLedger()
+        addr = _address("x25519")
+        public = x25519.X25519PrivateKey.from_private_bytes(bytes(range(32))).public_key()
+        pem = public.public_bytes(serialization.Encoding.PEM,
+                                  serialization.PublicFormat.SubjectPublicKeyInfo)
+        assert ledger.register_client(addr, pem, SchemeId.ECDSA).verified
+        digest = hashlib.sha3_256(b"u").digest()
+        sig = sign(keygen(SchemeId.ECDSA, 5), digest)
+        receipt = ledger.submit_update(addr, 1, digest, sig)
+        assert not receipt.verified
+        assert receipt.gas_used == ledger.gas.submit_gas(
+            SchemeId.ECDSA, len(sig.bytes), stored=False
+        )
+        assert ledger.state.verified_updates == {}
+        block = ledger.mine_block()
+        assert block.height == receipt.block_height
+        assert block.transactions[-1].tx_hash() == receipt.tx_hash
         assert chain_verify(ledger.chain).intact
 
     @pytest.mark.parametrize("submit", ["submit_update", "submit_aggregation"])

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, x448, x25519
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +58,25 @@ def _run_fresh(code: str):
 @functools.cache
 def _cached_key(scheme: SchemeId) -> KeyPair:
     return keygen(scheme, 5)
+
+
+def _spki_pem(private_key) -> bytes:
+    return private_key.public_key().public_bytes(
+        serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo)
+
+
+_P256 = ec.derive_private_key(5, ec.SECP256R1())
+# PEM public keys that are not secp256k1 keys: other algorithms, another
+# curve, and an SPKI whose algorithm OID (1.2.3.4) no loader knows.
+FOREIGN_PEMS = {
+    "x25519": _spki_pem(x25519.X25519PrivateKey.from_private_bytes(bytes(range(32)))),
+    "x448": _spki_pem(x448.X448PrivateKey.from_private_bytes(bytes(range(56)))),
+    "ed25519": _spki_pem(ed25519.Ed25519PrivateKey.from_private_bytes(bytes(range(32)))),
+    "p256": _spki_pem(_P256),
+    "unknown-oid": b"-----BEGIN PUBLIC KEY-----\n"
+                   b"MCowBQYDKgMEAyEAAAECAwQFBgcICQoLDA0ODxAREhMUFRYXGBkaGxwdHh8=\n"
+                   b"-----END PUBLIC KEY-----\n",
+}
 
 
 def _flip_bit(data: bytes, bit_index: int) -> bytes:
@@ -225,8 +246,10 @@ class TestSignVerify:
     @settings(max_examples=60, deadline=None)
     @given(
         scheme=st.sampled_from(ALL_SCHEMES),
-        # the scheme's own key, another scheme's key, or random key bytes
-        key=st.one_of(st.sampled_from(ALL_SCHEMES), st.binary(max_size=2000)),
+        # the scheme's own key, another scheme's key, random key bytes, or a
+        # PEM key that is not a secp256k1 key
+        key=st.one_of(st.sampled_from(ALL_SCHEMES), st.binary(max_size=2000),
+                      st.sampled_from(list(FOREIGN_PEMS.values()))),
         # the own key's signature over b"m", or random bytes of any length,
         # some at and around each scheme's signature size
         signature=st.one_of(
@@ -240,6 +263,9 @@ class TestSignVerify:
     @example(scheme=SchemeId.ECDSA, key=b"not a pem key", signature="signed")
     @example(scheme=SchemeId.PQC, key=SchemeId.PQC, signature=bytes(3309))
     @example(scheme=SchemeId.ECDSA, key=SchemeId.PQC, signature=b"")
+    @example(scheme=SchemeId.ECDSA, key=FOREIGN_PEMS["x25519"], signature="signed")
+    @example(scheme=SchemeId.ECDSA, key=FOREIGN_PEMS["x448"], signature="signed")
+    @example(scheme=SchemeId.ECDSA, key=FOREIGN_PEMS["unknown-oid"], signature="signed")
     def test_malformed_public_key_is_invalid_not_error(self, scheme, key, signature):
         # Malformed keys or signature bytes verify as invalid and never
         # raise; only the own key's signature verifies (NONE reads no key).
@@ -248,6 +274,11 @@ class TestSignVerify:
         if signature == "signed":
             signature = sign(_cached_key(scheme), b"m").bytes
         assert verify(public_key, scheme, b"m", signature) is valid
+
+    def test_ecdsa_key_on_another_curve_is_invalid(self):
+        # ECDSA is over secp256k1: a P-256 key's own valid signature is not one.
+        sig = _P256.sign(b"m", ec.ECDSA(hashes.SHA256()))
+        assert verify(FOREIGN_PEMS["p256"], SchemeId.ECDSA, b"m", sig) is False
 
     def test_sign_without_handle_raises_malformed_key(self):
         for scheme in (SchemeId.PQC, SchemeId.ECDSA):
