@@ -45,10 +45,6 @@ class NoVerifiedUpdates(PqsBflError):
     """Every client submission in a round was rejected; the round is aborted."""
 
 
-class ZeroDenominator(PqsBflError):
-    """Overhead ratio requested with a nonpositive time denominator."""
-
-
 # -- benchmark CLI ----------------------------------------------------------
 
 class ParseError(PqsBflError):

@@ -43,6 +43,9 @@ Gas for a transaction follows an affine cost model::
     gas = g_base + g_byte * len(payload) + g_store * records_written
           + g_verify[scheme]            (submit transactions only)
 
+A submit payload shorter than a 32-byte hash is charged as a bare hash,
+as if it carried an empty signature.
+
 The per-scheme verification surcharge g_verify is free to calibrate:
 :func:`calibrate_gas` solves it so submit-transaction totals reproduce
 externally measured targets exactly. Failed transactions, malformed ones
@@ -65,7 +68,7 @@ from dataclasses import dataclass, field
 
 from . import _mldsa_keyexpand
 from .errors import InfeasibleCalibration
-from .sigsuite import HASH_BYTES, SchemeId, Signature, verify
+from .sigsuite import HASH_BYTES, SchemeId, Signature, verify, well_formed_key
 
 __all__ = [
     "TxKind",
@@ -117,9 +120,10 @@ class Transaction:
     hash || signature (SUBMIT_*), as :meth:`registration` and
     :meth:`submission` lay them out.
 
-    A registration needs a non-empty key. A submit payload may have any
-    length, empty included: the contract rejects one too short to hold a
-    32-byte hash, so a client cannot make a transaction fail to form.
+    A payload may have any length, empty included: the contract rejects a
+    registration whose key cannot verify under its scheme and a submit too
+    short to hold a 32-byte hash, so a client cannot make a transaction
+    fail to form.
     """
 
     kind: TxKind
@@ -131,8 +135,6 @@ class Transaction:
     def __post_init__(self):
         if len(self.sender) != ADDRESS_BYTES:
             raise ValueError(f"sender must be {ADDRESS_BYTES} bytes")
-        if self.kind is TxKind.REGISTER and not self.payload:
-            raise ValueError("registration payload must be non-empty")
 
     @property
     def update_hash(self) -> bytes | None:
@@ -278,17 +280,20 @@ class ContractState:
         (a kind byte, then fixed-width or length-prefixed fields), or ``b""``
         when ``tx`` was rejected; a write's record is never empty.
 
-        A registration is rejected if the address already holds a key. A
-        submit payload is a 32-byte hash followed by the signature; it is
-        rejected when its scheme tag differs from the registered one, when
-        the payload is too short to hold the hash, when the signature bytes
-        do not verify under the registered key and scheme, when its sender
-        has no registered key, or when its slot (round and sender for
-        updates, round for aggregations) is taken. A verified update lands in
-        ``verified_updates[round][sender]``; the round's inner table is
-        created then, so a rejected transaction leaves no round entry. The
-        record is encoded before the write, so a transaction whose fields do
-        not encode raises and writes nothing.
+        A registration is rejected if the address already holds a key, or if
+        its key can never verify under its scheme
+        (:func:`~pqsbfl.sigsuite.well_formed_key`): a PQC key that is not
+        exactly 1952 bytes, an ECDSA key that is not an SPKI PEM of a
+        secp256k1 key, or an empty NONE key. A submit payload is a 32-byte
+        hash followed by the signature; it is rejected when its scheme tag
+        differs from the registered one, when the payload is too short to hold
+        the hash, when the signature bytes do not verify under the registered
+        key and scheme, when its sender has no registered key, or when its
+        slot (round and sender for updates, round for aggregations) is taken.
+        A verified update lands in ``verified_updates[round][sender]``; the
+        round's inner table is created then, so a rejected transaction leaves
+        no round entry. The record is encoded before the write, so a
+        transaction whose fields do not encode raises and writes nothing.
         """
         if tx.kind is TxKind.REGISTER:
             if tx.sender in self.registry:
@@ -297,6 +302,8 @@ class ContractState:
                 "<B32sBI", _KIND_CODE[tx.kind], tx.sender,
                 _SCHEME_CODE[tx.scheme], len(tx.payload),
             ) + tx.payload
+            if not well_formed_key(tx.payload, tx.scheme):
+                return b""
             self.registry[tx.sender] = (tx.payload, tx.scheme)
             return record
 
@@ -377,9 +384,10 @@ class SimulatedLedger:
         )
 
     def register_client(self, address: bytes, public_key: bytes, scheme: SchemeId) -> Receipt:
-        """Store a client's public key; duplicate registration is rejected
-        (charged for its payload but not for storage it never wrote) and
-        never replaces the existing key."""
+        """Store a client's public key; a duplicate registration, or one whose
+        key cannot verify under its scheme, is rejected (charged for its
+        payload but not for storage it never wrote) and never replaces the
+        existing key."""
         return self._execute(Transaction.registration(address, public_key, scheme))
 
     def submit_update(self, address: bytes, round_: int,

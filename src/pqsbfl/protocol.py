@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import fedcore, sigsuite
-from .errors import InfeasibleCalibration, NoVerifiedUpdates, ValidationError, ZeroDenominator
+from .errors import InfeasibleCalibration, NoVerifiedUpdates, ValidationError
 from .fedcore import ClientUpdate, ModelParams, TrainConfig
 from .ledger import DEFAULT_GAS_TARGETS, GasModel, SimulatedLedger, calibrate_gas
 from .sigsuite import KeyPair, SchemeId, Signature
@@ -311,11 +311,11 @@ def init_phase(config: ExperimentConfig) -> SystemState:
 
 def overhead_ratio(sign_ms: float, verify_ms: float, denominator_s: float) -> float:
     """Combined sign+verify time (converted to seconds) over a transaction
-    time denominator. Raises :class:`ZeroDenominator` if the denominator is
-    not positive."""
-    if denominator_s <= 0:
-        raise ZeroDenominator(f"denominator must be positive, got {denominator_s}")
-    return ((sign_ms + verify_ms) / 1e3) / denominator_s
+    time denominator; 0.0 for a zero denominator, as a zero-latency round
+    reports. Raises :class:`ValueError` for a negative or NaN one."""
+    if not denominator_s >= 0:
+        raise ValueError(f"denominator must be >= 0, got {denominator_s}")
+    return ((sign_ms + verify_ms) / 1e3) / denominator_s if denominator_s else 0.0
 
 
 def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
@@ -431,7 +431,6 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     simulated_latency = latency + (latency if config.blockchain else 0.0)
     mean_sign = sign_s * 1e3 / config.n_clients
     mean_verify = submit_s * 1e3 / config.n_clients
-    ratio = overhead_ratio(mean_sign, mean_verify, latency) if latency > 0 else 0.0
 
     return RoundMetrics(
         round=t,
@@ -444,7 +443,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         mean_tx_time_s=latency,
         mean_gas_per_update=sum(gas_per_update) / len(gas_per_update),
         total_gas=total_gas,
-        overhead_ratio=ratio,
+        overhead_ratio=overhead_ratio(mean_sign, mean_verify, latency),
         verified_count=len(updates),
         rejected_count=config.n_clients - len(updates),
         model_digest=global_digest.hex(),

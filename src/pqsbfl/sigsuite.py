@@ -47,6 +47,7 @@ __all__ = [
     "keygen_batch",
     "sign",
     "verify",
+    "well_formed_key",
     "digest_model",
     "measure_primitives",
     "HASH_BYTES",
@@ -246,18 +247,44 @@ def verify(public_key: bytes, scheme: SchemeId, message: bytes, signature: bytes
             raise UnsupportedScheme(f"ML-DSA-65 backend unavailable: {exc}") from exc
 
     if scheme is SchemeId.ECDSA:
+        pk = _secp256k1_key(public_key)
+        if pk is None:
+            return False
         backend = _backend()
         try:
-            pk = backend.serialization.load_pem_public_key(public_key)
-            if not (isinstance(pk, backend.ec.EllipticCurvePublicKey)
-                    and isinstance(pk.curve, backend.ec.SECP256K1)):
-                return False
             pk.verify(signature, message, backend.ec.ECDSA(backend.SHA256()))
             return True
-        except (backend.exceptions.InvalidSignature, backend.exceptions.UnsupportedAlgorithm,
-                ValueError, TypeError):
+        except (backend.exceptions.InvalidSignature, ValueError, TypeError):
             return False
 
+    raise UnsupportedScheme(f"unknown scheme {scheme!r}")
+
+
+def _secp256k1_key(public_key: bytes):
+    """The secp256k1 public key an SPKI PEM encodes, or None for any other bytes."""
+    backend = _backend()
+    try:
+        pk = backend.serialization.load_pem_public_key(public_key)
+    except (backend.exceptions.UnsupportedAlgorithm, ValueError, TypeError):
+        return None
+    if not (isinstance(pk, backend.ec.EllipticCurvePublicKey)
+            and isinstance(pk.curve, backend.ec.SECP256K1)):
+        return None
+    return pk
+
+
+def well_formed_key(public_key: bytes, scheme: SchemeId) -> bool:
+    """True iff ``public_key`` is a key some signature could verify against
+    under ``scheme``: exactly :data:`~pqsbfl._mldsa_keyexpand.PUBLIC_KEY_BYTES`
+    bytes for PQC (the backend loads any string of that length), an SPKI PEM
+    of a secp256k1 EC key for ECDSA, and non-empty for NONE, whose
+    verification never reads the key."""
+    if scheme is SchemeId.PQC:
+        return len(public_key) == _expand.PUBLIC_KEY_BYTES
+    if scheme is SchemeId.ECDSA:
+        return _secp256k1_key(public_key) is not None
+    if scheme is SchemeId.NONE:
+        return len(public_key) > 0
     raise UnsupportedScheme(f"unknown scheme {scheme!r}")
 
 

@@ -9,7 +9,7 @@ import struct
 
 import pytest
 from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import x25519
+from cryptography.hazmat.primitives.asymmetric import ec, x25519
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +32,11 @@ from pqsbfl.sigsuite import HASH_BYTES, SchemeId, Signature, keygen, sign
 
 def _address(tag: str) -> bytes:
     return hashlib.sha3_256(tag.encode()).digest()
+
+
+def _spki_pem(private_key) -> bytes:
+    return private_key.public_key().public_bytes(
+        serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo)
 
 
 class TestRegistration:
@@ -85,6 +90,32 @@ class TestRegistration:
             ledger.register_client(_address(f"c{i}"), key.public_key, SchemeId.NONE)
             sizes.append(len(ledger.state.registry))
         assert sizes == sorted(sizes) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("scheme, key", [
+        (SchemeId.PQC, b""),
+        (SchemeId.PQC, b"\x01" * 4),
+        (SchemeId.PQC, b"\x01" * 1951),
+        (SchemeId.PQC, b"\x01" * 1953),
+        (SchemeId.ECDSA, _spki_pem(x25519.X25519PrivateKey.from_private_bytes(bytes(range(32))))),
+        (SchemeId.ECDSA, _spki_pem(ec.derive_private_key(5, ec.SECP256R1()))),
+        (SchemeId.ECDSA, b"-----BEGIN PUBLIC KEY-----\nZ2FyYmFnZQ==\n-----END PUBLIC KEY-----\n"),
+        (SchemeId.NONE, b""),
+    ], ids=["PQC-0", "PQC-4", "PQC-1951", "PQC-1953", "ECDSA-x25519", "ECDSA-p256",
+            "ECDSA-garbage", "NONE-empty"])
+    def test_key_that_cannot_verify_rejected_and_charged(self, scheme, key):
+        ledger = SimulatedLedger()
+        addr = _address("a")
+        receipt = ledger.register_client(addr, key, scheme)
+        assert not receipt.verified
+        assert receipt.gas_used == ledger.gas.register_gas(len(key), stored=False)
+        assert ledger.state.registry == {}
+        # the address is not locked out: its scheme's own key still registers
+        valid = keygen(scheme, 1).public_key
+        assert ledger.register_client(addr, valid, scheme).verified
+        assert ledger.state.registry == {addr: (valid, scheme)}
+        block = ledger.mine_block()
+        assert block.transactions[0].tx_hash() == receipt.tx_hash
+        assert chain_verify(ledger.chain).intact
 
     def test_registration_that_does_not_encode_writes_nothing(self):
         ledger = SimulatedLedger()
@@ -174,14 +205,16 @@ class TestSubmitUpdate:
         assert chain_verify(ledger.chain).intact
 
     def test_non_secp256k1_key_under_ecdsa_rejects_submission(self):
-        # The contract stores a key without parsing it; a submission that key
-        # cannot verify is rejected and charged, and never raises.
+        # The contract refuses to store the key, charging the registration
+        # as rejected; the address stays unregistered, so a submission from
+        # it is rejected and charged, and never raises.
         ledger = SimulatedLedger()
         addr = _address("x25519")
-        public = x25519.X25519PrivateKey.from_private_bytes(bytes(range(32))).public_key()
-        pem = public.public_bytes(serialization.Encoding.PEM,
-                                  serialization.PublicFormat.SubjectPublicKeyInfo)
-        assert ledger.register_client(addr, pem, SchemeId.ECDSA).verified
+        pem = _spki_pem(x25519.X25519PrivateKey.from_private_bytes(bytes(range(32))))
+        registration = ledger.register_client(addr, pem, SchemeId.ECDSA)
+        assert not registration.verified
+        assert registration.gas_used == 21_000 + 16 * len(pem) == 22_808
+        assert ledger.state.registry == {}
         digest = hashlib.sha3_256(b"u").digest()
         sig = sign(keygen(SchemeId.ECDSA, 5), digest)
         receipt = ledger.submit_update(addr, 1, digest, sig)
@@ -766,9 +799,9 @@ class TestExport:
 
 class TestTransactionEncoding:
     def test_payload_invariants(self):
-        with pytest.raises(ValueError):
-            Transaction(TxKind.REGISTER, bytes(32), 0, b"", SchemeId.NONE)
-        # a submit payload of any length forms; the contract rejects short ones
+        # a payload of any length forms; the contract rejects an empty key
+        # and a submit too short to hold a hash
+        Transaction(TxKind.REGISTER, bytes(32), 0, b"", SchemeId.NONE)
         Transaction(TxKind.SUBMIT_UPDATE, bytes(32), 0, b"", SchemeId.NONE)
         with pytest.raises(ValueError):
             Transaction(TxKind.REGISTER, bytes(31), 0, b"pk", SchemeId.NONE)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pqsbfl import fedcore, protocol, sigsuite
-from pqsbfl.errors import NoVerifiedUpdates, ValidationError, ZeroDenominator
+from pqsbfl.errors import NoVerifiedUpdates, ValidationError
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import DEFAULT_GAS_TARGETS, TxKind, chain_verify
 from pqsbfl.protocol import (
@@ -582,10 +582,11 @@ class TestOverheadRatio:
         assert overhead_ratio(0.5, 0.5, 1.0) == pytest.approx(0.001, abs=1e-15)
 
     def test_zero_denominator(self):
-        with pytest.raises(ZeroDenominator):
-            overhead_ratio(1.0, 1.0, 0.0)
-        with pytest.raises(ZeroDenominator):
+        assert overhead_ratio(1.0, 1.0, 0.0) == 0.0
+        with pytest.raises(ValueError):
             overhead_ratio(1.0, 1.0, -0.5)
+        with pytest.raises(ValueError):
+            overhead_ratio(1.0, 1.0, float("nan"))
 
 
 class TestRunExperiment:
@@ -759,6 +760,18 @@ class TestConfig:
             for m in report.rounds:
                 assert m.mean_tx_time_s == expected
                 assert m.simulated_latency_s == 2 * expected
+
+    @pytest.mark.parametrize("blockchain", [True, False], ids=["BC", "NoBC"])
+    def test_zero_latency_reports_zero_overhead(self, blockchain):
+        report = run_experiment(
+            _small_config(scheme=SchemeId.NONE, blockchain=blockchain, latency=0.0)
+        )
+        for m in report.rounds:
+            assert m.overhead_ratio == 0.0
+            assert m.mean_tx_time_s == 0.0
+            assert m.simulated_latency_s == 0.0
+            assert m.round_time_s == m.compute_time_s
+        json.dumps(report.to_json_dict(), allow_nan=False)
 
     @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2**64"])
     def test_seed_outside_u64_rejected(self, seed):
