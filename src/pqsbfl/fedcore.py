@@ -45,7 +45,6 @@ __all__ = [
     "evaluate",
     "cross_entropy",
     "canonical_bytes",
-    "canonical_parts",
 ]
 
 HIDDEN_WIDTH = 32
@@ -185,8 +184,8 @@ def generate_synthetic(
 def load_csv(path) -> Dataset:
     """Load a feature dataset: header row, one sample per row, last column
     an integer class label. A header without a feature column, ragged rows,
-    and features that are NaN, infinite or outside the float32 range, are
-    rejected."""
+    features that are NaN, infinite or outside the float32 range, and a label
+    outside ``[0, number of data rows)``, are rejected."""
     rows = []
     try:
         fh = open(path, newline="")
@@ -213,11 +212,12 @@ def load_csv(path) -> Dataset:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
             if not all(abs(v) <= _FLOAT32_MAX for v in feats):  # false for NaN too
                 raise ParseError(f"{path}:{lineno}: feature is not a finite float32 value")
-            if label < 0:
-                raise ParseError(f"{path}:{lineno}: negative class label {label}")
             rows.append((feats, label))
     if not rows:
         raise ParseError(f"{path}: no data rows")
+    for lineno, (_, label) in enumerate(rows, start=2):
+        if not 0 <= label < len(rows):  # no more classes than samples, as for synth
+            raise ParseError(f"{path}:{lineno}: label {label} outside [0, row count {len(rows)})")
     features = np.array([r[0] for r in rows], dtype=np.float32)
     labels = np.array([r[1] for r in rows], dtype=np.int64)
     return Dataset(features, labels, int(labels.max()) + 1)
@@ -305,18 +305,14 @@ def _model_layout(n_features: int, n_classes: int):
 def init_params(n_features: int, n_classes: int, seed: int) -> ModelParams:
     """He-initialized MLP parameters with ``HIDDEN_WIDTH`` hidden units
     (deterministic), on a new :class:`Layout` that the run's models share."""
+    layout = Layout(_model_layout(n_features, n_classes))
+    values = np.zeros(layout.size, dtype=np.float32)
+    layers = layout.views(values)  # the draws write through; the biases stay zero
+    hidden, output = layers["hidden.weight"], layers["output.weight"]
     rng = np.random.default_rng(seed)
-    w1 = rng.standard_normal((n_features, HIDDEN_WIDTH)) * np.sqrt(2.0 / n_features)
-    w2 = rng.standard_normal((HIDDEN_WIDTH, n_classes)) * np.sqrt(1.0 / HIDDEN_WIDTH)
-    values = np.concatenate(
-        [
-            w1.ravel(),
-            np.zeros(HIDDEN_WIDTH),
-            w2.ravel(),
-            np.zeros(n_classes),
-        ]
-    ).astype(np.float32)
-    return ModelParams(values, Layout(_model_layout(n_features, n_classes)))
+    hidden[:] = rng.standard_normal(hidden.shape) * np.sqrt(2.0 / n_features)
+    output[:] = rng.standard_normal(output.shape) * np.sqrt(1.0 / HIDDEN_WIDTH)
+    return ModelParams(values, layout)
 
 
 def _check_model_fits(params: ModelParams, dataset: Dataset):
@@ -443,13 +439,6 @@ def evaluate(params: ModelParams, test_dataset: Dataset) -> float:
     return float((predicted == test_dataset.labels).mean())
 
 
-def canonical_parts(params: ModelParams) -> tuple:
-    """The (header, body) of :func:`canonical_bytes`, without joining them:
-    the layout's header, which :class:`Layout` encodes once, and the float32
-    values as a buffer that shares the model's memory."""
-    return params.layout.header, params.values.astype("<f4", copy=False).data
-
-
 def canonical_bytes(params: ModelParams) -> bytes:
     """Injective byte encoding of (layout, values).
 
@@ -457,4 +446,4 @@ def canonical_bytes(params: ModelParams) -> bytes:
     layer a length-prefixed UTF-8 name, u32 ndim, then the dims. Body: the
     flat values as little-endian float32. All integers little-endian 32-bit.
     """
-    return b"".join(canonical_parts(params))
+    return params.layout.header + params.values.astype("<f4", copy=False).tobytes()

@@ -41,7 +41,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import fedcore, sigsuite
-from .errors import InfeasibleCalibration, NoVerifiedUpdates, ValidationError
+from .errors import InfeasibleCalibration, LayoutMismatch, NoVerifiedUpdates, ValidationError
 from .fedcore import ClientUpdate, ModelParams, TrainConfig
 from .ledger import DEFAULT_GAS_TARGETS, GasModel, SimulatedLedger, calibrate_gas
 from .sigsuite import KeyPair, SchemeId, Signature
@@ -244,7 +244,6 @@ class SystemState:
     ledger: SimulatedLedger  # charges zero gas without a blockchain
     initial_accuracy: float
     sig_bytes_total: int = 0  # over every submission sent, for the mean size
-    sig_count: int = 0
 
 
 def init_phase(config: ExperimentConfig) -> SystemState:
@@ -339,14 +338,16 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     and excludes only its client. Every submission with such a client id is
     sent from the one address nothing registers, ``_UNREGISTERED_ADDRESS``.
 
-    Hash binding follows the submit phase: a verified submission is
-    aggregated only if its own off-chain parameters are a finite model of
-    the global model's layout that re-digests to the hash the contract
-    recorded in its slot. Slots are write-once, so that slot holds the
-    submission's own transaction, and a rejected submission that names
-    another client cannot displace that client's update. FedAvg weights
-    each update by the size of its client's partition, which the aggregator
-    holds, never by a figure the submission carries.
+    Hash binding follows the submit phase: each verified submission's
+    off-chain parameters are rebuilt through :class:`ModelParams` from the
+    values and layout they hold at that point, and a value the constructor
+    refuses excludes its client. The rebuilt model is aggregated only if it
+    is a finite model of the global model's layout that re-digests to the
+    hash the contract recorded in its slot. Slots are write-once, so that
+    slot holds the submission's own transaction, and a rejected submission
+    that names another client cannot displace that client's update. FedAvg
+    weights each update by the size of its client's partition, which the
+    aggregator holds, never by a figure the submission carries.
 
     Raises :class:`ValueError`, before any work, for ``t`` outside
     ``[1, 2**63)``, and :class:`NoVerifiedUpdates` if every submission is
@@ -386,7 +387,6 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
                 and isinstance(sig.bytes, bytes)):
             sig = Signature(config.scheme, b"")
         state.sig_bytes_total += len(sig.bytes)
-        state.sig_count += 1
         cid, address = _resolve_client(state.addresses, sub.client_id)
         senders.append((cid, address))
         receipts.append(state.ledger.submit_update(address, t, digest, sig))
@@ -394,14 +394,17 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     # A verified receipt means its transaction filled this write-once slot.
     slots = state.ledger.state.verified_updates.get(t, {})
-    updates = [
-        ClientUpdate(cid, sub.params, len(state.partitions[cid]))
-        for sub, (cid, address), receipt in zip(submissions, senders, receipts)
-        if receipt.verified and isinstance(sub.params, ModelParams)
-        and sub.params.layout == state.global_params.layout
-        and np.isfinite(sub.params.values).all()
-        and sigsuite.digest_model(sub.params) == slots[address].update_hash
-    ]
+    updates = []
+    for sub, (cid, address), receipt in zip(submissions, senders, receipts):
+        if not receipt.verified:
+            continue
+        try:  # rebuilt, so the constructor judges the model as it is now
+            model = ModelParams(sub.params.values, sub.params.layout)
+        except (AttributeError, TypeError, ValueError, OverflowError, LayoutMismatch):
+            continue
+        if (model.layout == state.global_params.layout and np.isfinite(model.values).all()
+                and sigsuite.digest_model(model) == slots[address].update_hash):
+            updates.append(ClientUpdate(cid, model, len(state.partitions[cid])))
 
     if not updates:
         # Close the round's block over its rejected transactions so they
@@ -507,7 +510,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         "public_key_b": len(key.public_key),
         "private_key_b": len(key.private_key),
         "sig_size_mean_b": (
-            state.sig_bytes_total / state.sig_count if state.sig_count else 0.0
+            state.sig_bytes_total / (config.n_clients * len(metrics)) if metrics else 0.0
         ),
     }
 

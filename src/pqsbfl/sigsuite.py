@@ -36,7 +36,7 @@ from types import SimpleNamespace
 
 from . import _mldsa_keyexpand as _expand
 from .errors import MalformedKey, UnsupportedScheme
-from .fedcore import canonical_parts
+from .fedcore import canonical_bytes
 
 __all__ = [
     "SchemeId",
@@ -294,10 +294,7 @@ def digest_model(params) -> bytes:
     Equal parameters (values and layout) always digest equally; the
     canonical encoding is defined by :func:`pqsbfl.fedcore.canonical_bytes`.
     """
-    header, body = canonical_parts(params)
-    h = hashlib.sha3_256(header)
-    h.update(body)
-    return h.digest()
+    return hashlib.sha3_256(canonical_bytes(params)).digest()
 
 
 def measure_primitives(scheme: SchemeId, trials: int = 100) -> CryptoTimings:

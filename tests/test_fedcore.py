@@ -452,6 +452,19 @@ class TestCsvIngestion:
         path.write_text("f0,label\n1.0,-1\n")
         with pytest.raises(ParseError):
             load_csv(path)
+        # A label must lie below the number of data rows: equal to it, past
+        # int64, and one that would make 200,001 classes out of 12 rows.
+        path.write_text("f0,label\n1.0,0\n2.0,2\n")
+        with pytest.raises(ParseError, match="label 2"):
+            load_csv(path)
+        path.write_text("f0,label\n1.0,0\n2.0,9223372036854775808\n")
+        with pytest.raises(ParseError, match="label 9223372036854775808") as exc:
+            load_csv(path)
+        assert f"{path}:3:" in str(exc.value)
+        path.write_text("f0,label\n" + "1.0,0\n" * 5 + "2.0,200000\n" + "3.0,1\n" * 6)
+        with pytest.raises(ParseError, match="label 200000") as exc:
+            load_csv(path)
+        assert f"{path}:7:" in str(exc.value)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e39"])
     def test_non_finite_feature_rejected(self, tmp_path, value):

@@ -387,7 +387,7 @@ class TestRunRound:
         assert (state.ledger.chain.head_hash, len(state.ledger.chain.blocks),
                 contract.registry) == before
         assert contract.verified_updates == contract.aggregation_records == {}
-        assert state.sig_count == 0
+        assert state.sig_bytes_total == 0
 
     def test_metric_consistency_invariant(self):
         state = init_phase(_small_config())
@@ -413,19 +413,38 @@ _SIGS = st.one_of(
     # no Signature at all
     st.tuples(st.just("object"), st.one_of(st.none(), st.binary(max_size=80))),
 )
+# Ways client 0 changes its own model in place after it was built and
+# digested. The first five make the ModelParams constructor raise, one
+# each of LayoutMismatch, TypeError, OverflowError, ValueError and
+# AttributeError. A reshape and a float64 copy that rounds to the same
+# float32 values (each value nudged by a quarter ulp) hold the honest model.
+_IN_PLACE = {
+    "list": lambda p: setattr(p, "values", [0.0] * 10),
+    "object": lambda p: setattr(p, "values", np.full(p.values.size, object(), dtype=object)),
+    "int past float": lambda p: setattr(p, "values", [10**400] * p.values.size),
+    "text": lambda p: setattr(p, "values", np.full(p.values.size, "x")),
+    "no layout": lambda p: setattr(p, "layout", None),
+    "reshape": lambda p: setattr(p.values, "shape", (-1, 1)),
+    "nudge": lambda p: setattr(
+        p, "values", p.values + 0.25 * np.spacing(p.values).astype(np.float64)
+    ),
+}
+_HONEST_IN_PLACE = {("in place", "reshape"), ("in place", "nudge")}
 # Client 0's off-chain parameters: its trained model, a column or row view
 # of it (the same canonical bytes, so honest), a model the round must not
-# aggregate (another layout, all NaN, one inf), or a value that is not one.
+# aggregate (another layout, all NaN, one inf), a value that is not one, or
+# its trained model changed in place.
 _PARAMS = st.one_of(
     st.tuples(st.just("honest"), st.none()),
     st.tuples(st.just("view"), st.sampled_from([(-1, 1), (1, -1)])),
     st.tuples(st.just("model"), st.sampled_from(["layout", "nan", "inf"])),
     st.tuples(st.just("value"), st.one_of(st.none(), st.text(max_size=3), st.binary(max_size=8))),
+    st.tuples(st.just("in place"), st.sampled_from(sorted(_IN_PLACE))),
 )
 
 
 def _draw_params(form, value, honest: fedcore.ModelParams):
-    if form == "honest":
+    if form in ("honest", "in place"):  # an in-place change comes after the digest
         return honest
     if form == "value":
         return value
@@ -509,13 +528,32 @@ class TestWireFields:
              params=("view", (-1, 1)), resign=False)
     @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
              params=("view", (1, -1)), resign=True)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("in place", "list"), resign=False)
+    @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
+             params=("in place", "reshape"), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("sent", None), sig=("honest", None),
+             params=("in place", "object"), resign=True)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("in place", "int past float"), resign=False)
+    @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
+             params=("in place", "text"), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("in place", "no layout"), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("in place", "nudge"), resign=False)
+    @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
+             params=("in place", "nudge"), resign=True)
     def test_client_fields_reject_only_that_client(self, scheme, digest, sig, params, resign):
         # Whatever client 0 puts in its digest, signature and parameters, the
         # round completes; client 0 is aggregated iff it sent an honest
         # submission (its own model and digest, the digest signed with its
         # own key), and the others always are. A model of another layout or
         # with a non-finite value is not honest even when its digest is
-        # signed and bound; a view of its own model in another shape is.
+        # signed and bound; a view of its own model in another shape is, and
+        # so is its model changed in place to other values that read as the
+        # same float32 model. FedAvg averages an honest client 0 at the
+        # float32 values it trained, whatever form they were sent in.
         state = init_phase(_small_config(scheme=scheme, train=TrainConfig(local_epochs=1)))
         address = state.addresses[0]
         sent, others_sig_bytes = {}, []
@@ -524,16 +562,19 @@ class TestWireFields:
             if sub.client_id != 0:
                 others_sig_bytes.append(len(sub.sig.bytes))
                 return sub
+            trained = fedcore.ModelParams(sub.params.values.copy(), sub.params.layout)
             p = _draw_params(*params, sub.params)
             if digest[0] == "sent" and isinstance(p, fedcore.ModelParams):
                 d = sigsuite.digest_model(p)
             else:
                 d = digest[1] if digest[0] == "value" else sub.digest
+            if params[0] == "in place":
+                _IN_PLACE[params[1]](p)
             s = _draw_sig(*sig, sub.sig)
             resigned = resign and isinstance(d, bytes)
             if resigned:
                 s = sigsuite.sign(state.client_keys[0], d)
-            sent.update(honest=sub, digest=d, sig=s, resigned=resigned)
+            sent.update(honest=sub, trained=trained, digest=d, sig=s, resigned=resigned)
             return dataclasses.replace(sub, params=p, digest=d, sig=s)
 
         receipts, aggregated = {}, []
@@ -546,7 +587,7 @@ class TestWireFields:
         state.ledger.submit_update = recording_submit
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(protocol.fedcore, "aggregate", lambda updates: (
-                aggregated.extend(u.client_id for u in updates) or aggregate(updates)
+                aggregated.extend(updates) or aggregate(updates)
             ))
             metrics = run_round(state, 1, tamper_hook=send)
 
@@ -556,11 +597,16 @@ class TestWireFields:
         tx = next(tx for tx in state.ledger.chain.blocks[-1].transactions
                   if tx.kind is TxKind.SUBMIT_UPDATE and tx.sender == address)
         assert (tx.scheme, tx.payload) == wire
-        is_honest = params[0] in ("honest", "view") and (
+        is_honest = (params[0] in ("honest", "view") or params in _HONEST_IN_PLACE) and (
             wire == (scheme, honest.digest + honest.sig.bytes)
             or (sent["resigned"] and wire_digest == honest.digest)
         )
-        assert aggregated == ([0, 1, 2] if is_honest else [1, 2])
+        assert [u.client_id for u in aggregated] == ([0, 1, 2] if is_honest else [1, 2])
+        oracle = fedcore.aggregate([
+            dataclasses.replace(u, params=sent["trained"]) if u.client_id == 0 else u
+            for u in aggregated
+        ])
+        assert metrics.model_digest == sigsuite.digest_model(oracle).hex()
         assert (metrics.verified_count, metrics.rejected_count) == (2 + is_honest, 1 - is_honest)
         receipt = receipts[address]
         assert receipt.gas_used > 0
