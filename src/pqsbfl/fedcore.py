@@ -49,6 +49,10 @@ __all__ = [
 
 HIDDEN_WIDTH = 32
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+# One float64 block of noise is generate_synthetic's only scratch, so a data
+# build neither holds a dataset-sized float64 copy nor maps a fresh one on
+# every call.
+_SYNTHETIC_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -118,7 +122,10 @@ class ModelParams:
     layout: Layout
 
     def __post_init__(self):
-        self.values = np.ascontiguousarray(self.values, dtype=np.float32)
+        if not isinstance(self.layout, Layout):
+            raise TypeError(f"layout must be a Layout, got {type(self.layout).__name__}")
+        with np.errstate(over="ignore"):  # past the float32 range reads as inf
+            self.values = np.ascontiguousarray(self.values, dtype=np.float32)
         if self.values.ndim != 1:  # any shape of the right size is read as the flat vector
             self.values = self.values.reshape(-1)
         if self.layout.size != self.values.size:
@@ -155,6 +162,10 @@ def generate_synthetic(
     Class means are mutually orthogonal directions scaled well past the unit
     noise, so a small MLP separates the classes almost perfectly. Deterministic
     in ``seed``; the same seed always yields byte-identical datasets.
+
+    Rows are drawn block by block, in stream order, straight into the one
+    float32 table both splits view. ``standard_normal`` fills in C order, so
+    the bytes equal those of one whole-table draw.
     """
     if n_classes < 2 or n_samples < n_classes or n_features < 1:
         raise InvalidDimensions(
@@ -171,7 +182,12 @@ def generate_synthetic(
         means = 5.0 * directions / np.linalg.norm(directions, axis=1, keepdims=True)
 
     labels = rng.permutation(np.arange(n_samples) % n_classes)
-    features = means[labels] + rng.standard_normal((n_samples, n_features))
+    features = np.empty((n_samples, n_features), dtype=np.float32)
+    for start in range(0, n_samples, _SYNTHETIC_BLOCK_ROWS):
+        rows = slice(start, start + _SYNTHETIC_BLOCK_ROWS)
+        block = rng.standard_normal(features[rows].shape)
+        block += means[labels[rows]]
+        features[rows] = block
 
     n_train = max(1, int(0.8 * n_samples))
     if n_train == n_samples:

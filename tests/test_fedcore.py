@@ -1,6 +1,8 @@
 """Federated-core contracts: data generation, partitioning, training, FedAvg."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +77,34 @@ class TestGenerateSynthetic:
         assert a_train.features.tobytes() == b_train.features.tobytes()
         assert a_train.labels.tobytes() == b_train.labels.tobytes()
         assert a_test.features.tobytes() == b_test.features.tobytes()
+
+    # sha3-256 over train features, train labels, test features and test
+    # labels bytes. The cases are the workloads' shape, the n_features <
+    # n_classes branch, one row past a 256-row block and a tiny table.
+    @pytest.mark.parametrize("args, digest", [
+        ((0, 2000, 20, 5), "82ca3bc2b41aa07ce0ab778960131e66469894edee9ea7e5df427f14969b85f2"),
+        ((7, 50, 3, 7), "15e6718e9e9335853d23765e67b7179a36caeba4937e9ae4ac5da60de2fd430f"),
+        ((3, 257, 4, 2), "a629f0cf33dd60a93087093f5ad3f25b0f955a60798ae55af86e313aba78cef3"),
+        ((5, 10, 2, 2), "8b5149bca05c8f896dbf0a17fd43627761a48a04e257a30afb4c3f6f41b6ed18"),
+    ])
+    def test_known_answer(self, args, digest):
+        h = hashlib.sha3_256()
+        for dataset in generate_synthetic(*args):
+            h.update(dataset.features.tobytes())
+            h.update(dataset.labels.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_scratch_below_half_a_float64_table(self):
+        # 2000 x 20 float64 is 320,000 B; a build that kept or mapped one
+        # whole-table draw would peak past half of it above what it returns.
+        tracemalloc.start()
+        try:
+            train, test = generate_synthetic(0, 2000, 20, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for d in (train, test) for a in (d.features, d.labels))
+        assert peak - kept < 160_000
 
     def test_split_is_disjoint_80_20(self):
         train, test = generate_synthetic(1, 1000, 8, 4)
@@ -395,6 +425,15 @@ class TestLayout:
     def test_params_must_fill_their_layout(self):
         with pytest.raises(LayoutMismatch, match="5 values for a layout of 6"):
             ModelParams(np.zeros(5), Layout((("w", (2, 3)),)))
+
+    def test_params_layout_must_be_a_layout(self):
+        # An array of the right size would make layout equality elementwise.
+        with pytest.raises(TypeError, match="layout must be a Layout, got ndarray"):
+            ModelParams(np.zeros(6), np.zeros(6))
+
+    def test_values_past_float32_read_as_inf_without_a_warning(self):
+        params = ModelParams(np.array([1e300, -1e300, 1.0]), Layout((("w", (3,)),)))
+        assert params.values.tolist() == [np.inf, -np.inf, 1.0]
 
 
 class TestCanonicalBytes:

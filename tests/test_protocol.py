@@ -416,14 +416,19 @@ _SIGS = st.one_of(
 # Ways client 0 changes its own model in place after it was built and
 # digested. The first five make the ModelParams constructor raise, one
 # each of LayoutMismatch, TypeError, OverflowError, ValueError and
-# AttributeError. A reshape and a float64 copy that rounds to the same
-# float32 values (each value nudged by a quarter ulp) hold the honest model.
+# AttributeError, and an array for a layout raises TypeError too. Float64
+# values past the float32 range build a model of infs, which the finiteness
+# test excludes under any warning filter. A reshape and a float64 copy that
+# rounds to the same float32 values (each value nudged by a quarter ulp)
+# hold the honest model.
 _IN_PLACE = {
     "list": lambda p: setattr(p, "values", [0.0] * 10),
     "object": lambda p: setattr(p, "values", np.full(p.values.size, object(), dtype=object)),
     "int past float": lambda p: setattr(p, "values", [10**400] * p.values.size),
     "text": lambda p: setattr(p, "values", np.full(p.values.size, "x")),
     "no layout": lambda p: setattr(p, "layout", None),
+    "array layout": lambda p: setattr(p, "layout", np.zeros(p.values.size)),
+    "float64 past float32": lambda p: setattr(p, "values", np.full(p.values.size, 1e300)),
     "reshape": lambda p: setattr(p.values, "shape", (-1, 1)),
     "nudge": lambda p: setattr(
         p, "values", p.values + 0.25 * np.spacing(p.values).astype(np.float64)
@@ -540,6 +545,10 @@ class TestWireFields:
              params=("in place", "text"), resign=False)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
              params=("in place", "no layout"), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("in place", "array layout"), resign=False)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("in place", "float64 past float32"), resign=False)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
              params=("in place", "nudge"), resign=False)
     @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
