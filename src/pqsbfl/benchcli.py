@@ -232,12 +232,13 @@ def _write_csv(path: Path, columns, rows):
 
 
 def write_report_files(report: ExperimentReport, out_dir: Path):
-    """Write ``report.json`` and ``rounds.csv`` for one finished run."""
+    """Write ``report.json`` and ``rounds.csv`` for one finished run. A NaN
+    or infinite value is a :class:`ValueError` before any file is written,
+    since JSON has no spelling for it."""
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
     run_dir = out_dir / report.config.name()
     run_dir.mkdir(parents=True, exist_ok=True)
-    with open(run_dir / "report.json", "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (run_dir / "report.json").write_text(text + "\n")
     _write_csv(
         run_dir / "rounds.csv",
         ROUNDS_CSV_COLUMNS,
@@ -340,7 +341,7 @@ def _flag(dest: str) -> str:
 def main(argv=None) -> int:
     args = vars(_build_arg_parser().parse_args(argv))  # only the flags given
     mode = "suite" if "suite" in args else "crypto_bench" if "crypto_bench" in args else "run"
-    out_dir = Path(args.get("out") or "out")
+    out_dir = Path(args.get("out") or "out")  # each mode creates it before any work
 
     try:
         reads = _MODE_FLAGS[mode]
@@ -352,7 +353,9 @@ def main(argv=None) -> int:
 
         if mode == "suite":
             seed = _parse_int(args["seed"], "--seed") if "seed" in args else None
-            rows, _ = run_suite(*parse_suite(args["suite"], args.get("out"), seed))
+            configs, out_dir = parse_suite(args["suite"], args.get("out"), seed)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            rows, _ = run_suite(configs, out_dir)
             for name, row in rows.items():
                 print(f"{name}: {row['status']}")
             return 0 if all(row["status"] == "ok" for row in rows.values()) else 1
@@ -363,6 +366,7 @@ def main(argv=None) -> int:
                 raise ValidationError([f"--trials must be >= 1, got {trials}"])
             schemes = ([_parse_scheme(args["crypto"], "--crypto")] if "crypto" in args
                        else list(SchemeId))
+            out_dir.mkdir(parents=True, exist_ok=True)
             rows = emit_crypto_table(schemes, trials=trials)
             _write_csv(out_dir / "crypto.csv", CRYPTO_CSV_COLUMNS, rows)
             for row in rows:
@@ -376,6 +380,7 @@ def main(argv=None) -> int:
         # Every other flag a run reads names the config key it overrides.
         overrides = {k: v for k, v in args.items() if k not in ("config", "out")}
         cfg = parse_config(args.get("config"), overrides)
+        out_dir.mkdir(parents=True, exist_ok=True)
         report = run_experiment(cfg)
         write_report_files(report, out_dir)
         print(
@@ -384,7 +389,7 @@ def main(argv=None) -> int:
             f"gas/round {report.summary['total_gas']:.0f}"
         )
         return 0
-    except PqsBflError as exc:
+    except (PqsBflError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -35,6 +35,7 @@ __all__ = [
     "Layout",
     "ModelParams",
     "TrainConfig",
+    "valid_learning_rate",
     "ClientUpdate",
     "generate_synthetic",
     "load_csv",
@@ -142,6 +143,14 @@ class TrainConfig:
     local_epochs: int = 5
     batch_size: int = 64
     learning_rate: float = 0.001
+
+
+def valid_learning_rate(learning_rate) -> bool:
+    """The one learning-rate rule: positive and finite as the float32 that
+    :func:`local_train` steps with (so ``1e300``, ``1e-50`` and NaN fail)."""
+    with np.errstate(over="ignore"):
+        lr = np.float32(learning_rate)
+    return bool(0 < lr < np.inf)
 
 
 @dataclass(frozen=True)
@@ -349,6 +358,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+# A client's values may overflow or go NaN in the float32 arithmetic; the
+# round's finiteness test judges the result, so no warning is raised.
+_QUIET_FP = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_QUIET_FP
 def cross_entropy(params: ModelParams, dataset: Dataset, indices=None) -> float:
     """Mean cross-entropy of the model over the given samples (all if None)."""
     _check_model_fits(params, dataset)
@@ -360,6 +375,7 @@ def cross_entropy(params: ModelParams, dataset: Dataset, indices=None) -> float:
     return float(-np.log(probs[np.arange(len(y)), y] + eps).mean())
 
 
+@_QUIET_FP
 def local_train(
     global_params: ModelParams,
     dataset: Dataset,
@@ -375,8 +391,8 @@ def local_train(
     float32. With ``local_epochs=0`` the global model is returned unchanged.
     """
     _check_model_fits(global_params, dataset)
-    if cfg.local_epochs < 0 or cfg.batch_size < 1 or cfg.learning_rate <= 0:
-        raise ValueError("epochs must be >= 0, batch_size >= 1, learning_rate > 0")
+    if cfg.local_epochs < 0 or cfg.batch_size < 1 or not valid_learning_rate(cfg.learning_rate):
+        raise ValueError("need local_epochs >= 0, batch_size >= 1, learning_rate finite and > 0")
 
     params = global_params.copy()
     if cfg.local_epochs == 0:
@@ -447,6 +463,7 @@ def aggregate(updates: list[ClientUpdate]) -> ModelParams:
     return ModelParams(acc.astype(np.float32), layout)
 
 
+@_QUIET_FP
 def evaluate(params: ModelParams, test_dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions on the test set."""
     _check_model_fits(params, test_dataset)

@@ -62,7 +62,6 @@ and the gas model, so two ledgers given the same transactions agree.
 import enum
 import hashlib
 import json
-import math
 import struct
 from dataclasses import dataclass, field
 
@@ -199,15 +198,17 @@ def calibrate_gas(targets: dict = None) -> GasModel:
     (:data:`CALIBRATION_SIG_SIZES`) costs exactly ``targets[s]``.
 
     g_base/g_byte/g_store stay at their defaults. Raises
-    :class:`InfeasibleCalibration` if any target is not finite and positive
-    or any surcharge would go negative.
+    :class:`InfeasibleCalibration` if any target is not in ``(0, 2**63)``
+    (EIP-1985 bounds EVM gas values by ``2**63 - 1``) or any surcharge
+    would go negative.
     """
     targets = DEFAULT_GAS_TARGETS if targets is None else targets
     base = GasModel()
     g_verify = {}
     for scheme, total in targets.items():
-        if not 0 < total < math.inf:  # rejects NaN; compares a huge int without overflow
-            raise InfeasibleCalibration(f"{scheme}: target {total} is not finite and positive")
+        if not 0 < total < 2**63:  # rejects NaN; compares a huge int without overflow
+            raise InfeasibleCalibration(f"{scheme}: target {total} is not finite and positive "
+                                        "(below 2**63)")
         fixed = base.submit_gas(scheme, CALIBRATION_SIG_SIZES[scheme], stored=True)
         surcharge = total - fixed
         if surcharge < 0:

@@ -164,8 +164,8 @@ class ExperimentConfig:
             out.append("train.local_epochs must be >= 0")
         if self.train.batch_size < 1:
             out.append("train.batch_size must be >= 1")
-        if not (self.train.learning_rate > 0 and math.isfinite(self.train.learning_rate)):
-            out.append("train.learning_rate must be finite and > 0")
+        if not fedcore.valid_learning_rate(self.train.learning_rate):
+            out.append("train.learning_rate must be finite and > 0 as float32")
         if self.synth_classes < 2 or self.synth_samples < self.synth_classes:
             out.append("need synth_samples >= synth_classes >= 2")
         if self.synth_features < 1:
@@ -177,8 +177,9 @@ class ExperimentConfig:
                 out.append(f"gas target for {exc}")
             except KeyError:
                 out.append(f"gas target for unknown scheme {scheme!r}")
-        if self.latency is not None and not (0 <= self.latency < math.inf):  # also rejects NaN
-            out.append(f"latency must satisfy 0 <= latency < inf, got {self.latency}")
+        lat = self.latency  # a round reports it doubled, and overhead_ratio divides by it
+        if lat is not None and not (lat == 0 or lat > 0 and max(2 * lat, 1 / lat) < math.inf):
+            out.append(f"latency must be 0, or > 0 with a finite double and reciprocal, got {lat}")
         if not 0 <= self.master_seed <= _MASK64:
             out.append(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         return out
@@ -351,8 +352,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     Raises :class:`ValueError`, before any work, for ``t`` outside
     ``[1, 2**63)``, and :class:`NoVerifiedUpdates` if every submission is
-    rejected; the global model is left unchanged in that case, and the
-    round's block is still mined so it holds the rejected transactions.
+    rejected. Any exception once the submit phase starts, that one too,
+    mines the round's block over what the round sent and leaves the global
+    model unchanged: a round commits its model only when it completes.
     """
     if not 1 <= t < 2**63:  # a round number is a signed 64-bit ledger field
         raise ValueError(f"rounds are numbered from 1 to 2**63 - 1, got {t}")
@@ -379,51 +381,49 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     senders, receipts = [], []
     t0 = time.perf_counter()
-    for sub in submissions:
-        # A field of the wrong type is sent empty, so the contract rejects it.
-        digest = sub.digest if isinstance(sub.digest, bytes) else b""
-        sig = sub.sig
-        if not (isinstance(sig, Signature) and isinstance(sig.scheme, SchemeId)
-                and isinstance(sig.bytes, bytes)):
-            sig = Signature(config.scheme, b"")
-        state.sig_bytes_total += len(sig.bytes)
-        cid, address = _resolve_client(state.addresses, sub.client_id)
-        senders.append((cid, address))
-        receipts.append(state.ledger.submit_update(address, t, digest, sig))
-    submit_s = time.perf_counter() - t0
+    try:
+        for sub in submissions:
+            # A field of the wrong type is sent empty, so the contract rejects it.
+            digest = sub.digest if isinstance(sub.digest, bytes) else b""
+            sig = sub.sig
+            if not (isinstance(sig, Signature) and isinstance(sig.scheme, SchemeId)
+                    and isinstance(sig.bytes, bytes)):
+                sig = Signature(config.scheme, b"")
+            state.sig_bytes_total += len(sig.bytes)
+            cid, address = _resolve_client(state.addresses, sub.client_id)
+            senders.append((cid, address))
+            receipts.append(state.ledger.submit_update(address, t, digest, sig))
+        submit_s = time.perf_counter() - t0
 
-    # A verified receipt means its transaction filled this write-once slot.
-    slots = state.ledger.state.verified_updates.get(t, {})
-    updates = []
-    for sub, (cid, address), receipt in zip(submissions, senders, receipts):
-        if not receipt.verified:
-            continue
-        try:  # rebuilt, so the constructor judges the model as it is now
-            model = ModelParams(sub.params.values, sub.params.layout)
-        except (AttributeError, TypeError, ValueError, OverflowError, LayoutMismatch):
-            continue
-        if (model.layout == state.global_params.layout and np.isfinite(model.values).all()
-                and sigsuite.digest_model(model) == slots[address].update_hash):
-            updates.append(ClientUpdate(cid, model, len(state.partitions[cid])))
+        # A verified receipt means its transaction filled this write-once slot.
+        slots = state.ledger.state.verified_updates.get(t, {})
+        updates = []
+        for sub, (cid, address), receipt in zip(submissions, senders, receipts):
+            if not receipt.verified:
+                continue
+            try:  # rebuilt, so the constructor judges the model as it is now
+                model = ModelParams(sub.params.values, sub.params.layout)
+            except (AttributeError, TypeError, ValueError, OverflowError, LayoutMismatch):
+                continue
+            if (model.layout == state.global_params.layout and np.isfinite(model.values).all()
+                    and sigsuite.digest_model(model) == slots[address].update_hash):
+                updates.append(ClientUpdate(cid, model, len(state.partitions[cid])))
+        if not updates:
+            raise NoVerifiedUpdates(f"round {t}: every client submission was rejected")
 
-    if not updates:
-        # Close the round's block over its rejected transactions so they
-        # do not land in the next round's block.
+        new_global = fedcore.aggregate(updates)
+        global_digest = sigsuite.digest_model(new_global)
+        accuracy = fedcore.evaluate(new_global, state.test_set)
+
+        gas_per_update = [r.gas_used for r in receipts]
+        total_gas = sum(gas_per_update)
+        if config.blockchain:
+            agg_sig = sigsuite.sign(state.aggregator_key, global_digest)
+            agg = state.ledger.submit_aggregation(_AGGREGATOR_ADDRESS, t, global_digest, agg_sig)
+            total_gas += agg.gas_used
+    finally:  # the round's block closes over whatever it sent, complete or not
         state.ledger.mine_block()
-        raise NoVerifiedUpdates(f"round {t}: every client submission was rejected")
-
-    new_global = fedcore.aggregate(updates)
     state.global_params = new_global
-    global_digest = sigsuite.digest_model(new_global)
-    accuracy = fedcore.evaluate(new_global, state.test_set)
-
-    gas_per_update = [r.gas_used for r in receipts]
-    total_gas = sum(gas_per_update)
-    if config.blockchain:
-        agg_sig = sigsuite.sign(state.aggregator_key, global_digest)
-        receipt = state.ledger.submit_aggregation(_AGGREGATOR_ADDRESS, t, global_digest, agg_sig)
-        total_gas += receipt.gas_used
-    state.ledger.mine_block()
 
     compute_time = time.perf_counter() - started
     latency = (

@@ -19,7 +19,7 @@ from pqsbfl.benchcli import (
 from pqsbfl.errors import ParseError, ValidationError
 from pqsbfl.fedcore import TrainConfig
 from pqsbfl.ledger import DEFAULT_GAS_TARGETS
-from pqsbfl.protocol import ExperimentConfig, derive_seed
+from pqsbfl.protocol import ExperimentConfig, ExperimentReport, derive_seed
 from pqsbfl.sigsuite import SchemeId
 
 FAST = dict(
@@ -341,6 +341,10 @@ class TestSuite:
         assert section in rest and key in rest
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("work started before the inputs and --out were judged")
+
+
 class TestReportFiles:
     def test_single_run_files_and_headers(self, tmp_path):
         rc = main(
@@ -393,6 +397,42 @@ class TestReportFiles:
         assert main(["--clients", "abc", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: --clients: expected integer, got 'abc'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("body", [
+        "[latency]\nconstant = 1e308\n",
+        "[latency]\nconstant = 1e-320\n",
+        "[train]\nlearning_rate = 1e300\n",
+        "[gas]\nNONE = 1" + "0" * 400 + "\n",
+    ], ids=["latency_double_overflows", "latency_reciprocal_overflows",
+            "learning_rate_past_float32", "gas_past_2**63"])
+    def test_config_a_report_cannot_hold_rejected_before_any_work(self, tmp_path, capsys,
+                                                                  monkeypatch, body):
+        monkeypatch.setattr(benchcli, "run_experiment", _never_called)
+        config, out = tmp_path / "bad.ini", tmp_path / "out"
+        config.write_text(body)
+        assert main(["--crypto", "NONE", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", [["--crypto", "NONE", "--clients", "2", "--rounds", "1"],
+                                      ["--suite", "SUITE"], ["--crypto-bench"]],
+                             ids=["run", "suite", "crypto-bench"])
+    def test_unwritable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, mode):
+        monkeypatch.setattr(benchcli, "run_experiment", _never_called)
+        monkeypatch.setattr(benchcli, "measure_primitives", _never_called)
+        suite = tmp_path / "suite.ini"
+        suite.write_text("[one]\ncrypto = NONE\nclients = 2\n")
+        (tmp_path / "file").write_text("")
+        argv = [str(suite) if arg == "SUITE" else arg for arg in mode]
+        assert main([*argv, "--out", str(tmp_path / "file" / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_report_with_non_finite_value_writes_nothing(self, tmp_path):
+        report = ExperimentReport(ExperimentConfig(), [], {"accuracy": float("inf")}, {},
+                                  0.5, 0.5)
+        with pytest.raises(ValueError):
+            benchcli.write_report_files(report, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_crypto_bench_writes_table(self, tmp_path):
         rc = main(

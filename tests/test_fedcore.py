@@ -1,6 +1,7 @@
 """Federated-core contracts: data generation, partitioning, training, FedAvg."""
 
 import hashlib
+import math
 import struct
 import tracemalloc
 
@@ -263,6 +264,26 @@ class TestLocalTrain:
         params = init_params(6, 3, seed=1)
         with pytest.raises(ValueError, match="batch_size"):
             local_train(params, train, _full_partition(train), TrainConfig(batch_size=0), 0)
+
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), 1e300, 1e-50],
+                             ids=["nan", "inf", "float32_overflow", "float32_zero"])
+    def test_learning_rate_judged_as_float32(self, learning_rate):
+        train, _ = generate_synthetic(2, 200, 6, 3)
+        params = init_params(6, 3, seed=1)
+        with pytest.raises(ValueError, match="learning_rate"):
+            local_train(params, train, _full_partition(train),
+                        TrainConfig(learning_rate=learning_rate), 0)
+
+    def test_overflowing_model_raises_no_warning(self):
+        # Under pytest's warnings-as-errors filter: the values a client may
+        # hold overflow float32 arithmetic, and the caller judges the result.
+        train, test = generate_synthetic(2, 200, 6, 3)
+        layout = init_params(6, 3, seed=1).layout
+        params = ModelParams(np.full(layout.size, 3e38), layout)
+        trained = local_train(params, train, _full_partition(train), TrainConfig(), 5)
+        assert not np.isfinite(trained.values).all()
+        assert 0.0 <= evaluate(params, test) <= 1.0
+        assert not math.isfinite(cross_entropy(params, train))
 
     def test_layout_with_other_layers_mismatch(self):
         # Both layers have the dataset's dimensions, but the MLP's hidden.bias

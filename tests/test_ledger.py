@@ -346,6 +346,12 @@ class TestCalibration:
         with pytest.raises(InfeasibleCalibration, match="finite and positive"):
             calibrate_gas({SchemeId.PQC: target})
 
+    def test_target_bounded_by_the_evm_gas_range(self):
+        # EIP-1985: gas values are below 2**63, so a report's means stay floats.
+        assert calibrate_gas({SchemeId.NONE: 2**63 - 1}).g_verify[SchemeId.NONE] > 0
+        with pytest.raises(InfeasibleCalibration, match="2\\*\\*63"):
+            calibrate_gas({SchemeId.NONE: 2**63})
+
     def test_calibration_closure(self):
         model = calibrate_gas(DEFAULT_GAS_TARGETS)
         for scheme, target in DEFAULT_GAS_TARGETS.items():

@@ -1,5 +1,6 @@
 """Protocol contracts: initialization, the round loop, metrics, oracles."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -140,8 +141,14 @@ class TestInitPhase:
         dict(scheme=SchemeId.NONE, gas_targets={SchemeId.PQC: 2_000_000}),
         dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.NONE: 1000}),
         dict(gas_targets={**DEFAULT_GAS_TARGETS, "RSA": 200_000}),
+        # a round reports twice the latency, and overhead_ratio divides by it
+        dict(latency=1e308),
+        dict(latency=1e-320),
+        dict(train=TrainConfig(learning_rate=1e300)),  # inf as the float32 training uses
     ], ids=["alpha", "train.learning_rate", "gas_targets", "latency.low", "latency.high",
-            "gas_targets.missing", "gas_targets.below_fixed_costs", "gas_targets.unknown_scheme"])
+            "gas_targets.missing", "gas_targets.below_fixed_costs", "gas_targets.unknown_scheme",
+            "latency.double_overflows", "latency.reciprocal_overflows",
+            "train.learning_rate.float32_overflow"])
     def test_infinity_rejected_before_keygen(self, override, monkeypatch):
         calls = []
         monkeypatch.setattr(protocol.sigsuite, "keygen_batch",
@@ -281,6 +288,53 @@ class TestRunRound:
         # round 2's three updates plus the aggregation record
         assert [len(b.transactions) for b in chain.blocks] == [0, 4, 3, 4]
         assert chain_verify(chain).intact
+
+    def test_failure_after_submit_closes_block_and_keeps_model(self, monkeypatch):
+        state = init_phase(_small_config(scheme=SchemeId.NONE))
+        before = sigsuite.digest_model(state.global_params)
+        evaluate, calls = fedcore.evaluate, []
+
+        def fail_once(params, dataset):
+            calls.append(params)
+            if len(calls) == 1:
+                raise RuntimeError("evaluation failed")
+            return evaluate(params, dataset)
+
+        monkeypatch.setattr(fedcore, "evaluate", fail_once)
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            run_round(state, 1)
+        chain = state.ledger.chain
+        # round 1's block holds its three updates, and nothing is left pending
+        assert [(tx.kind, tx.round) for tx in chain.blocks[-1].transactions] == [
+            (TxKind.SUBMIT_UPDATE, 1)
+        ] * 3
+        assert copy.deepcopy(state.ledger).mine_block().transactions == ()
+        assert sigsuite.digest_model(state.global_params) == before
+        assert run_round(state, 2).verified_count == 3
+        assert [tx.round for tx in chain.blocks[-1].transactions] == [2] * 4
+        assert len(chain.blocks) == 4
+        assert chain_verify(chain).intact
+
+    def test_overflowing_client_model_raises_no_warning(self):
+        # Client 0 re-signs a finite model whose arithmetic overflows float32.
+        # Pytest turns warnings into errors, so a warning would abort round 1.
+        state = init_phase(_small_config(scheme=SchemeId.NONE, synth_samples=300))
+
+        def overflow(sub):
+            if sub.client_id != 0:
+                return sub
+            model = fedcore.ModelParams(np.full(sub.params.values.size, 3e38), sub.params.layout)
+            digest = sigsuite.digest_model(model)
+            return dataclasses.replace(
+                sub, params=model, digest=digest, sig=sigsuite.sign(state.client_keys[0], digest)
+            )
+
+        metrics = run_round(state, 1, tamper_hook=overflow)
+        assert metrics.verified_count == 3
+        assert np.isfinite(state.global_params.values).all()
+        # every client now trains to a non-finite model; robust aggregation is out of scope
+        with pytest.raises(NoVerifiedUpdates):
+            run_round(state, 2)
 
     @pytest.mark.parametrize("blockchain", [True, False], ids=["bc", "nobc"])
     def test_malformed_submissions_rejected_round_completes(self, blockchain):
@@ -836,9 +890,11 @@ class TestConfig:
         ]
         assert _small_config(master_seed=seed % 2**64).violations() == []
 
-    def test_huge_integer_gas_target_is_valid(self):
-        targets = {**DEFAULT_GAS_TARGETS, SchemeId.PQC: 10**400}  # beyond any float
-        assert _small_config(gas_targets=targets).violations() == []
+    def test_huge_integer_gas_target_is_reported(self):
+        # beyond any float, and past the 2**63 bound on gas: reported, never raised
+        targets = {**DEFAULT_GAS_TARGETS, SchemeId.PQC: 10**400}
+        (violation,) = _small_config(gas_targets=targets).violations()
+        assert violation.startswith("gas target for PQC: ")
 
     def test_derive_seed_stable_and_tag_sensitive(self):
         assert derive_seed(1, "a") == derive_seed(1, "a")
