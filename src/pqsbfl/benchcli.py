@@ -233,9 +233,12 @@ def _write_csv(path: Path, columns, rows):
 
 def write_report_files(report: ExperimentReport, out_dir: Path):
     """Write ``report.json`` and ``rounds.csv`` for one finished run. A NaN
-    or infinite value is a :class:`ValueError` before any file is written,
-    since JSON has no spelling for it."""
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+    or infinite value is a :class:`ValidationError` naming the run before
+    any file is written, since JSON has no spelling for it."""
+    try:
+        text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError([f"{report.config.name()}: report not written: {exc}"]) from None
     run_dir = out_dir / report.config.name()
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "report.json").write_text(text + "\n")
@@ -278,12 +281,12 @@ def run_suite(configs, out_dir: Path):
     for cfg in configs:
         try:
             report, error = run_experiment(cfg), None
+            write_report_files(report, out_dir)
         except PqsBflError as exc:
             report, error = None, exc
         rows[cfg.name()] = _comparison_row(cfg, report, error)
         if report is not None:
             reports[cfg.name()] = report
-            write_report_files(report, out_dir)
 
     _write_csv(out_dir / "comparison.csv", COMPARISON_CSV_COLUMNS, rows.values())
     return rows, reports

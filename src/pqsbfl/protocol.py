@@ -85,20 +85,6 @@ _AGGREGATOR_ADDRESS = hashlib.sha3_256(b"aggregator-address").digest()
 _UNREGISTERED_ADDRESS = hashlib.sha3_256(b"unregistered-address").digest()
 
 
-def _resolve_client(addresses: list, client_id) -> tuple:
-    """(index, address) of a submission's client id among the registered
-    ``addresses``. An id that is not an integer, or falls outside ``[0, n)``,
-    comes only from tampering: it gets no index and
-    :data:`_UNREGISTERED_ADDRESS`."""
-    try:
-        cid = operator.index(client_id)
-    except TypeError:
-        return None, _UNREGISTERED_ADDRESS
-    if 0 <= cid < len(addresses):
-        return cid, addresses[cid]
-    return None, _UNREGISTERED_ADDRESS
-
-
 # Default confirmation latency per scheme with a blockchain, and without
 # one, seconds.
 DEFAULT_LATENCY_S = {
@@ -245,6 +231,7 @@ class SystemState:
     ledger: SimulatedLedger  # charges zero gas without a blockchain
     initial_accuracy: float
     sig_bytes_total: int = 0  # over every submission sent, for the mean size
+    sigs_sent: int = 0
 
 
 def init_phase(config: ExperimentConfig) -> SystemState:
@@ -318,6 +305,44 @@ def overhead_ratio(sign_ms: float, verify_ms: float, denominator_s: float) -> fl
     return ((sign_ms + verify_ms) / 1e3) / denominator_s if denominator_s else 0.0
 
 
+def _intake(sub, state: SystemState):
+    """What a round reads of one message from the tamper hook: ``None`` if
+    the hook dropped it, else ``(index, address, digest, sig, model)``.
+
+    Every field is read through ``getattr``, so any object is a message. A
+    malformed one (wrong scheme tag, hash of the wrong length, an empty one,
+    a digest or signature missing or of the wrong type, a client id that is
+    not an integer in ``[0, n)``) is rejected like a bad signature and
+    excludes only its client: such a digest or signature is sent empty, and
+    such a client id gets no index and the one address nothing registers,
+    ``_UNREGISTERED_ADDRESS``. ``model`` is the parameters rebuilt through
+    :class:`ModelParams` from the values and layout they hold now, or
+    ``None`` if the constructor refuses them or the model is not a finite
+    one of the global model's layout.
+    """
+    if sub is None:
+        return None
+    try:
+        index = operator.index(getattr(sub, "client_id", None))
+    except TypeError:
+        index = -1  # out of range, like every id the run lacks
+    index = index if 0 <= index < len(state.addresses) else None
+    address = _UNREGISTERED_ADDRESS if index is None else state.addresses[index]
+    digest = getattr(sub, "digest", None)
+    digest = digest if isinstance(digest, bytes) else b""
+    sig = getattr(sub, "sig", None)
+    if not (isinstance(sig, Signature) and isinstance(sig.scheme, SchemeId)
+            and isinstance(sig.bytes, bytes)):
+        sig = Signature(state.config.scheme, b"")
+    params = getattr(sub, "params", None)
+    try:
+        model = ModelParams(getattr(params, "values", None), getattr(params, "layout", None))
+    except (TypeError, ValueError, OverflowError, LayoutMismatch):
+        return index, address, digest, sig, None
+    fits = model.layout == state.global_params.layout and np.isfinite(model.values).all()
+    return index, address, digest, sig, model if fits else None
+
+
 def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     """Execute federated round ``t`` as a sequence of phases, each over all
     clients in client order: train, digest, sign, tamper hook, submit,
@@ -331,24 +356,14 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     ``simulated_latency_s`` that latency plus the aggregation's.
 
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
-    (possibly corrupted) submission actually sent; it models in-flight
-    adversarial interference and is used by the security tests. A malformed
-    submission (wrong scheme tag, hash of the wrong length, an empty one, a
-    digest or signature of the wrong type, a client id that is not an
-    integer or that the run does not have) is rejected like a bad signature
-    and excludes only its client. Every submission with such a client id is
-    sent from the one address nothing registers, ``_UNREGISTERED_ADDRESS``.
+    message sent, or to ``None`` to drop it; :func:`_intake` reads each one.
 
-    Hash binding follows the submit phase: each verified submission's
-    off-chain parameters are rebuilt through :class:`ModelParams` from the
-    values and layout they hold at that point, and a value the constructor
-    refuses excludes its client. The rebuilt model is aggregated only if it
-    is a finite model of the global model's layout that re-digests to the
-    hash the contract recorded in its slot. Slots are write-once, so that
-    slot holds the submission's own transaction, and a rejected submission
-    that names another client cannot displace that client's update. FedAvg
-    weights each update by the size of its client's partition, which the
-    aggregator holds, never by a figure the submission carries.
+    Hash binding follows the submit phase: a verified client is aggregated
+    iff its intake ``model`` re-digests to the hash its write-once slot holds,
+    so a rejected submission that names another client cannot displace that
+    client's update. FedAvg weights each update by the size of its client's
+    partition, which the aggregator holds, never by a figure the submission
+    carries.
 
     Raises :class:`ValueError`, before any work, for ``t`` outside
     ``[1, 2**63)``, and :class:`NoVerifiedUpdates` if every submission is
@@ -378,36 +393,23 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 
     if tamper_hook is not None:
         submissions = [tamper_hook(sub) for sub in submissions]
+    records = [r for r in (_intake(sub, state) for sub in submissions) if r is not None]
 
-    senders, receipts = [], []
+    receipts = []
     t0 = time.perf_counter()
     try:
-        for sub in submissions:
-            # A field of the wrong type is sent empty, so the contract rejects it.
-            digest = sub.digest if isinstance(sub.digest, bytes) else b""
-            sig = sub.sig
-            if not (isinstance(sig, Signature) and isinstance(sig.scheme, SchemeId)
-                    and isinstance(sig.bytes, bytes)):
-                sig = Signature(config.scheme, b"")
+        for _, address, digest, sig, _ in records:
             state.sig_bytes_total += len(sig.bytes)
-            cid, address = _resolve_client(state.addresses, sub.client_id)
-            senders.append((cid, address))
+            state.sigs_sent += 1
             receipts.append(state.ledger.submit_update(address, t, digest, sig))
         submit_s = time.perf_counter() - t0
 
         # A verified receipt means its transaction filled this write-once slot.
         slots = state.ledger.state.verified_updates.get(t, {})
-        updates = []
-        for sub, (cid, address), receipt in zip(submissions, senders, receipts):
-            if not receipt.verified:
-                continue
-            try:  # rebuilt, so the constructor judges the model as it is now
-                model = ModelParams(sub.params.values, sub.params.layout)
-            except (AttributeError, TypeError, ValueError, OverflowError, LayoutMismatch):
-                continue
-            if (model.layout == state.global_params.layout and np.isfinite(model.values).all()
-                    and sigsuite.digest_model(model) == slots[address].update_hash):
-                updates.append(ClientUpdate(cid, model, len(state.partitions[cid])))
+        updates = [ClientUpdate(index, model, len(state.partitions[index]))
+                   for (index, address, _, _, model), receipt in zip(records, receipts)
+                   if receipt.verified and model is not None
+                   and sigsuite.digest_model(model) == slots[address].update_hash]
         if not updates:
             raise NoVerifiedUpdates(f"round {t}: every client submission was rejected")
 
@@ -509,9 +511,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     crypto_sizes = {
         "public_key_b": len(key.public_key),
         "private_key_b": len(key.private_key),
-        "sig_size_mean_b": (
-            state.sig_bytes_total / (config.n_clients * len(metrics)) if metrics else 0.0
-        ),
+        "sig_size_mean_b": state.sig_bytes_total / state.sigs_sent if state.sigs_sent else 0.0,
     }
 
     return ExperimentReport(

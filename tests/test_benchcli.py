@@ -427,12 +427,32 @@ class TestReportFiles:
         assert main([*argv, "--out", str(tmp_path / "file" / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_report_with_non_finite_value_writes_nothing(self, tmp_path):
+    def test_report_with_non_finite_value_writes_nothing(self, tmp_path, capsys):
         report = ExperimentReport(ExperimentConfig(), [], {"accuracy": float("inf")}, {},
                                   0.5, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match=ExperimentConfig().name()):
             benchcli.write_report_files(report, tmp_path)
         assert list(tmp_path.iterdir()) == []
+        # A latency whose double is finite still sums to inf in the summary's
+        # mean over two rounds: the run fails with an error line, and in a
+        # suite only that entry does.
+        fast = "".join(f"{k} = {v}\n" for k, v in FAST.items())
+        config = tmp_path / "c.ini"
+        config.write_text(f"[experiment]\n{fast}[latency]\nconstant = 8e307\n")
+        out = tmp_path / "run"
+        assert main(["--crypto", "NONE", "--clients", "2", "--config", str(config),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: synth-NONE-2c-BC: ")
+        assert list(out.iterdir()) == []
+        suite = tmp_path / "suite.ini"
+        suite.write_text(f"[inf]\ncrypto = NONE\nclients = 2\nlatency.constant = 8e307\n{fast}"
+                         f"[ok]\ncrypto = NONE\nclients = 3\n{fast}")
+        rows, reports = run_suite(parse_suite(suite)[0], tmp_path / "suite")
+        assert rows["synth-NONE-2c-BC"]["status"].startswith("error: synth-NONE-2c-BC: ")
+        assert rows["synth-NONE-3c-BC"]["status"] == "ok" and list(reports) == ["synth-NONE-3c-BC"]
+        assert sorted(p.name for p in (tmp_path / "suite").iterdir()) == [
+            "comparison.csv", "synth-NONE-3c-BC"
+        ]
 
     def test_crypto_bench_writes_table(self, tmp_path):
         rc = main(

@@ -387,6 +387,29 @@ class TestRunRound:
         assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
         assert chain_verify(state.ledger.chain).intact
 
+    def test_dropped_message_excludes_only_its_client(self, monkeypatch):
+        cfg = _small_config(scheme=SchemeId.NONE, master_seed=5)
+        state = init_phase(cfg)
+
+        def drop(sub):
+            return None if sub.client_id == 1 else sub
+
+        oracle = _fedavg_oracle(init_phase(cfg), {0, 2}, cfg.master_seed)
+        metrics = run_round(state, 1, tamper_hook=drop)
+        assert (metrics.verified_count, metrics.rejected_count) == (2, 1)
+        assert [(tx.kind, tx.sender) for tx in state.ledger.chain.blocks[-1].transactions] == [
+            (TxKind.SUBMIT_UPDATE, state.addresses[0]),
+            (TxKind.SUBMIT_UPDATE, state.addresses[2]),
+            (TxKind.SUBMIT_AGGREGATION, protocol._AGGREGATOR_ADDRESS),
+        ]
+        max_ulps = np.spacing(np.abs(oracle))
+        assert np.all(np.abs(state.global_params.values - oracle) <= max_ulps)
+        assert chain_verify(state.ledger.chain).intact
+        # the mean signature size is over the signatures sent, not per client
+        run = protocol.run_round
+        monkeypatch.setattr(protocol, "run_round", lambda state, t: run(state, t, drop))
+        assert run_experiment(cfg).crypto_sizes["sig_size_mean_b"] == sigsuite.HASH_BYTES
+
     def test_two_strangers_in_one_round_both_rejected_and_charged(self):
         state = init_phase(_small_config(scheme=SchemeId.NONE))
         strangers = {0: 3, 1: "1"}  # an id the run does not have, and a non-integer
@@ -468,9 +491,9 @@ _SIGS = st.one_of(
     st.tuples(st.just("object"), st.one_of(st.none(), st.binary(max_size=80))),
 )
 # Ways client 0 changes its own model in place after it was built and
-# digested. The first five make the ModelParams constructor raise, one
-# each of LayoutMismatch, TypeError, OverflowError, ValueError and
-# AttributeError, and an array for a layout raises TypeError too. Float64
+# digested. The first four make the ModelParams constructor raise, one
+# each of LayoutMismatch, TypeError, OverflowError and ValueError, and no
+# layout or an array for one raises TypeError too. Float64
 # values past the float32 range build a model of infs, which the finiteness
 # test excludes under any warning filter. A reshape and a float64 copy that
 # rounds to the same float32 values (each value nudged by a quarter ulp)
@@ -500,6 +523,16 @@ _PARAMS = st.one_of(
     st.tuples(st.just("value"), st.one_of(st.none(), st.text(max_size=3), st.binary(max_size=8))),
     st.tuples(st.just("in place"), st.sampled_from(sorted(_IN_PLACE))),
 )
+# What client 0's hook returns: its submission with the drawn fields under a
+# client id of 0 or None, the same fields on an object that is not a
+# ClientSubmission (a None field left out), nothing (the message is dropped),
+# or a value that is no message at all.
+_MESSAGES = st.one_of(
+    st.tuples(st.sampled_from(["submission", "object"]), st.sampled_from([0, None])),
+    st.tuples(st.just("dropped"), st.none()),
+    st.tuples(st.just("value"), st.one_of(st.integers(), st.text(max_size=3))),
+)
+_SENT = ("submission", 0)
 
 
 def _draw_params(form, value, honest: fedcore.ModelParams):
@@ -548,78 +581,96 @@ class TestWireFields:
         sig=_SIGS,
         params=_PARAMS,
         resign=st.booleans(),
+        message=_MESSAGES,
     )
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("object", None),
-             params=("honest", None), resign=False)
+             params=("honest", None), resign=False, message=_SENT)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("object", b"sig"),
+             params=("honest", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("bytes", None),
-             params=("honest", None), resign=False)
+             params=("honest", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("tag", "NONE"),
-             params=("honest", None), resign=False)
+             params=("honest", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("value", "digest"), sig=("honest", None),
-             params=("honest", None), resign=False)
+             params=("honest", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("value", None), sig=("honest", None),
-             params=("honest", None), resign=True)
+             params=("honest", None), resign=True, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("honest", None),
-             params=("honest", None), resign=False)
+             params=("honest", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("object", None),
-             params=("honest", None), resign=True)
+             params=("honest", None), resign=True, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("value", bytes(32)), sig=("honest", None),
-             params=("honest", None), resign=True)
+             params=("honest", None), resign=True, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("honest", None), sig=("tag", "PQC"),
-             params=("honest", None), resign=False)
+             params=("honest", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("value", None), sig=("bytes", bytes(8)),
-             params=("honest", None), resign=False)
+             params=("honest", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("value", None), resign=False)
+             params=("value", None), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("value", "x"), resign=False)
+             params=("value", "x"), resign=False, message=_SENT)
     @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
-             params=("value", b"raw"), resign=False)
+             params=("value", b"raw"), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("sent", None), sig=("honest", None),
-             params=("model", "layout"), resign=True)
+             params=("model", "layout"), resign=True, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("sent", None), sig=("honest", None),
-             params=("model", "nan"), resign=True)
+             params=("model", "nan"), resign=True, message=_SENT)
     @example(scheme=SchemeId.ECDSA, digest=("sent", None), sig=("honest", None),
-             params=("model", "inf"), resign=True)
+             params=("model", "inf"), resign=True, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
-             params=("model", "nan"), resign=True)
+             params=("model", "nan"), resign=True, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("view", (-1, 1)), resign=False)
+             params=("view", (-1, 1)), resign=False, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
-             params=("view", (1, -1)), resign=True)
+             params=("view", (1, -1)), resign=True, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("in place", "list"), resign=False)
+             params=("in place", "list"), resign=False, message=_SENT)
     @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
-             params=("in place", "reshape"), resign=False)
+             params=("in place", "reshape"), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("sent", None), sig=("honest", None),
-             params=("in place", "object"), resign=True)
+             params=("in place", "object"), resign=True, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("in place", "int past float"), resign=False)
+             params=("in place", "int past float"), resign=False, message=_SENT)
     @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
-             params=("in place", "text"), resign=False)
+             params=("in place", "text"), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("in place", "no layout"), resign=False)
+             params=("in place", "no layout"), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("in place", "array layout"), resign=False)
+             params=("in place", "array layout"), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("in place", "float64 past float32"), resign=False)
+             params=("in place", "float64 past float32"), resign=False, message=_SENT)
     @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
-             params=("in place", "nudge"), resign=False)
+             params=("in place", "nudge"), resign=False, message=_SENT)
     @example(scheme=SchemeId.PQC, digest=("sent", None), sig=("honest", None),
-             params=("in place", "nudge"), resign=True)
-    def test_client_fields_reject_only_that_client(self, scheme, digest, sig, params, resign):
-        # Whatever client 0 puts in its digest, signature and parameters, the
-        # round completes; client 0 is aggregated iff it sent an honest
-        # submission (its own model and digest, the digest signed with its
-        # own key), and the others always are. A model of another layout or
-        # with a non-finite value is not honest even when its digest is
-        # signed and bound; a view of its own model in another shape is, and
-        # so is its model changed in place to other values that read as the
-        # same float32 model. FedAvg averages an honest client 0 at the
-        # float32 values it trained, whatever form they were sent in.
+             params=("in place", "nudge"), resign=True, message=_SENT)
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("honest", None), resign=False, message=("dropped", None))
+    @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
+             params=("honest", None), resign=False, message=("value", 7))
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("honest", None), resign=False, message=("value", "x"))
+    @example(scheme=SchemeId.ECDSA, digest=("honest", None), sig=("honest", None),
+             params=("honest", None), resign=False, message=("object", 0))
+    @example(scheme=SchemeId.NONE, digest=("value", None), sig=("object", None),
+             params=("value", None), resign=False, message=("object", None))
+    @example(scheme=SchemeId.NONE, digest=("honest", None), sig=("honest", None),
+             params=("honest", None), resign=False, message=("submission", None))
+    def test_client_fields_reject_only_that_client(self, scheme, digest, sig, params, resign,
+                                                   message):
+        # Whatever client 0's hook returns, the round completes; client 0 is
+        # aggregated iff it sent an honest message (its own client id, model
+        # and digest, the digest signed with its own key), and the others
+        # always are. Any object carrying those fields is a message; None
+        # sends nothing. A model of another layout or with a non-finite value
+        # is not honest even when its digest is signed and bound; a view of
+        # its own model in another shape is, and so is its model changed in
+        # place to other values that read as the same float32 model. FedAvg
+        # averages an honest client 0 at the float32 values it trained,
+        # whatever form they were sent in.
         state = init_phase(_small_config(scheme=scheme, train=TrainConfig(local_epochs=1)))
         address = state.addresses[0]
         sent, others_sig_bytes = {}, []
+        kind, client_id = message
 
         def send(sub):
             if sub.client_id != 0:
@@ -638,14 +689,24 @@ class TestWireFields:
             if resigned:
                 s = sigsuite.sign(state.client_keys[0], d)
             sent.update(honest=sub, trained=trained, digest=d, sig=s, resigned=resigned)
-            return dataclasses.replace(sub, params=p, digest=d, sig=s)
+            if kind == "dropped":
+                return None
+            if kind == "value":
+                return client_id
+            msg = dataclasses.replace(sub, client_id=client_id, params=p, digest=d, sig=s)
+            if kind == "object":
+                return types.SimpleNamespace(**{
+                    f.name: getattr(msg, f.name) for f in dataclasses.fields(msg)
+                    if getattr(msg, f.name) is not None
+                })
+            return msg
 
-        receipts, aggregated = {}, []
+        receipts, aggregated = [], []
         submit, aggregate = state.ledger.submit_update, fedcore.aggregate
 
         def recording_submit(address, round_, update_hash, sig):
-            receipts[address] = submit(address, round_, update_hash, sig)
-            return receipts[address]
+            receipts.append(submit(address, round_, update_hash, sig))
+            return receipts[-1]
 
         state.ledger.submit_update = recording_submit
         with pytest.MonkeyPatch.context() as mp:
@@ -655,12 +716,14 @@ class TestWireFields:
             metrics = run_round(state, 1, tamper_hook=send)
 
         honest = sent["honest"]
-        wire_digest, wire_sig = _on_the_wire(sent["digest"], sent["sig"], scheme)
+        fields_sent = kind in ("submission", "object")
+        wire_digest, wire_sig = _on_the_wire(
+            *((sent["digest"], sent["sig"]) if fields_sent else (None, None)), scheme
+        )
         wire = (wire_sig.scheme, wire_digest + wire_sig.bytes)
-        tx = next(tx for tx in state.ledger.chain.blocks[-1].transactions
-                  if tx.kind is TxKind.SUBMIT_UPDATE and tx.sender == address)
-        assert (tx.scheme, tx.payload) == wire
-        is_honest = (params[0] in ("honest", "view") or params in _HONEST_IN_PLACE) and (
+        is_honest = fields_sent and client_id == 0 and (
+            params[0] in ("honest", "view") or params in _HONEST_IN_PLACE
+        ) and (
             wire == (scheme, honest.digest + honest.sig.bytes)
             or (sent["resigned"] and wire_digest == honest.digest)
         )
@@ -671,11 +734,19 @@ class TestWireFields:
         ])
         assert metrics.model_digest == sigsuite.digest_model(oracle).hex()
         assert (metrics.verified_count, metrics.rejected_count) == (2 + is_honest, 1 - is_honest)
-        receipt = receipts[address]
-        assert receipt.gas_used > 0
+        submits = [tx for tx in state.ledger.chain.blocks[-1].transactions
+                   if tx.kind is TxKind.SUBMIT_UPDATE]
         slots = state.ledger.state.verified_updates[1]
-        assert (address in slots) == receipt.verified  # a rejected submit leaves no slot
-        assert state.sig_bytes_total == sum(others_sig_bytes) + len(wire_sig.bytes)
+        if kind == "dropped":  # nothing sent: no transaction, no slot, no signature
+            assert [tx.sender for tx in submits] == state.addresses[1:]
+            assert address not in slots and len(receipts) == 2
+            assert state.sig_bytes_total == sum(others_sig_bytes)
+        else:  # client 0 is sent first, from its address only under its own id
+            sender = address if fields_sent and client_id == 0 else protocol._UNREGISTERED_ADDRESS
+            assert (submits[0].sender, submits[0].scheme, submits[0].payload) == (sender, *wire)
+            assert receipts[0].gas_used > 0
+            assert (address in slots) == receipts[0].verified  # a rejected submit leaves no slot
+            assert state.sig_bytes_total == sum(others_sig_bytes) + len(wire_sig.bytes)
         assert chain_verify(state.ledger.chain).intact
 
 
