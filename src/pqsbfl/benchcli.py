@@ -242,11 +242,7 @@ def write_report_files(report: ExperimentReport, out_dir: Path):
     run_dir = out_dir / report.config.name()
     run_dir.mkdir(parents=True, exist_ok=True)
     (run_dir / "report.json").write_text(text + "\n")
-    _write_csv(
-        run_dir / "rounds.csv",
-        ROUNDS_CSV_COLUMNS,
-        [m.to_dict() for m in report.rounds],
-    )
+    _write_csv(run_dir / "rounds.csv", ROUNDS_CSV_COLUMNS, map(asdict, report.rounds))
     return run_dir
 
 
@@ -388,7 +384,7 @@ def main(argv=None) -> int:
         write_report_files(report, out_dir)
         print(
             f"{cfg.name()}: final accuracy {report.final_accuracy:.4f}, "
-            f"mean round time {report.summary['round_time_s']:.3f} s, "
+            f"mean round time {report.summary['round_time_s']:.4g} s, "
             f"gas/round {report.summary['total_gas']:.0f}"
         )
         return 0

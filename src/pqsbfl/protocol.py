@@ -34,9 +34,10 @@ this system has, and the test suite leans on it.
 import hashlib
 import math
 import operator
+import statistics
 import struct
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -191,19 +192,14 @@ class RoundMetrics:
     accuracy: float
     round_time_s: float
     compute_time_s: float
-    simulated_latency_s: float
     mean_sign_ms: float
     mean_verify_ms: float
-    mean_tx_time_s: float
     mean_gas_per_update: float
     total_gas: int
     overhead_ratio: float
     verified_count: int
     rejected_count: int
     model_digest: str  # hex SHA3-256 of the round's canonical global model
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -296,6 +292,15 @@ def init_phase(config: ExperimentConfig) -> SystemState:
     )
 
 
+def _latencies(config: ExperimentConfig) -> tuple:
+    """The run's confirmation latency, and a round's: that one plus, with a
+    blockchain, the aggregation's."""
+    latency = config.latency
+    if latency is None:
+        latency = DEFAULT_LATENCY_S[config.scheme] if config.blockchain else NOBC_LATENCY_S
+    return latency, latency + (latency if config.blockchain else 0.0)
+
+
 def overhead_ratio(sign_ms: float, verify_ms: float, denominator_s: float) -> float:
     """Combined sign+verify time (converted to seconds) over a transaction
     time denominator; 0.0 for a zero denominator, as a zero-latency round
@@ -352,8 +357,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     phase's time over ``n_clients``, and ``mean_verify_ms`` is the submit
     phase's, which covers the contract's verification of every update plus
     the loop around it. ``compute_time_s`` is the whole round's wall time,
-    ``mean_tx_time_s`` the run's one confirmation latency, and
-    ``simulated_latency_s`` that latency plus the aggregation's.
+    and ``round_time_s`` adds the round's simulated latency to it.
 
     ``tamper_hook``, when given, maps each :class:`ClientSubmission` to the
     message sent, or to ``None`` to drop it; :func:`_intake` reads each one.
@@ -428,12 +432,7 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
     state.global_params = new_global
 
     compute_time = time.perf_counter() - started
-    latency = (
-        config.latency if config.latency is not None
-        else DEFAULT_LATENCY_S[config.scheme] if config.blockchain
-        else NOBC_LATENCY_S
-    )
-    simulated_latency = latency + (latency if config.blockchain else 0.0)
+    latency, simulated_latency = _latencies(config)
     mean_sign = sign_s * 1e3 / config.n_clients
     mean_verify = submit_s * 1e3 / config.n_clients
 
@@ -442,10 +441,8 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
         accuracy=accuracy,
         round_time_s=compute_time + simulated_latency,
         compute_time_s=compute_time,
-        simulated_latency_s=simulated_latency,
         mean_sign_ms=mean_sign,
         mean_verify_ms=mean_verify,
-        mean_tx_time_s=latency,
         mean_gas_per_update=sum(gas_per_update) / len(gas_per_update),
         total_gas=total_gas,
         overhead_ratio=overhead_ratio(mean_sign, mean_verify, latency),
@@ -459,8 +456,9 @@ def run_round(state: SystemState, t: int, tamper_hook=None) -> RoundMetrics:
 class ExperimentReport:
     """Everything one experiment produced, ready for serialization.
 
-    ``summary`` holds arithmetic means of the per-round metrics (for a
-    zero-round run it reports the initial model's accuracy). Each round's
+    ``summary`` states the run's two latencies once, and the exact mean of
+    every other per-round metric (a zero-round run reports zeros and the
+    initial model's accuracy). Each round's
     ``model_digest`` is the SHA3-256 of its canonical global model, so
     ``[m.model_digest for m in rounds]`` is the model trajectory.
     """
@@ -473,14 +471,14 @@ class ExperimentReport:
     final_accuracy: float
 
     def to_json_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out.update(config=self.config.to_dict(), rounds=[r.to_dict() for r in self.rounds])
-        return out
+        return {**asdict(self), "config": self.config.to_dict()}
 
 
-# The per-round metrics an experiment summary averages.
-SUMMARY_FIELDS = tuple(
-    f.name for f in fields(RoundMetrics) if f.name not in ("round", "model_digest")
+# Every summary key, in comparison.csv's column order.
+SUMMARY_FIELDS = (
+    "accuracy", "round_time_s", "compute_time_s", "simulated_latency_s", "mean_sign_ms",
+    "mean_verify_ms", "mean_tx_time_s", "mean_gas_per_update", "total_gas", "overhead_ratio",
+    "verified_count", "rejected_count",
 )
 # The wall-clock ones, per round and in the summary; a fixed seed fixes all others.
 TIMING_FIELDS = (
@@ -488,13 +486,14 @@ TIMING_FIELDS = (
 )
 
 
-def _summarize(metrics: list, initial_accuracy: float) -> dict:
-    summary = {f: 0.0 for f in SUMMARY_FIELDS}
+def _summarize(metrics: list, initial_accuracy: float, config: ExperimentConfig) -> dict:
+    # The run's latencies, then exact means: finite values have a finite one.
+    summary = dict(zip(("mean_tx_time_s", "simulated_latency_s"), _latencies(config)))
+    for f in SUMMARY_FIELDS:
+        if f not in summary:
+            summary[f] = float(statistics.mean(getattr(m, f) for m in metrics)) if metrics else 0.0
     if not metrics:
         summary["accuracy"] = initial_accuracy
-        return summary
-    for f in SUMMARY_FIELDS:
-        summary[f] = sum(getattr(m, f) for m in metrics) / len(metrics)
     return summary
 
 
@@ -517,7 +516,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         config=config,
         rounds=metrics,
-        summary=_summarize(metrics, state.initial_accuracy),
+        summary=_summarize(metrics, state.initial_accuracy, config),
         crypto_sizes=crypto_sizes,
         initial_accuracy=state.initial_accuracy,
         final_accuracy=metrics[-1].accuracy if metrics else state.initial_accuracy,

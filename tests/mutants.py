@@ -26,8 +26,12 @@ REPO = Path(__file__).resolve().parent.parent
 HYPOTHESIS_SEED = "0"
 
 PROTOCOL, LEDGER, BENCHCLI = "pqsbfl/protocol.py", "pqsbfl/ledger.py", "pqsbfl/benchcli.py"
+FEDCORE = "pqsbfl/fedcore.py"
 WIRE = "tests/test_protocol.py::TestWireFields"
 ROUND = "tests/test_protocol.py::TestRunRound"
+NON_FINITE = ("tests/test_benchcli.py::TestReportFiles"
+              "::test_report_with_non_finite_value_writes_nothing")
+SYNTHETIC = "tests/test_fedcore.py::TestGenerateSynthetic"
 LEDGER_TESTS = "tests/test_ledger.py"
 # The model-based test is every contract row's backstop; pytest stops at the
 # first failure (-x), so a row's faster test, listed first, usually ends it.
@@ -68,7 +72,16 @@ MUTANTS = (
     # a report JSON cannot spell is an error naming the run, not a traceback
     (BENCHCLI, "    except ValueError as exc:\n        raise ValidationError(",
      "    except OverflowError as exc:\n        raise ValidationError(",
-     ["tests/test_benchcli.py::TestReportFiles::test_report_with_non_finite_value_writes_nothing"]),
+     [NON_FINITE]),
+    # the summary's means are exact, so finite per-round values never sum to inf
+    (PROTOCOL, "float(statistics.mean(getattr(m, f) for m in metrics))",
+     "sum(getattr(m, f) for m in metrics) / len(metrics)", [NON_FINITE]),
+    # generate_synthetic's scratch is a block of rows, not a whole float64 table
+    (FEDCORE, "_SYNTHETIC_BLOCK_ROWS = 256", "_SYNTHETIC_BLOCK_ROWS = 4096",
+     [f"{SYNTHETIC}::test_scratch_below_half_a_float64_table"]),
+    # each row gets its own class mean
+    (FEDCORE, "block += means[labels[rows]]", "block += means[labels[rows]][::-1]",
+     [f"{SYNTHETIC}::test_known_answer"]),
     # contract: a key that can never verify is not registered
     (LEDGER, "if not well_formed_key(tx.payload, tx.scheme):", "if False:",
      [f"{LEDGER_TESTS}::TestRegistration::test_key_that_cannot_verify_rejected_and_charged",

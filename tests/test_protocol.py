@@ -467,10 +467,12 @@ class TestRunRound:
         assert state.sig_bytes_total == 0
 
     def test_metric_consistency_invariant(self):
-        state = init_phase(_small_config())
-        m = run_round(state, 1)
-        recomputed = overhead_ratio(m.mean_sign_ms, m.mean_verify_ms, m.mean_tx_time_s)
-        assert abs(recomputed - m.overhead_ratio) <= 1e-12 * abs(m.overhead_ratio)
+        for latency in (None, 4.8):  # the PQC default, and the paper's transaction time
+            report = run_experiment(_small_config(rounds=1, latency=latency))
+            (m,) = report.rounds
+            tx_time = report.summary["mean_tx_time_s"]  # the run's one latency
+            recomputed = overhead_ratio(m.mean_sign_ms, m.mean_verify_ms, tx_time)
+            assert abs(recomputed - m.overhead_ratio) <= 1e-12 * abs(m.overhead_ratio)
 
 
 # Client 0's on-chain fields, each drawn as (form, value) and resolved
@@ -845,7 +847,7 @@ GOLDEN_TRAJECTORIES = [
         "5dc5555f5fce52d70e88cead64585e28c8492f0974482a87888d94d2bb776d68",
         "be89698a381eda074eb17e95e1065f637a715b26b8c1fdbcd6626f5e7a9cc3af",
         "f9531a214ab94600cc366d7682051509a13db98346a2c40f3726eb98a8599ab0",
-        "a07ff875af82703607d1bba6e787dac50d9458b0561be0f829df7f30eb011b4a",
+        "9cfea6abbef2ca56564028210ee4885942762ce10fcf92e50f56e91f018b842e",
     ),
     (
         dict(
@@ -855,7 +857,7 @@ GOLDEN_TRAJECTORIES = [
         "8ce7ef6c008f265c61cba2b97e32a3147f786af63f2e067be2082bf80fc4bad1",
         "f8737c40d5b155675b84a1fe6184c5d6ba41b53b4d458ec9ef90b35a482863a6",
         "2dd2e6efd17fe03d7e7be2056f181c0ce0e2fbd255371e999215c265aad2d49c",
-        "1f6a9bf46932a579cbcacc6ca3740a600d9e75eb6611883afe50d282d0579ae2",
+        "a4de1b876d55af4a06713e170ce4e0597bd3622f088e9a4a9e989a0121874041",
     ),
     (
         dict(
@@ -865,14 +867,14 @@ GOLDEN_TRAJECTORIES = [
         "d6389fbeb1c02d9497b2d10c7a0f37691383244f934cd10a64126cee97c38582",
         "08d378eef3c214dc8f163a97acd119e2f0a8faf097b7dd01ac1ef748e8d3482e",
         "02914ab8040dd694510bf7c279f97be4c7293eeac698bf9a7be365d29a280e73",
-        "640723394c811d47fa6128cd55ee56f1d3f55ca556bfdbb1a3ec978cf0e1f8ba",
+        "d7c286cf53a752ed3942e5590d62eeabdb0e495810c2ef4db9b5277aa8e92722",
     ),
     (
         dict(scheme=SchemeId.PQC, n_clients=3, rounds=4, master_seed=7),
         "bed68ce4249e4dfe0663c0b958422651bc37f8011304dda28bbfadb5d80b8f20",
         None,
         "b733b301ad173f7f56684f6314fc485e30c4368565b3e342150bae2a57795634",
-        "533d7c6c51f046e96cd96508f6299ec3b7bc224a4af41e8fe068fe0d83b477d7",
+        "e49be2ad17ecbe88ff455b691c3282746ce5cbc5ed89123791850dbd51d0f94f",
     ),
 ]
 
@@ -927,29 +929,34 @@ class TestConfig:
 
     def test_nobc_mean_tx_time_is_fixed_delay(self):
         # No aggregation record without a blockchain: one confirmation per round.
-        for latency, expected in ((None, 0.05), (0.2, 0.2)):
-            report = run_experiment(_small_config(blockchain=False, latency=latency))
+        # The summary states the run's latencies once, exactly as configured
+        # over any number of rounds, and each round adds its simulated latency.
+        for latency, expected in ((None, 0.05), (0.2, 0.2), (0.11, 0.11)):
+            report = run_experiment(_small_config(blockchain=False, latency=latency, rounds=10))
+            assert report.summary["mean_tx_time_s"] == expected
+            assert report.summary["simulated_latency_s"] == expected
             for m in report.rounds:
-                assert m.mean_tx_time_s == expected
-                assert m.simulated_latency_s == expected
+                assert m.round_time_s == m.compute_time_s + expected
 
     def test_bc_default_latency_constant(self):
         # The updates' confirmation, then the aggregation's.
-        for latency, expected in ((None, 0.32), (0.2, 0.2)):
-            report = run_experiment(_small_config(latency=latency))
+        for scheme, latency, expected in ((SchemeId.PQC, None, 0.32), (SchemeId.PQC, 0.2, 0.2),
+                                          (SchemeId.NONE, None, 0.11)):
+            report = run_experiment(_small_config(scheme=scheme, latency=latency, rounds=10))
+            assert report.summary["mean_tx_time_s"] == expected
+            assert report.summary["simulated_latency_s"] == 2 * expected
             for m in report.rounds:
-                assert m.mean_tx_time_s == expected
-                assert m.simulated_latency_s == 2 * expected
+                assert m.round_time_s == m.compute_time_s + 2 * expected
 
     @pytest.mark.parametrize("blockchain", [True, False], ids=["BC", "NoBC"])
     def test_zero_latency_reports_zero_overhead(self, blockchain):
         report = run_experiment(
-            _small_config(scheme=SchemeId.NONE, blockchain=blockchain, latency=0.0)
+            _small_config(scheme=SchemeId.NONE, blockchain=blockchain, latency=0.0, rounds=10)
         )
+        assert report.summary["mean_tx_time_s"] == report.summary["simulated_latency_s"] == 0.0
+        assert report.summary["overhead_ratio"] == 0.0
         for m in report.rounds:
             assert m.overhead_ratio == 0.0
-            assert m.mean_tx_time_s == 0.0
-            assert m.simulated_latency_s == 0.0
             assert m.round_time_s == m.compute_time_s
         json.dumps(report.to_json_dict(), allow_nan=False)
 
