@@ -198,9 +198,7 @@ def generate_synthetic(
         block += means[labels[rows]]
         features[rows] = block
 
-    n_train = max(1, int(0.8 * n_samples))
-    if n_train == n_samples:
-        n_train = n_samples - 1
+    n_train = int(0.8 * n_samples)  # in [1, n_samples - 1] since n_samples >= 2
     train = Dataset(features[:n_train], labels[:n_train], n_classes)
     test = Dataset(features[n_train:], labels[n_train:], n_classes)
     return train, test
@@ -395,9 +393,6 @@ def local_train(
         raise ValueError("need local_epochs >= 0, batch_size >= 1, learning_rate finite and > 0")
 
     params = global_params.copy()
-    if cfg.local_epochs == 0:
-        return params
-
     layers = params.layout.views(params.values)  # updates write through to params.values
     x_all = dataset.features[indices]
     y_all = dataset.labels[indices]

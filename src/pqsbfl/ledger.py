@@ -21,15 +21,15 @@ roots commits to the whole state without storing it per block.
 
 A block is a header plus a body, as in Bitcoin and Ethereum: the header
 (height, parent digest, the body's 32-byte transaction hashes packed into
-one field, state root, timestamp) is what :meth:`Block.encode` and the
-block hash cover, and the body is the block's transactions in order. Time
-is logical: a block's timestamp is its height, so the chain head is a
-function of the transaction sequence alone, and of the master seed alone
-for a protocol run. One sealing function builds every block, genesis and
-mined ones alike, from its height, its parent's hash and root, and its
-executed transactions. :func:`chain_verify` replays the bodies from an
-empty state, re-seals each block through that same function and compares
-the result with the stored header byte for byte, timestamp included.
+one field, state root) is what :meth:`Block.encode` and the block hash
+cover, and the body is the block's transactions in order. Time is logical:
+a block's time is its height, so the header carries no clock, and the
+chain head is a function of the transaction sequence alone, and of the
+master seed alone for a protocol run. One sealing function builds every
+block, genesis and mined ones alike, from its height, its parent's hash and
+root, and its executed transactions. :func:`chain_verify` replays the
+bodies from an empty state, re-seals each block through that same function
+and compares the result with the stored header byte for byte.
 
 Verified updates are stored the way contract storage lays out a nested
 mapping: ``verified_updates[round][address] -> transaction``. A round's
@@ -230,14 +230,12 @@ class Block:
     parent_hash: bytes
     tx_hashes: bytes
     state_root: bytes
-    timestamp: float
     transactions: tuple = field(repr=False, compare=False)
 
     def encode(self) -> bytes:
         return b"".join((
             struct.pack("<q", self.height), self.parent_hash,
-            struct.pack("<I", len(self.tx_hashes) // HASH_BYTES), self.tx_hashes,
-            self.state_root, struct.pack("<d", self.timestamp),
+            struct.pack("<I", len(self.tx_hashes) // HASH_BYTES), self.tx_hashes, self.state_root,
         ))
 
     def block_hash(self) -> bytes:
@@ -247,7 +245,7 @@ class Block:
 def _seal(height: int, parent_hash: bytes, prev_root: bytes, executed) -> Block:
     """The only place a :class:`Block` is made: the block at ``height`` over
     ``executed``, ``(tx, tx_hash, record)`` triples in execution order, with
-    the records folded into ``prev_root`` and its height as its timestamp."""
+    the records folded into ``prev_root``."""
     h = hashlib.sha3_256(prev_root)
     for _, _, record in executed:
         h.update(record)
@@ -256,7 +254,6 @@ def _seal(height: int, parent_hash: bytes, prev_root: bytes, executed) -> Block:
         parent_hash=parent_hash,
         tx_hashes=b"".join(tx_hash for _, tx_hash, _ in executed),
         state_root=h.digest(),
-        timestamp=float(height),
         transactions=tuple(tx for tx, _, _ in executed),
     )
 
@@ -423,8 +420,8 @@ class SimulatedLedger:
 
         Its state root folds the records they wrote into the previous
         block's root, so mining costs time in the block's size, not the
-        chain's. Its timestamp is its height (logical time), so the head
-        hash depends on nothing but the transaction sequence.
+        chain's. Its logical time is its height, so the head hash depends
+        on nothing but the transaction sequence.
         """
         pending, self._pending = self._pending, []
         block = _seal(len(self.chain.blocks), self.chain.head_hash,
@@ -445,14 +442,15 @@ def chain_verify(chain: Chain) -> ChainCheck:
     stored block's hash and state root.
 
     Returns intact only if every stored header encodes to the same bytes as
-    its re-seal (height, parent digest, packed transaction hashes, state
-    root and timestamp all included) and the last block hashes to the
-    chain's recorded head hash. Otherwise ``broken_height`` is the first
-    height whose header differs from its re-seal or whose header or body
-    does not encode (no body, an entry not a :class:`Transaction`, a field
-    of the wrong type), or the last height for a wrong head hash. A submit
-    from an address the replay has not registered replays as rejected, so a
-    chain whose block claims it wrote a record fails at that block's root.
+    its re-seal (height, parent digest, packed transaction hashes and state
+    root all included; a block's logical time is its height, so there is no
+    clock to compare) and the last block hashes to the chain's recorded head
+    hash. Otherwise ``broken_height`` is the first height whose header
+    differs from its re-seal or whose header or body does not encode (no
+    body, an entry not a :class:`Transaction`, a field of the wrong type),
+    or the last height for a wrong head hash. A submit from an address the
+    replay has not registered replays as rejected, so a chain whose block
+    claims it wrote a record fails at that block's root.
     """
     if not chain.blocks:
         raise ValueError("chain is empty")
@@ -484,6 +482,5 @@ def export_chain(chain: Chain) -> str:
             "block_hash": block.block_hash().hex(),
             "tx_hashes": [hexed[j:j + 64] for j in range(0, len(hexed), 64)],
             "state_root": block.state_root.hex(),
-            "timestamp": block.timestamp,
         }, sort_keys=True))
     return "\n".join(lines) + "\n"

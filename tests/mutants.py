@@ -26,12 +26,13 @@ REPO = Path(__file__).resolve().parent.parent
 HYPOTHESIS_SEED = "0"
 
 PROTOCOL, LEDGER, BENCHCLI = "pqsbfl/protocol.py", "pqsbfl/ledger.py", "pqsbfl/benchcli.py"
-FEDCORE = "pqsbfl/fedcore.py"
+FEDCORE, SIGSUITE = "pqsbfl/fedcore.py", "pqsbfl/sigsuite.py"
 WIRE = "tests/test_protocol.py::TestWireFields"
 ROUND = "tests/test_protocol.py::TestRunRound"
 NON_FINITE = ("tests/test_benchcli.py::TestReportFiles"
               "::test_report_with_non_finite_value_writes_nothing")
 SYNTHETIC = "tests/test_fedcore.py::TestGenerateSynthetic"
+REJECTED = "tests/test_protocol.py::TestInitPhase::test_infinity_rejected_before_keygen"
 LEDGER_TESTS = "tests/test_ledger.py"
 # The model-based test is every contract row's backstop; pytest stops at the
 # first failure (-x), so a row's faster test, listed first, usually ends it.
@@ -82,6 +83,31 @@ MUTANTS = (
     # each row gets its own class mean
     (FEDCORE, "block += means[labels[rows]]", "block += means[labels[rows]][::-1]",
      [f"{SYNTHETIC}::test_known_answer"]),
+    # config: each rule rejects its own field before keygen
+    (PROTOCOL, """        if not isinstance(self.scheme, SchemeId):
+            out.append(f"unknown scheme {self.scheme!r}")
+        elif""", "        if", [f"{REJECTED}[scheme.unknown]"]),
+    (PROTOCOL, 'or self.dataset.startswith("csv:")):', "or True):",
+     [f"{REJECTED}[dataset.unknown]"]),
+    (PROTOCOL, "self.train.local_epochs < 0", "self.train.local_epochs < -1",
+     [f"{REJECTED}[train.local_epochs]"]),
+    (PROTOCOL, "self.train.batch_size < 1", "self.train.batch_size < 0",
+     [f"{REJECTED}[train.batch_size]"]),
+    (PROTOCOL, "self.synth_classes < 2 or", "self.synth_classes < 1 or",
+     [f"{REJECTED}[synth_classes]"]),
+    (PROTOCOL, "self.synth_features < 1", "self.synth_features < 0",
+     [f"{REJECTED}[synth_features]"]),
+    # a key under a scheme that is not a SchemeId is an error, not ill-formed
+    (SIGSUITE, "        return len(public_key) > 0\n    raise UnsupportedScheme(",
+     "        return len(public_key) > 0\n    return False  # (",
+     ["tests/test_sigsuite.py::TestSignVerify"
+      "::test_scheme_that_is_not_a_scheme_id_is_unsupported"]),
+    # a CSV path that cannot be opened, a directory included, is a ParseError
+    (FEDCORE, "except OSError as exc:", "except FileNotFoundError as exc:",
+     ["tests/test_fedcore.py::TestCsvIngestion::test_empty_rejected"]),
+    # the block header covers its height
+    (LEDGER, 'struct.pack("<q", self.height), self.parent_hash,', "self.parent_hash,",
+     [f"{LEDGER_TESTS}::TestChainIntegrity"]),
     # contract: a key that can never verify is not registered
     (LEDGER, "if not well_formed_key(tx.payload, tx.scheme):", "if False:",
      [f"{LEDGER_TESTS}::TestRegistration::test_key_that_cannot_verify_rejected_and_charged",

@@ -549,6 +549,11 @@ class TestCsvIngestion:
         path.write_text("f0,label\n")
         with pytest.raises(ParseError, match="no data rows"):
             load_csv(path)
+        # nothing to read at all: no file, or a directory
+        for unreadable in (tmp_path / "absent.csv", tmp_path):
+            with pytest.raises(ParseError) as exc:
+                load_csv(unreadable)
+            assert str(exc.value).startswith(f"{unreadable}: ")
 
     def test_split_needs_two_samples(self, tmp_path):
         path = tmp_path / "one.csv"

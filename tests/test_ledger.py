@@ -410,11 +410,6 @@ class TestMining:
         block = ledger.mine_block()
         assert block.tx_hashes == ra.tx_hash + rb.tx_hash
 
-    def test_default_timestamp_is_height(self):
-        ledger = SimulatedLedger()
-        assert ledger.chain.blocks[0].timestamp == 0.0
-        assert [ledger.mine_block().timestamp for _ in range(3)] == [1.0, 2.0, 3.0]
-
     def test_mining_identical_state_identical_digest(self):
         def build():
             ledger = SimulatedLedger()
@@ -511,9 +506,7 @@ class TestChainIntegrity:
         return chain
 
     @pytest.mark.parametrize("relink", [False, True], ids=["alone", "relinked"])
-    @pytest.mark.parametrize(
-        "name", ["height", "parent_hash", "tx_hashes", "state_root", "timestamp"]
-    )
+    @pytest.mark.parametrize("name", ["height", "parent_hash", "tx_hashes", "state_root"])
     def test_edited_header_field_detected_at_its_height(self, name, relink):
         # Relinking makes every later parent_hash and the head agree with the
         # edited block, so only the edited header itself is wrong.
@@ -529,9 +522,7 @@ class TestChainIntegrity:
             chain.head_hash = blocks[-1].block_hash()
         assert chain_verify(chain) == ChainCheck(False, mid)
 
-    @pytest.mark.parametrize(
-        "name", ["height", "parent_hash", "tx_hashes", "state_root", "timestamp"]
-    )
+    @pytest.mark.parametrize("name", ["height", "parent_hash", "tx_hashes", "state_root"])
     def test_header_field_of_the_wrong_type_detected_at_its_height(self, name):
         chain = copy.deepcopy(self._populated_ledger().chain)
         mid = len(chain.blocks) // 2
@@ -580,15 +571,6 @@ class TestChainIntegrity:
         check = chain_verify(chain)
         assert not check.intact
         assert check.broken_height == 2
-
-    def test_mutated_head_timestamp_detected(self):
-        ledger = self._populated_ledger()
-        chain = copy.deepcopy(ledger.chain)
-        head = chain.blocks[-1]
-        chain.blocks[-1] = dataclasses.replace(head, timestamp=head.timestamp + 1)
-        check = chain_verify(chain)
-        assert not check.intact
-        assert check.broken_height == len(chain.blocks) - 1
 
     def test_genesis_shape(self):
         ledger = SimulatedLedger()
@@ -799,7 +781,7 @@ class TestExport:
             run_round(state, t)
         text = export_chain(state.ledger.chain)
         assert hashlib.sha3_256(text.encode()).hexdigest() == (
-            "67d0ddad3217970e5595280e05437065f2833ce77117e88543196c2482812da6"
+            "4f86512c608abc1a8eb13aef46919b49ac12a4f70cd03ee2ba9f67e5ffbfc99d"
         )
 
 

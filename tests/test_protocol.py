@@ -132,29 +132,43 @@ class TestInitPhase:
         with pytest.raises(ValidationError):
             init_phase(cfg)
 
-    @pytest.mark.parametrize("override", [
-        dict(alpha=INF),
-        dict(train=TrainConfig(learning_rate=INF)),
-        dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.PQC: INF}),
-        dict(latency=-0.1),
-        dict(latency=INF),
-        dict(scheme=SchemeId.NONE, gas_targets={SchemeId.PQC: 2_000_000}),
-        dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.NONE: 1000}),
-        dict(gas_targets={**DEFAULT_GAS_TARGETS, "RSA": 200_000}),
+    @pytest.mark.parametrize("override, field", [
+        pytest.param(dict(alpha=INF), "alpha", id="alpha"),
+        pytest.param(dict(train=TrainConfig(learning_rate=INF)), "train.learning_rate",
+                     id="train.learning_rate"),
+        pytest.param(dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.PQC: INF}), "gas target",
+                     id="gas_targets"),
+        pytest.param(dict(latency=-0.1), "latency", id="latency.low"),
+        pytest.param(dict(latency=INF), "latency", id="latency.high"),
+        pytest.param(dict(scheme=SchemeId.NONE, gas_targets={SchemeId.PQC: 2_000_000}),
+                     "gas target", id="gas_targets.missing"),
+        pytest.param(dict(gas_targets={**DEFAULT_GAS_TARGETS, SchemeId.NONE: 1000}),
+                     "gas target", id="gas_targets.below_fixed_costs"),
+        pytest.param(dict(gas_targets={**DEFAULT_GAS_TARGETS, "RSA": 200_000}), "gas target",
+                     id="gas_targets.unknown_scheme"),
         # a round reports twice the latency, and overhead_ratio divides by it
-        dict(latency=1e308),
-        dict(latency=1e-320),
-        dict(train=TrainConfig(learning_rate=1e300)),  # inf as the float32 training uses
-    ], ids=["alpha", "train.learning_rate", "gas_targets", "latency.low", "latency.high",
-            "gas_targets.missing", "gas_targets.below_fixed_costs", "gas_targets.unknown_scheme",
-            "latency.double_overflows", "latency.reciprocal_overflows",
-            "train.learning_rate.float32_overflow"])
-    def test_infinity_rejected_before_keygen(self, override, monkeypatch):
+        pytest.param(dict(latency=1e308), "latency", id="latency.double_overflows"),
+        pytest.param(dict(latency=1e-320), "latency", id="latency.reciprocal_overflows"),
+        # inf as the float32 training uses
+        pytest.param(dict(train=TrainConfig(learning_rate=1e300)), "train.learning_rate",
+                     id="train.learning_rate.float32_overflow"),
+        pytest.param(dict(scheme="RSA"), "scheme", id="scheme.unknown"),
+        pytest.param(dict(dataset="mnist"), "dataset", id="dataset.unknown"),
+        pytest.param(dict(train=TrainConfig(local_epochs=-1)), "train.local_epochs",
+                     id="train.local_epochs"),
+        pytest.param(dict(train=TrainConfig(batch_size=0)), "train.batch_size",
+                     id="train.batch_size"),
+        pytest.param(dict(synth_classes=1), "synth_classes", id="synth_classes"),
+        pytest.param(dict(synth_samples=2), "synth_samples", id="synth_samples"),
+        pytest.param(dict(synth_features=0), "synth_features", id="synth_features"),
+    ])
+    def test_infinity_rejected_before_keygen(self, override, field, monkeypatch):
         calls = []
         monkeypatch.setattr(protocol.sigsuite, "keygen_batch",
                             lambda *args, **kwargs: calls.append(args))
         cfg = _small_config(**override)
-        assert len(cfg.violations()) == 1
+        [violation] = cfg.violations()
+        assert field in violation
         with pytest.raises(ValidationError):
             init_phase(cfg)
         assert calls == []
@@ -845,7 +859,7 @@ GOLDEN_TRAJECTORIES = [
     (
         dict(scheme=SchemeId.NONE, n_clients=3, rounds=10, master_seed=7),
         "5dc5555f5fce52d70e88cead64585e28c8492f0974482a87888d94d2bb776d68",
-        "be89698a381eda074eb17e95e1065f637a715b26b8c1fdbcd6626f5e7a9cc3af",
+        "dec1821c5cca856c067640d5f298dc7f69972bca6c4199438703b4fdc8308070",
         "f9531a214ab94600cc366d7682051509a13db98346a2c40f3726eb98a8599ab0",
         "9cfea6abbef2ca56564028210ee4885942762ce10fcf92e50f56e91f018b842e",
     ),
@@ -855,7 +869,7 @@ GOLDEN_TRAJECTORIES = [
             train=TrainConfig(local_epochs=1),
         ),
         "8ce7ef6c008f265c61cba2b97e32a3147f786af63f2e067be2082bf80fc4bad1",
-        "f8737c40d5b155675b84a1fe6184c5d6ba41b53b4d458ec9ef90b35a482863a6",
+        "bba1d5db68747b71c94b678d6ee8440cc3eecf6b2038922c4e1e5042fbcd04b2",
         "2dd2e6efd17fe03d7e7be2056f181c0ce0e2fbd255371e999215c265aad2d49c",
         "a4de1b876d55af4a06713e170ce4e0597bd3622f088e9a4a9e989a0121874041",
     ),
@@ -865,7 +879,7 @@ GOLDEN_TRAJECTORIES = [
             blockchain=False, synth_samples=600,
         ),
         "d6389fbeb1c02d9497b2d10c7a0f37691383244f934cd10a64126cee97c38582",
-        "08d378eef3c214dc8f163a97acd119e2f0a8faf097b7dd01ac1ef748e8d3482e",
+        "9df305fbd6e252271aa92affc9e96efbb5d7086ee889a1c51b23238af3e0695c",
         "02914ab8040dd694510bf7c279f97be4c7293eeac698bf9a7be365d29a280e73",
         "d7c286cf53a752ed3942e5590d62eeabdb0e495810c2ef4db9b5277aa8e92722",
     ),

@@ -28,6 +28,7 @@ from pqsbfl.sigsuite import (
     measure_primitives,
     sign,
     verify,
+    well_formed_key,
 )
 
 ALL_SCHEMES = (SchemeId.PQC, SchemeId.ECDSA, SchemeId.NONE)
@@ -293,6 +294,8 @@ class TestSignVerify:
             sign(KeyPair(rsa, NONE_PUBLIC_TOKEN, NONE_PRIVATE_TOKEN), b"m")
         with pytest.raises(UnsupportedScheme):
             verify(NONE_PUBLIC_TOKEN, rsa, b"m", b"")
+        with pytest.raises(UnsupportedScheme):
+            well_formed_key(NONE_PUBLIC_TOKEN, rsa)
 
     @pytest.mark.parametrize("scheme", (SchemeId.PQC, SchemeId.ECDSA))
     def test_missing_backend_is_unsupported_scheme(self, scheme, monkeypatch):
